@@ -284,27 +284,37 @@ def lp_feasible(instance, l):
         rows = new_rows
 
 
-def lp_stretch_lower_bound(instance):
-    """A stretch lower bound from the cycle LP.
+def lp_certificate(instance):
+    """The cycle-LP stretch lower bound with its proof: (bound, l0, cycles).
 
+    A stretch-s retraction makes the LP at ceil(k/s) feasible: give each
+    edge the signed cycle step between its endpoints' images, so host edges
+    get +1, every step is at most s, and a cycle with fewer than ceil(k/s)
+    edges sums to a multiple of k smaller than k in absolute value, so to 0.
     Feasibility is monotone non-increasing in l (constraint sets only grow),
-    so binary search finds the smallest infeasible l0 in [2, k]; a stretch-s
-    retraction makes the LP at ceil(k/s) feasible, so every s with
-    ceil(k/s) >= l0 is impossible; the largest such s is reported (the true
-    optimum strictly exceeds it). Returns 1 when everything is feasible.
+    so binary search finds the smallest infeasible l0 in [2, k], and cycles
+    are lp_feasible's certificate at l0. Every s with ceil(k/s) >= l0 is then
+    impossible; the bound is one more than the largest such s. When the LP
+    is feasible at l = k the result is (1, None, None).
     """
     k = instance.k
-    if lp_feasible(instance, k)[0]:
-        return 1
+    feasible, cycles = lp_feasible(instance, k)
+    if feasible:
+        return 1, None, None
     lo, hi = 2, k
     while lo < hi:
         mid = (lo + hi) // 2
-        if lp_feasible(instance, mid)[0]:
+        feasible, cert = lp_feasible(instance, mid)
+        if feasible:
             lo = mid + 1
         else:
-            hi = mid
-    l0 = lo
+            hi, cycles = mid, cert
     s = 1
-    while -(-k // (s + 1)) >= l0:
+    while -(-k // (s + 1)) >= lo:
         s += 1
-    return s
+    return s + 1, lo, cycles
+
+
+def lp_stretch_lower_bound(instance):
+    """A stretch lower bound from the cycle LP; see lp_certificate."""
+    return lp_certificate(instance)[0]

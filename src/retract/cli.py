@@ -23,9 +23,16 @@ from .core import (Instance, ResourceError, Retraction, SolverError,
 from . import bounds as bounds_mod
 
 
-def _read_instance(path):
+def _read_text(path):
     with open(path) as fh:
-        return parse_instance(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError("%s is not UTF-8 text" % path) from exc
+
+
+def _read_instance(path):
+    return parse_instance(_read_text(path))
 
 
 def _write(path, text):
@@ -119,11 +126,11 @@ def _lb(args):
         value = bounds_mod.distance_stretch_lower_bound(inst)
         out = {"method": "distance", "bound": value}
     elif args.method == "lp":
-        value = bounds_mod.lp_stretch_lower_bound(inst)
+        value, l0, cert = bounds_mod.lp_certificate(inst)
         out = {"method": "lp", "bound": value}
-        k = inst.k
-        feasible, cert = bounds_mod.lp_feasible(inst, k)
-        if not feasible:
+        if l0 is not None:
+            # the short cycles whose equalities are inconsistent at l = l0
+            out["l"] = l0
             out["certificate"] = [
                 {"cycle": list(c.vertices),
                  "sum": [c.total.numerator, c.total.denominator]}
@@ -168,8 +175,7 @@ def _points_instance(ps):
 
 def _verify(args):
     inst = _read_instance(args.input)
-    with open(args.retraction) as fh:
-        ret, claimed = parse_retraction(fh.read())
+    ret, claimed = parse_retraction(_read_text(args.retraction))
     rep = stretch(inst, ret)   # validates and measures
     if claimed is not None and claimed != rep.max_stretch:
         raise ValidationError("claimed stretch %r, actual %d"

@@ -80,6 +80,8 @@ class Instance:
             if len(points) != n:
                 raise ValidationError("points length must equal vertex count")
         self.points = points
+        if len(self.edges) < n - 1:
+            raise ValidationError("guest graph is disconnected")
         adj = [[] for _ in range(n)]
         for u, v in self.edges:
             adj[u].append(v)
@@ -413,26 +415,53 @@ def serialize_instance(instance):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def parse_instance(text):
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(value, what, length=None):
+    """value if it is a list of ints (of the given length), else raise."""
+    if (not isinstance(value, list) or not all(_is_int(x) for x in value)
+            or length is not None and len(value) != length):
+        count = "" if length is None else "%d " % length
+        raise ValidationError("%s must be a list of %sintegers"
+                              % (what, count))
+    return value
+
+
+def _json_object(text):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError("not valid JSON: %s" % exc) from exc
     if not isinstance(obj, dict):
         raise ValidationError("top level must be a JSON object")
+    return obj
+
+
+def parse_instance(text):
+    obj = _json_object(text)
     for field in ("n", "edges", "anchors"):
         if field not in obj:
             raise ValidationError("missing field %r" % field)
+    if not _is_int(obj["n"]):
+        raise ValidationError("n must be an integer")
+    if not isinstance(obj["edges"], list):
+        raise ValidationError("edges must be a list")
+    edges = [tuple(_int_list(e, "edges[%d]" % i, 2))
+             for i, e in enumerate(obj["edges"])]
+    anchors = _int_list(obj["anchors"], "anchors")
     points = None
     if obj.get("points") is not None:
+        if not isinstance(obj["points"], list):
+            raise ValidationError("points must be a list")
         points = []
         for i, quad in enumerate(obj["points"]):
-            if len(quad) != 4:
-                raise ValidationError("points[%d] must be [x_num,x_den,y_num,y_den]" % i)
-            xn, xd, yn, yd = quad
+            xn, xd, yn, yd = _int_list(quad, "points[%d]" % i, 4)
+            if xd == 0 or yd == 0:
+                raise ValidationError("points[%d] has a zero denominator" % i)
             points.append((Fraction(xn, xd), Fraction(yn, yd)))
-    return Instance(obj["n"], [tuple(e) for e in obj["edges"]],
-                    obj["anchors"], points)
+    return Instance(obj["n"], edges, anchors, points)
 
 
 def serialize_retraction(instance, retraction):
@@ -443,10 +472,11 @@ def serialize_retraction(instance, retraction):
 
 
 def parse_retraction(text):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError("not valid JSON: %s" % exc) from exc
+    obj = _json_object(text)
     if "assignment" not in obj:
         raise ValidationError("missing field 'assignment'")
-    return Retraction(tuple(obj["assignment"])), obj.get("stretch")
+    claimed = obj.get("stretch")
+    if claimed is not None and not _is_int(claimed):
+        raise ValidationError("stretch must be an integer")
+    assignment = _int_list(obj["assignment"], "assignment")
+    return Retraction(tuple(assignment)), claimed

@@ -1,12 +1,17 @@
 """Exact minimum-stretch retraction for planar guests.
 
-Route: reduce to 2-connected, embed with the anchor cycle H on the outer face
-(decomposing into independent sub-instances when H bounds no face), then decide
-stretch-1 feasibility by scanning bounded faces F: triangulate everything but F
-and the outer face, find the maximum set of vertex-disjoint F-to-H paths by
-unit-capacity max flow, and when k paths exist build the retraction by
-flood-filling the regions they cut out. The optimum is the smallest l for
-which the l-subdivided instance admits a stretch-1 retraction.
+Route: reduce to the 2-connected block containing the anchor cycle H, then
+split on the pieces of G minus the anchors: each component of G - V(H) with
+H attached (and each chord of H with H) is its own part, solved
+independently and merged. A part has one piece, so H bounds a face of every
+embedding of it; networkx embeds only its core, the graph left when chains
+of degree-2 vertices are suppressed, and the chains are spliced back into
+the rotation. Stretch-1 feasibility of a part is decided by scanning bounded
+faces F: triangulate everything but F and the outer face, find the maximum
+set of vertex-disjoint F-to-H paths by unit-capacity max flow, and when k
+paths exist build the retraction by flood-filling the regions they cut out.
+The optimum is the smallest l for which the l-subdivided instance admits a
+stretch-1 retraction.
 
 For very large subdivided instances (the Euclidean pipeline) the per-face
 decision switches to a layered shortest-path construction: labels are computed
@@ -89,34 +94,83 @@ class PlaneEmbedding:
 
 
 def _nx_faces(n, edges):
-    """Planarity-test the edge set and list all faces of one embedding."""
+    """Planarity-test the graph and list the faces of one embedding.
+
+    networkx embeds only the core: the vertices whose degree is not 2, plus
+    interior vertices promoted from any chain of degree-2 vertices that
+    would otherwise close a loop or repeat a core edge, so that every core
+    edge stands for exactly one chain. The chains are spliced back into the
+    core rotation, and faces are walked by networkx's rule: after the
+    half-edge (v, w), leave w towards the neighbor preceding v in w's
+    clockwise order.
+    """
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    core = [len(a) != 2 for a in adj]
+    if not any(core):          # a bare cycle
+        core[0] = True
+    # step[(u, w)] is u's neighbor on the chain the core edge (u, w) stands
+    # for; `walked` holds both end half-edges of every chain taken
+    step = {}
+    walked = set()
+    core_edges = set()
+
+    def add_chain(chain):
+        u, v = chain[0], chain[-1]
+        core_edges.add(_normalize_edge(u, v))
+        step[(u, v)] = chain[1]
+        step[(v, u)] = chain[-2]
+        walked.add((u, chain[1]))
+        walked.add((v, chain[-2]))
+
+    for u, v in edges:
+        if core[u] and core[v]:
+            add_chain((u, v))
+    for u in range(n):
+        if not core[u]:
+            continue
+        for x in adj[u]:
+            if (u, x) in walked:
+                continue
+            chain = [u, x]
+            while not core[chain[-1]]:
+                a, b = adj[chain[-1]]
+                chain.append(b if a == chain[-2] else a)
+            v = chain[-1]
+            i = 0
+            # promote while the chain closes a loop or repeats a core edge
+            while len(chain) - i > 2 and (
+                    chain[i] == v
+                    or _normalize_edge(chain[i], v) in core_edges):
+                core[chain[i + 1]] = True
+                add_chain(chain[i:i + 2])
+                i += 1
+            add_chain(chain[i:])
     g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(edges)
+    g.add_nodes_from(v for v in range(n) if core[v])
+    g.add_edges_from(core_edges)
     ok, emb = nx.check_planarity(g)
     if not ok:
         raise NotPlanarError("guest graph is not planar")
+    rotation = tuple(tuple(step[(v, w)] for w in emb.neighbors_cw_order(v))
+                     if core[v] else tuple(adj[v]) for v in range(n))
     faces = []
     seen = set()
-    for u, v in emb.edges:
-        if (u, v) in seen:
-            continue
-        walk = emb.traverse_face(u, v, mark_half_edges=seen)
-        faces.append(tuple(walk))
-    rotation = tuple(tuple(emb.neighbors_cw_order(v)) if g.degree(v) else ()
-                     for v in range(n))
+    for v0 in range(n):
+        for w0 in rotation[v0]:
+            if (v0, w0) in seen:
+                continue
+            v, w = v0, w0
+            walk = []
+            while (v, w) not in seen:
+                seen.add((v, w))
+                walk.append(v)
+                rot = rotation[w]
+                v, w = w, rot[rot.index(v) - 1]
+            faces.append(tuple(walk))
     return rotation, faces
-
-
-def _find_face(faces, edge_set, excluding=()):
-    for fid, walk in enumerate(faces):
-        if fid in excluding:
-            continue
-        m = len(walk)
-        fes = {_normalize_edge(walk[i], walk[(i + 1) % m]) for i in range(m)}
-        if fes == edge_set:
-            return fid
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -187,50 +241,64 @@ def reduce_two_connected(instance):
 
 
 def plane_embed(instance):
-    """Embed with H bounding the outer face, or decompose.
+    """Split the instance into parts, or embed it with H on the outer face.
 
-    Returns a PlaneEmbedding whose outer face is the anchor cycle, or — when
-    no face of the (up to reflection unique) embedding of the 2-connected
-    guest is bounded by H — a list of (sub_instance, old_of_new) pairs, one
-    per connected component of G minus the anchors, each with H attached, to
-    be solved independently and merged.
+    A piece is a chord of H, or a connected component C of G minus the
+    anchors together with its edges to H. With two or more pieces nothing is
+    embedded: the result is a list of (sub_instance, old_of_new) pairs, one
+    per piece with H attached, to be solved independently and merged. A part
+    of a 2-connected instance is 2-connected, since its component attaches at
+    two or more anchors. With at most one piece, H bounds a face of every
+    embedding (a connected C lies on one side of the Jordan curve H, so the
+    other side holds nothing), and the result is a PlaneEmbedding whose outer
+    face is that face.
     """
-    rotation, faces = _nx_faces(instance.n, instance.edges)
-    outer = _find_face(faces, set(instance.host_edges()))
-    if outer is not None:
-        return PlaneEmbedding(instance.n, rotation, faces, outer,
-                              instance.anchors)
-    # decomposition: one sub-instance per component of G minus the anchors
-    aset = set(instance.anchors)
-    g = nx.Graph()
-    g.add_nodes_from(range(instance.n))
-    g.add_edges_from(instance.edges)
-    parts = []
-    host = instance.host_edges()
+    k = instance.k
     anchor_new = {a: i for i, a in enumerate(instance.anchors)}
-    for u, v in instance.edges:
-        if u in aset and v in aset and (u, v) not in host:
-            # a chord is its own sub-instance on the anchors alone
-            edges = {(anchor_new[a], anchor_new[b]) for a, b in host}
-            edges.add(_normalize_edge(anchor_new[u], anchor_new[v]))
-            parts.append((Instance(instance.k, edges, range(instance.k)),
-                          tuple(instance.anchors)))
-    free = [v for v in range(instance.n) if v not in aset]
-    for comp in nx.connected_components(g.subgraph(free)):
-        old_of_new = list(instance.anchors) + sorted(comp)
-        new_of_old = {old: new for new, old in enumerate(old_of_new)}
-        keep = set(old_of_new)
-        edges = {(new_of_old[u], new_of_old[v]) for u, v in instance.edges
-                 if u in keep and v in keep
-                 and not (u in aset and v in aset)}
-        edges |= {(new_of_old[u], new_of_old[v])
-                  for u, v in instance.host_edges()}
-        anchors = tuple(range(instance.k))
-        parts.append((Instance(len(old_of_new), edges, anchors),
-                      tuple(old_of_new)))
-    if len(parts) < 2:
-        raise SolverError("anchor cycle bounds no face yet the instance does "
-                          "not decompose")
+    host = instance.host_edges()
+    chords = [(u, v) for u, v in instance.edges
+              if u in anchor_new and v in anchor_new and (u, v) not in host]
+    comps = []
+    seen = set(anchor_new)
+    for s in range(instance.n):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp = [s]
+        for v in comp:
+            for w in instance.neighbors(v):
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        comps.append(sorted(comp))
+    if len(chords) + len(comps) <= 1:
+        rotation, faces = _nx_faces(instance.n, instance.edges)
+        emb = PlaneEmbedding(instance.n, rotation, faces, None,
+                             instance.anchors)
+        # H's face lies along one of the two sides of the host edge (a, b)
+        a, b = instance.anchors[0], instance.anchors[1]
+        outer = emb.half_face[(a, b)]
+        if emb.face_edge_sets[outer] != host:
+            outer = emb.half_face[(b, a)]
+        emb.outer_face = outer
+        return emb
+    host_new = [(i, (i + 1) % k) for i in range(k)]
+    parts = []
+    for u, v in chords:
+        # a chord is its own sub-instance on the anchors alone
+        edges = host_new + [(anchor_new[u], anchor_new[v])]
+        parts.append((Instance(k, edges, range(k)), tuple(instance.anchors)))
+    for comp in comps:
+        old_of_new = tuple(instance.anchors) + tuple(comp)
+        new_of_old = dict(anchor_new)
+        new_of_old.update((v, k + i) for i, v in enumerate(comp))
+        edges = list(host_new)
+        for v in comp:
+            for w in instance.neighbors(v):
+                if w > v or w in anchor_new:
+                    edges.append((new_of_old[v], new_of_old[w]))
+        parts.append((Instance(len(old_of_new), edges, range(k)),
+                      old_of_new))
     return parts
 
 
@@ -660,7 +728,11 @@ def _stretch1_embedded(instance, embedding, collect=None):
 
 
 def stretch1_retract(instance, collect=None):
-    """A stretch-1 retraction of the instance, or None if none exists."""
+    """A stretch-1 retraction of the instance, or None if none exists.
+
+    The instance is reduced to the block of H once; every part the block
+    splits into is then 2-connected and is decided on its own embedding.
+    """
     host = instance.host_edges()
     aset = set(instance.anchors)
     for u, v in instance.edges:
@@ -674,16 +746,12 @@ def stretch1_retract(instance, collect=None):
             return None
     else:
         asg = [None] * reduced.n
-        for a in reduced.anchors:
-            asg[a] = a
         for sub, old_of_new in emb:
-            part = stretch1_retract(sub, collect)
+            part = _stretch1_embedded(sub, plane_embed(sub), collect)
             if part is None:
                 return None
             for new_id, old_id in enumerate(old_of_new):
-                img = old_of_new[part.assignment[new_id]]
-                if asg[old_id] is None:
-                    asg[old_id] = img
+                asg[old_id] = old_of_new[part.assignment[new_id]]
         sol = Retraction(tuple(asg))
     lifted = rmap.lift(sol)
     if stretch(instance, lifted).max_stretch > 1:

@@ -46,10 +46,12 @@ GRID_DISTANCE_LB_INT = 2
 # --- LP expectations (hand Gaussian elimination on W4's four triangles) ---
 W4_LP4_FEASIBLE = False
 W4_LP3_FEASIBLE = True
-W4_LP_LOWER_BOUND = 1
+# l0 = 4 and ceil(4/s) >= 4 only for s = 1, so stretch 1 is impossible.
+W4_LP_LOWER_BOUND = 2
 # grid5: unit-square 4-cycles are constrained at l=5 and force 0 = k by the
-# face-sum argument, so l0 = 5 and the bound is max{s: ceil(16/s) >= 5} = 3.
-GRID5_LP_LOWER_BOUND = 3
+# face-sum argument, so l0 = 5; every s with ceil(16/s) >= 5 (s <= 3) is
+# impossible and the bound is 3 + 1.
+GRID5_LP_LOWER_BOUND = 4
 
 # --- subdivision counts ---
 # W4, l=2: 9 vertices, 12 edges; 3x3 grid, l=3: 17 vertices.

@@ -265,6 +265,16 @@ def test_criterion_8_euclid():
             % (float(worst) ** 0.5, took))
 
 
+def _part_embeddings(inst):
+    """(part, embedding) for each part plane_embed splits the 2-connected
+    reduction of inst into; the reduction itself when it does not split."""
+    reduced, _ = planar.reduce_two_connected(inst)
+    emb = planar.plane_embed(reduced)
+    if isinstance(emb, planar.PlaneEmbedding):
+        return [(reduced, emb)]
+    return [(sub, planar.plane_embed(sub)) for sub, _ in emb]
+
+
 def test_criterion_9_structural_invariants():
     t0 = time.monotonic()
     # stretch-1 instances: plain cycles and subdivisions at the known optimum
@@ -283,31 +293,28 @@ def test_criterion_9_structural_invariants():
     # (c) winding identity: host scores k, consistently oriented faces sum to 0
     curve_checked = score_checked = 0
     for inst in stretch1_insts:
-        reduced, _ = planar.reduce_two_connected(inst)
-        emb = planar.plane_embed(reduced)
-        if not isinstance(emb, planar.PlaneEmbedding):
-            continue
-        ret = None
-        for f in range(len(emb.faces)):
-            if f == emb.outer_face or emb.face_len(f) < reduced.k:
+        for part, emb in _part_embeddings(inst):
+            ret = None
+            for f in range(len(emb.faces)):
+                if f == emb.outer_face or emb.face_len(f) < part.k:
+                    continue
+                sg = planar.triangulate_for_face(emb, f)
+                curves = planar.max_disjoint_paths(sg, sg.s, sg.t)
+                if len(curves.paths) < part.k:
+                    continue
+                full = planar.retraction_from_curves(sg.embedding, curves)
+                ret = Retraction(full.assignment[:part.n])
+                assert stretch(part, ret).max_stretch <= 1
+                curve_checked += 1
+                break
+            if ret is None:
                 continue
-            sg = planar.triangulate_for_face(emb, f)
-            curves = planar.max_disjoint_paths(sg, sg.s, sg.t)
-            if len(curves.paths) < reduced.k:
-                continue
-            full = planar.retraction_from_curves(sg.embedding, curves)
-            ret = Retraction(full.assignment[:reduced.n])
-            assert stretch(reduced, ret).max_stretch <= 1
-            curve_checked += 1
-            break
-        if ret is None:
-            continue
-        assert planar.cycle_score(emb, reduced.anchors, ret) == reduced.k
-        scores = [planar.cycle_score(emb, emb.faces[f], ret)
-                  for f in range(len(emb.faces))]
-        assert sum(scores) == 0
-        assert abs(scores[emb.outer_face]) == reduced.k
-        score_checked += 1
+            assert planar.cycle_score(emb, part.anchors, ret) == part.k
+            scores = [planar.cycle_score(emb, emb.faces[f], ret)
+                      for f in range(len(emb.faces))]
+            assert sum(scores) == 0
+            assert abs(scores[emb.outer_face]) == part.k
+            score_checked += 1
     assert curve_checked >= 20 and score_checked >= 20
 
     # (b) Menger: max disjoint paths == min surrounding cycle, 30 faces
@@ -316,17 +323,15 @@ def test_criterion_9_structural_invariants():
                  subdivide(_ck(4), 2)[0], subdivide(_ck(6), 2)[0],
                  subdivide(gen_grid(3), 2)[0],
                  subdivide(gen_grid(3), 3)[0]):
-        reduced, _ = planar.reduce_two_connected(inst)
-        emb = planar.plane_embed(reduced)
-        assert isinstance(emb, planar.PlaneEmbedding)
-        for f in range(len(emb.faces)):
-            if f == emb.outer_face or menger >= 30:
-                continue
-            sg = planar.triangulate_for_face(emb, f)
-            got = len(planar.max_disjoint_paths(sg, sg.s, sg.t).paths)
-            assert got == oracle.enumerate_min_surrounding_cycle(emb, f,
-                                                                 cap=20)
-            menger += 1
+        for _, emb in _part_embeddings(inst):
+            for f in range(len(emb.faces)):
+                if f == emb.outer_face or menger >= 30:
+                    continue
+                sg = planar.triangulate_for_face(emb, f)
+                got = len(planar.max_disjoint_paths(sg, sg.s, sg.t).paths)
+                assert got == oracle.enumerate_min_surrounding_cycle(
+                    emb, f, cap=20)
+                menger += 1
     assert menger >= 30
 
     # (d) subdivision duality: smallest feasible l equals the optimum

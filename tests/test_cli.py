@@ -1,6 +1,12 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from retract import oracle
 from retract.cli import run
@@ -56,7 +62,22 @@ def test_lb_lp_w4_certificate(tmp_path, capsys):
     assert run(["lb", "--method", "lp", "-i", str(inst_path)]) == 0
     out = json.loads(capsys.readouterr().out.strip())
     assert out["bound"] == frozen.W4_LP_LOWER_BOUND
+    assert out["l"] == 4
     assert len(out["certificate"]) == 4
+
+
+def test_lb_lp_certificate_is_for_l0(tmp_path, capsys):
+    inst_path = _gen(tmp_path, "grid", "--m", "5")
+    capsys.readouterr()
+    assert run(["lb", "--method", "lp", "-i", str(inst_path)]) == 0
+    out = json.loads(capsys.readouterr().out.strip())
+    assert out["bound"] == frozen.GRID5_LP_LOWER_BOUND
+    # the smallest infeasible l is 5 < k = 16: every certificate cycle is
+    # shorter than 5 and has a nonzero sum
+    assert out["l"] == 5
+    assert out["certificate"]
+    for c in out["certificate"]:
+        assert len(c["cycle"]) < 5 and c["sum"][0] != 0
 
 
 def test_lb_sperner_on_grid(tmp_path, capsys):
@@ -120,3 +141,94 @@ def test_determinism(tmp_path):
     run(["solve", "--algo", "planar", "-i", str(a), "-o", str(ra)])
     run(["solve", "--algo", "planar", "-i", str(b), "-o", str(rb)])
     assert ra.read_text() == rb.read_text()
+
+
+@pytest.mark.parametrize("inst,ret", [
+    ({"n": 3, "edges": [["0", 1], [1, 2], [0, 2]], "anchors": [0, 1, 2]},
+     None),                                             # string vertex id
+    ({"n": 3, "edges": [[0, 1], [1, 2], [2, False]], "anchors": [0, 1, 2]},
+     None),                                             # bool vertex id
+    ({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "anchors": [0, 1.0, 2]},
+     None),                                             # float anchor
+    ({"n": True, "edges": [], "anchors": []}, None),    # bool vertex count
+    ({"n": 3, "edges": [[0, 1, 2], [1, 2], [0, 2]], "anchors": [0, 1, 2]},
+     None),                                             # 3-element edge
+    ({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "anchors": [0, 1, 2],
+      "points": [[0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 1]]},
+     None),                                             # zero denominator
+    ({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "anchors": [0, 1, 2]},
+     7),                                                # non-object file
+    ({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "anchors": [0, 1, 2]},
+     {"assignment": [0, [1], 2]}),                      # nested list
+])
+def test_malformed_input_exits_2(tmp_path, inst, ret):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(inst))
+    ret_path = tmp_path / "ret.json"
+    ret_path.write_text(json.dumps(ret if ret is not None
+                                   else {"assignment": [0, 1, 2]}))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc = run(["verify", "-i", str(inst_path), "-r", str(ret_path)])
+    assert rc == 2 and "validation error" in err.getvalue()
+
+
+def test_binary_input_exits_2(tmp_path):
+    bad = tmp_path / "inst.bin"
+    bad.write_bytes(b"\xff\xfe{")
+    with redirect_stderr(io.StringIO()):
+        assert run(["lb", "--method", "distance", "-i", str(bad)]) == 2
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 9)
+            | st.integers(-10 ** 4, 10 ** 4) | st.floats(allow_nan=False)
+            | st.text(max_size=2))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=2), inner,
+                                       max_size=3), max_leaves=12)
+_VERTEX = st.integers(0, 7) | _SCALARS
+_INSTANCE = st.fixed_dictionaries(
+    {"n": st.integers(0, 8) | _JSON,
+     "edges": st.lists(st.lists(_VERTEX, min_size=1, max_size=3),
+                       max_size=14) | _JSON,
+     "anchors": st.lists(_VERTEX, max_size=6) | _JSON},
+    optional={"points": st.lists(st.lists(st.integers(-2, 2), max_size=5),
+                                 max_size=8) | _JSON})
+_RETRACTION = st.fixed_dictionaries(
+    {"assignment": st.lists(_VERTEX, max_size=8) | _JSON},
+    optional={"stretch": _VERTEX})
+
+
+def _cycle_instance(k, extra, n_free):
+    """An anchor cycle 0..k-1 plus extra edges, as JSON."""
+    n = k + n_free
+    edges = {(i, (i + 1) % k) for i in range(k)}
+    edges |= {(u, v) for u, v in extra if u < n and v < n and u != v}
+    edges = {(min(e), max(e)) for e in edges}
+    return {"n": n, "edges": sorted(edges), "anchors": list(range(k))}
+
+
+_VALID_ISH = st.builds(_cycle_instance, st.integers(3, 6),
+                       st.lists(st.tuples(st.integers(0, 9),
+                                          st.integers(0, 9)), max_size=14),
+                       st.integers(0, 4))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(inst=_INSTANCE | _VALID_ISH | _JSON, ret=_RETRACTION | _JSON)
+def test_cli_fuzz_never_tracebacks(inst, ret):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "inst.json").write_text(json.dumps(inst))
+        (tmp / "ret.json").write_text(json.dumps(ret))
+        for argv in (["verify", "-r", str(tmp / "ret.json")],
+                     ["lb", "--method", "distance"],
+                     ["lb", "--method", "lp"],
+                     ["solve", "--algo", "planar", "-o",
+                      str(tmp / "out.json")]):
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                rc = run(argv + ["-i", str(tmp / "inst.json")])
+            assert rc in (0, 2, 3), (argv, rc, err.getvalue())
+            assert "Traceback" not in err.getvalue()

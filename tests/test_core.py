@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -54,6 +58,23 @@ def test_duplicate_edge_rejected():
 def test_disconnected_guest_rejected():
     with pytest.raises(ValidationError):
         Instance(5, [(0, 1), (1, 2), (2, 0)], (0, 1, 2))
+
+
+def test_huge_vertex_count_rejected_before_allocation():
+    # fewer than n - 1 edges cannot connect n vertices; the check must come
+    # before any per-vertex table, so a child capped at 1 GiB of address
+    # space rejects n = 10**12 instead of running out of memory
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from retract.core import Instance, ValidationError\n"
+            "try:\n"
+            "    Instance(10 ** 12, [(0, 1), (1, 2), (0, 2)], (0, 1, 2))\n"
+            "except ValidationError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "guest graph is disconnected", out.stderr
 
 
 # --- stretch ---

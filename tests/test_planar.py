@@ -1,12 +1,15 @@
 """Planar exact solver: reduction, embedding, triangulation, disjoint paths,
 curve regions, the stretch-1 decision, the optimizer, and cycle scores."""
 
+import random
+
+import networkx as nx
 import pytest
 
 from retract import planar
 from retract.core import (Instance, Retraction, ValidationError, cycle_dist,
-                          gen_column_deleted_grid, gen_grid, stretch,
-                          subdivide)
+                          gen_column_deleted_grid, gen_grid,
+                          gen_random_planar, stretch, subdivide)
 from retract.oracle import brute_force_optimal, enumerate_min_surrounding_cycle
 from retract.planar import (NotPlanarError, PlaneEmbedding, cycle_score,
                             enclosed_faces, max_disjoint_paths,
@@ -74,8 +77,9 @@ def test_plane_embed_rejects_nonplanar():
 
 
 def test_plane_embed_decomposes():
-    # C8 plus an inner hub on anchors 0,4 and a second hub on anchors 2,6:
-    # they cannot sit on the same side, so H bounds no face
+    # C8 plus a hub on anchors 0,4 and a second hub on anchors 2,6: G - V(H)
+    # has two components, one part each (they cannot sit on the same side
+    # of H, so no embedding of the whole has H as a face)
     edges = [(i, (i + 1) % 8) for i in range(8)]
     edges += [(0, 8), (4, 8), (2, 9), (6, 9)]
     inst = Instance(10, edges, tuple(range(8)))
@@ -278,3 +282,104 @@ def test_face_sum_identity():
         assert f in inside
         got = sum(cycle_score(emb, emb.faces[g], ret) for g in inside)
         assert abs(got) == abs(cycle_score(emb, walk, ret))
+
+
+# ---------------------------------------------------------------------------
+# the core embedding: degree-2 chains spliced back into the core rotation
+
+
+def theta(a, b, c):
+    """Two poles joined by three internally disjoint paths of a, b and c
+    edges; the anchor cycle is made of the first two paths."""
+    edges, paths = [], []
+    nxt = 2
+    for length in (a, b, c):
+        path = [0] + list(range(nxt, nxt + length - 1)) + [1]
+        nxt += length - 1
+        edges += list(zip(path, path[1:]))
+        paths.append(path)
+    anchors = tuple(paths[0]) + tuple(reversed(paths[1][1:-1]))
+    return Instance(nxt, edges, anchors)
+
+
+def free_components(inst):
+    g = nx.Graph()
+    g.add_nodes_from(range(inst.n))
+    g.add_edges_from(inst.edges)
+    g.remove_nodes_from(inst.anchors)
+    return nx.number_connected_components(g)
+
+
+@pytest.mark.parametrize("inst", [
+    make_ck(3), make_ck(9), theta(3, 4, 5), theta(2, 3, 3), theta(4, 4, 2),
+    theta(3, 3, 1),
+    subdivide(make_w4(), 2)[0], subdivide(make_w4(), 5)[0],
+    subdivide(gen_grid(3), 3)[0], subdivide(gen_grid(4), 2)[0],
+    subdivide(gen_grid(5), 4)[0],
+], ids=["C3", "C9", "theta345", "theta233", "theta442", "theta331",
+        "W4x2", "W4x5",
+        "grid3x3", "grid4x2", "grid5x4"])
+def test_core_embedding_is_a_plane_map(inst):
+    assert free_components(inst) <= 1
+    emb = plane_embed(inst)
+    assert isinstance(emb, PlaneEmbedding)
+    walked = [(walk[i], walk[(i + 1) % len(walk)])
+              for walk in emb.faces for i in range(len(walk))]
+    directed = {(u, v) for e in inst.edges for u, v in (e, e[::-1])}
+    assert len(walked) == len(set(walked)) and set(walked) == directed
+    assert inst.n - len(inst.edges) + len(emb.faces) == 2
+    assert emb.face_edge_sets[emb.outer_face] == inst.host_edges()
+
+
+def _colgrid(rows, cols):
+    """rows x cols grid keeping only the first and last column's vertical
+    edges; the boundary is the anchor cycle."""
+    vid = lambda r, c: r * cols + c
+    edges = [(vid(r, c), vid(r, c + 1)) for r in range(rows)
+             for c in range(cols - 1)]
+    edges += [(vid(r, c), vid(r + 1, c)) for r in range(rows - 1)
+              for c in (0, cols - 1)]
+    anchors = ([vid(0, c) for c in range(cols)]
+               + [vid(r, cols - 1) for r in range(1, rows)]
+               + [vid(rows - 1, c) for c in range(cols - 2, -1, -1)]
+               + [vid(r, 0) for r in range(rows - 2, 0, -1)])
+    return Instance(rows * cols, edges, anchors)
+
+
+def _with_subdivided_chord(inst, i, j, length):
+    """inst plus a path of `length` edges outside H between anchors i, j."""
+    path = ([inst.anchors[i]] + list(range(inst.n, inst.n + length - 1))
+            + [inst.anchors[j]])
+    return Instance(inst.n + length - 1, list(inst.edges)
+                    + list(zip(path, path[1:])), inst.anchors)
+
+
+def _split_family():
+    """(kind, instance) with G - V(H) in two or more components."""
+    rng = random.Random(2024)
+    out = [("colgrid", _colgrid(r, c))
+           for r, c in ((4, 4), (5, 4), (4, 5), (5, 5), (6, 3), (3, 6),
+                        (7, 3))]
+    while len(out) < 40:
+        k = rng.randint(4, 9)
+        inst = gen_random_planar(rng.randint(2, 8), k, rng.randrange(1 << 30))
+        kind = "random"
+        if rng.random() < 0.5:
+            i = rng.randrange(k)
+            j = (i + rng.randint(2, k - 2)) % k
+            inst = _with_subdivided_chord(inst, i, j, rng.randint(2, 4))
+            kind = "chord"
+        if free_components(inst) >= 2 and inst.n - inst.k <= 12:
+            out.append((kind, inst))
+    return out
+
+
+def test_split_instances_match_oracle():
+    kinds = set()
+    for kind, inst in _split_family():
+        ret, rep = optimal_retract_planar(inst)
+        _, want = brute_force_optimal(inst)
+        assert rep.max_stretch == want.max_stretch, kind
+        assert stretch(inst, ret).max_stretch == rep.max_stretch
+        kinds.add(kind)
+    assert kinds == {"colgrid", "random", "chord"}
