@@ -16,8 +16,8 @@ from math import isqrt
 
 from . import __version__
 from .core import (Instance, ResourceError, Retraction, SolverError,
-                   SubgraphHost, ValidationError, gen_column_deleted_grid,
-                   gen_grid, gen_random_planar, parse_instance,
+                   ValidationError, gen_column_deleted_grid, gen_grid,
+                   gen_random_planar, parse_host, parse_instance,
                    parse_retraction, serialize_instance, serialize_retraction,
                    stretch)
 from . import bounds as bounds_mod
@@ -50,23 +50,16 @@ def _digest(instance):
 def _solve(args):
     inst = _read_instance(args.input)
     t0 = time.monotonic()
-    extra = {}
     if args.algo == "planar":
         from .planar import optimal_retract_planar
-        collect = {} if args.emit_curves else None
-        ret, rep = optimal_retract_planar(inst, collect)
-        if args.emit_curves and collect.get("curves") is not None:
-            extra["curves"] = [list(p) for p in collect["curves"].paths]
+        ret, rep = optimal_retract_planar(inst)
     elif args.algo == "approx":
         from .approx import approx_retract
         ret, rep = approx_retract(inst)
     elif args.algo == "treewidth":
         from .treewidth import optimal_retract_tw
         if args.host_edges:
-            with open(args.host_edges) as fh:
-                data = json.load(fh)
-            host = SubgraphHost(tuple(data["anchors"]),
-                                [tuple(e) for e in data["edges"]])
+            host = parse_host(_read_text(args.host_edges), inst)
             ret, rep = optimal_retract_tw(inst, host)
             # non-cycle host: the stretch lives in the host metric, so the
             # cycle-metric serializer and bounds do not apply
@@ -114,7 +107,6 @@ def _solve(args):
         "wall_time_s": round(time.monotonic() - t0, 6),
         "version": __version__,
     }
-    record.update(extra)
     _write(args.output, serialize_retraction(inst, ret))
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
@@ -197,7 +189,6 @@ def _build_parser():
                              "oracle"])
     sp.add_argument("-i", "--input", required=True)
     sp.add_argument("-o", "--output", default="-")
-    sp.add_argument("--emit-curves", action="store_true")
     sp.add_argument("--host-edges",
                     help="JSON {anchors: [...], edges: [[u,v],...]} for "
                          "treewidth with a non-cycle host")

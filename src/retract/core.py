@@ -480,3 +480,23 @@ def parse_retraction(text):
         raise ValidationError("stretch must be an integer")
     assignment = _int_list(obj["assignment"], "assignment")
     return Retraction(tuple(assignment)), claimed
+
+
+def parse_host(text, instance):
+    """A SubgraphHost from JSON {anchors: [...], edges: [[u, v], ...]} whose
+    anchors are vertices of the instance."""
+    obj = _json_object(text)
+    for field in ("anchors", "edges"):
+        if field not in obj:
+            raise ValidationError("missing host field %r" % field)
+    anchors = _int_list(obj["anchors"], "host anchors")
+    if not anchors:
+        raise ValidationError("host anchors must not be empty")
+    for a in anchors:
+        if not 0 <= a < instance.n:
+            raise ValidationError("host anchor %r out of range" % (a,))
+    if not isinstance(obj["edges"], list):
+        raise ValidationError("host edges must be a list")
+    edges = [tuple(_int_list(e, "host edges[%d]" % i, 2))
+             for i, e in enumerate(obj["edges"])]
+    return SubgraphHost(anchors, edges)

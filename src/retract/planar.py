@@ -7,43 +7,36 @@ independently and merged. A part has one piece, so H bounds a face of every
 embedding of it; networkx embeds only its core, the graph left when chains
 of degree-2 vertices are suppressed, and the chains are spliced back into
 the rotation. Stretch-1 feasibility of a part is decided by scanning bounded
-faces F: triangulate everything but F and the outer face, find the maximum
-set of vertex-disjoint F-to-H paths by unit-capacity max flow, and when k
-paths exist build the retraction by flood-filling the regions they cut out.
-The optimum is the smallest l for which the l-subdivided instance admits a
-stretch-1 retraction.
+faces F with a winding cover: vertices are copied into layers that shift
+where an edge crosses a dual path from F to the outer face, labels are
+shortest-path values from the anchor copies, and the map read off layer 0 is
+verified directly. With as many layers on each side as the dual path
+crosses edges, the cover finds a stretch-1 map whenever one exists whose
+winding lies on F alone, so the scan is exact. The optimum is the smallest l
+for which the l-subdivided instance admits a stretch-1 retraction.
 
-For very large subdivided instances (the Euclidean pipeline) the per-face
-decision switches to a layered shortest-path construction: labels are computed
-in a small winding cover of the annulus between F and the outer face, and the
-resulting map is verified directly, so the fast route is self-certifying.
+The paper's certificate, k vertex-disjoint curves from F to H found by max
+flow in a triangulated supergraph and the retraction read off the regions
+they cut out, is kept as `triangulate_for_face`, `max_disjoint_paths` and
+`retraction_from_curves`; the solver does not call it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import ceil
 
 import networkx as nx
 
 from .core import (Instance, Retraction, StretchReport, SolverError,
-                   ValidationError, _normalize_edge, cycle_dist,
-                   distance_lower_bound, stretch, subdivide)
+                   ValidationError, _normalize_edge, cycle_dist, stretch,
+                   subdivide)
 
 
 class NotPlanarError(ValidationError):
     """The guest graph is not planar; the exact algorithm does not apply."""
 
 
-# vertex-count threshold above which the face decision uses the layered
-# shortest-path route instead of triangulation + max flow
-_CURVE_LIMIT = 1500
-# face-boundary threshold for the same switch: the triangulation gadget is
-# quadratic in the boundary length, so long faces take the fast route too
-_CURVE_FACE_LIMIT = 200
-# winding-cover half-width for the fast route
-_COVER_LAYERS = 4
 # anchor sample size for the distance lower bound on huge instances
 _LB_SAMPLE = 64
 
@@ -303,7 +296,8 @@ def plane_embed(instance):
 
 
 # ---------------------------------------------------------------------------
-# triangulation and disjoint paths
+# the curve certificate: triangulation and disjoint paths (not on the solve
+# path; tests compare the winding cover against it)
 
 
 @dataclass(frozen=True)
@@ -594,7 +588,7 @@ def retraction_from_curves(embedding, curves):
 
 
 # ---------------------------------------------------------------------------
-# layered-cover fast route for large instances
+# the winding cover: the per-face decision
 
 
 def _dual_crossing_signs(embedding, face):
@@ -643,11 +637,14 @@ def _lipschitz_retract(instance, embedding, face):
     Vertices are copied into layers, edges crossing the dual path shift the
     layer, anchor copies are seeded at their index plus k per layer, and the
     label of each vertex is its shortest-path value in the cover. The result
-    is verified directly; None means this face certifies nothing.
+    is verified directly; None means no stretch-1 map has all its winding
+    on this face. J layers on each side, J the number of edges the dual path
+    crosses, suffice: some shortest path to a layer-0 copy projects to a
+    simple path of G, which crosses each of those edges at most once.
     """
     k = instance.k
     sign = _dual_crossing_signs(embedding, face)
-    J = _COVER_LAYERS
+    J = max(1, len(sign) // 2)
     width = 2 * J + 1
     n = instance.n
     INF = float("inf")
@@ -698,36 +695,19 @@ def _lipschitz_retract(instance, embedding, face):
 # the decision procedure and the optimizer
 
 
-def _stretch1_embedded(instance, embedding, collect=None):
+def _stretch1_embedded(instance, embedding):
     k = instance.k
     faces = [f for f in range(len(embedding.faces))
              if f != embedding.outer_face and embedding.face_len(f) >= k]
     faces.sort(key=embedding.face_len, reverse=True)
-    small = instance.n <= _CURVE_LIMIT
     for f in faces:
-        if small and embedding.face_len(f) <= _CURVE_FACE_LIMIT:
-            sg = triangulate_for_face(embedding, f)
-            curves = max_disjoint_paths(sg, sg.s, sg.t)
-            if len(curves.paths) < k:
-                continue
-            full = retraction_from_curves(sg.embedding, curves)
-            ret = Retraction(full.assignment[:instance.n])
-            if collect is not None:
-                collect["face"] = f
-                collect["curves"] = curves
-        else:
-            ret = _lipschitz_retract(instance, embedding, f)
-            if ret is None:
-                continue
-            if collect is not None:
-                collect["face"] = f
-                collect["curves"] = None
-        if stretch(instance, ret).max_stretch <= 1:
+        ret = _lipschitz_retract(instance, embedding, f)
+        if ret is not None and stretch(instance, ret).max_stretch <= 1:
             return ret
     return None
 
 
-def stretch1_retract(instance, collect=None):
+def stretch1_retract(instance):
     """A stretch-1 retraction of the instance, or None if none exists.
 
     The instance is reduced to the block of H once; every part the block
@@ -741,13 +721,13 @@ def stretch1_retract(instance, collect=None):
     reduced, rmap = reduce_two_connected(instance)
     emb = plane_embed(reduced)
     if isinstance(emb, PlaneEmbedding):
-        sol = _stretch1_embedded(reduced, emb, collect)
+        sol = _stretch1_embedded(reduced, emb)
         if sol is None:
             return None
     else:
         asg = [None] * reduced.n
         for sub, old_of_new in emb:
-            part = _stretch1_embedded(sub, plane_embed(sub), collect)
+            part = _stretch1_embedded(sub, plane_embed(sub))
             if part is None:
                 return None
             for new_id, old_id in enumerate(old_of_new):
@@ -760,11 +740,10 @@ def stretch1_retract(instance, collect=None):
 
 
 def _start_lower_bound(instance):
-    """ceil of the distance lower bound; sampled on huge instances (still a
-    valid lower bound: a max over a subset of anchor pairs)."""
+    """ceil of the distance lower bound; on instances with more than
+    _LB_SAMPLE anchors only every step-th anchor is a source (still a valid
+    lower bound: a max over a subset of anchor pairs)."""
     k = instance.k
-    if k <= _LB_SAMPLE and instance.n <= _CURVE_LIMIT:
-        return max(1, ceil(distance_lower_bound(instance)))
     step = max(1, k // _LB_SAMPLE)
     best = 1
     for i in range(0, k, step):
@@ -777,10 +756,10 @@ def _start_lower_bound(instance):
             dh = cycle_dist(k, i, j)
             if dg[b] > 0 and dh > best * dg[b]:
                 best = -(-dh // dg[b])
-    return max(1, best)
+    return best
 
 
-def optimal_retract_planar(instance, collect=None):
+def optimal_retract_planar(instance):
     """Minimum-stretch retraction of a planar instance.
 
     stretch(G) <= l iff the l-subdivision admits a stretch-1 retraction, so
@@ -795,7 +774,7 @@ def optimal_retract_planar(instance, collect=None):
         if l in found:
             return found[l] is not None
         sub, _ = subdivide(instance, l)
-        sol = stretch1_retract(sub, collect)
+        sol = stretch1_retract(sub)
         if sol is None:
             found[l] = None
             return False
@@ -815,13 +794,9 @@ def optimal_retract_planar(instance, collect=None):
         if l >= cap:
             break
         l = min(2 * l, cap)
-    if found.get(l) is None and last_bad >= cap:
-        # every candidate failed (possible only on the self-certifying fast
-        # route); fall back to the trivial retraction
-        asg = [v if instance.is_anchor(v) else instance.anchors[0]
-               for v in range(instance.n)]
-        ret = Retraction(tuple(asg))
-        return ret, stretch(instance, ret)
+    if found[l] is None:
+        # every retraction has stretch <= floor(k/2), and the cover is exact
+        raise SolverError("no stretch-1 retraction of the %d-subdivision" % l)
     hi = l
     # binary search in (last_bad, hi]
     while last_bad + 1 < hi:

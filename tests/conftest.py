@@ -3,6 +3,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from retract import planar
 from retract.core import Instance
 
 
@@ -15,3 +16,13 @@ def make_w4():
 def make_ck(k):
     """G = H = C_k."""
     return Instance(k, [(i, (i + 1) % k) for i in range(k)], tuple(range(k)))
+
+
+def part_embeddings(inst):
+    """(part, embedding) for each part plane_embed splits the 2-connected
+    reduction of inst into; the reduction itself when it does not split."""
+    reduced, _ = planar.reduce_two_connected(inst)
+    emb = planar.plane_embed(reduced)
+    if isinstance(emb, planar.PlaneEmbedding):
+        return [(reduced, emb)]
+    return [(sub, planar.plane_embed(sub)) for sub, _ in emb]

@@ -19,6 +19,8 @@ from retract.core import (Instance, Retraction, SubgraphHost,
                           distance_lower_bound, gen_column_deleted_grid,
                           gen_grid, gen_random_planar, stretch, subdivide)
 
+from conftest import part_embeddings
+
 # (instance, max_stretch) for every solver-produced retraction in criteria 1-5
 _SOLVED = []
 # (instance, optimum) pairs from criterion 1, reused by criteria 6 and 9
@@ -265,16 +267,6 @@ def test_criterion_8_euclid():
             % (float(worst) ** 0.5, took))
 
 
-def _part_embeddings(inst):
-    """(part, embedding) for each part plane_embed splits the 2-connected
-    reduction of inst into; the reduction itself when it does not split."""
-    reduced, _ = planar.reduce_two_connected(inst)
-    emb = planar.plane_embed(reduced)
-    if isinstance(emb, planar.PlaneEmbedding):
-        return [(reduced, emb)]
-    return [(sub, planar.plane_embed(sub)) for sub, _ in emb]
-
-
 def test_criterion_9_structural_invariants():
     t0 = time.monotonic()
     # stretch-1 instances: plain cycles and subdivisions at the known optimum
@@ -293,7 +285,7 @@ def test_criterion_9_structural_invariants():
     # (c) winding identity: host scores k, consistently oriented faces sum to 0
     curve_checked = score_checked = 0
     for inst in stretch1_insts:
-        for part, emb in _part_embeddings(inst):
+        for part, emb in part_embeddings(inst):
             ret = None
             for f in range(len(emb.faces)):
                 if f == emb.outer_face or emb.face_len(f) < part.k:
@@ -323,7 +315,7 @@ def test_criterion_9_structural_invariants():
                  subdivide(_ck(4), 2)[0], subdivide(_ck(6), 2)[0],
                  subdivide(gen_grid(3), 2)[0],
                  subdivide(gen_grid(3), 3)[0]):
-        for _, emb in _part_embeddings(inst):
+        for _, emb in part_embeddings(inst):
             for f in range(len(emb.faces)):
                 if f == emb.outer_face or menger >= 30:
                     continue

@@ -113,6 +113,33 @@ def test_solve_treewidth_host_edges(tmp_path):
     assert obj["assignment"][:4] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("host", [
+    [1, 2],                                             # not an object
+    {"anchors": [0, 1]},                                # missing edges
+    {"anchors": "01", "edges": [[0, 1]]},               # string anchors
+    {"anchors": [], "edges": []},                       # no anchors
+    {"anchors": [0, 9], "edges": [[0, 9]]},             # anchor out of range
+    {"anchors": [0, 1], "edges": 5},                    # edges not a list
+    {"anchors": [0, 1], "edges": [[0, 1, 2]]},          # 3-element edge
+    {"anchors": [0, 1], "edges": [[0, True]]},          # bool vertex id
+    {"anchors": [0, 1], "edges": [[1, 2]]},             # edge leaves anchors
+    {"anchors": [0, 2], "edges": []},                   # disconnected host
+    "{not json",                                        # invalid JSON
+])
+def test_solve_treewidth_malformed_host_exits_2(tmp_path, host):
+    from conftest import make_ck
+    from retract.core import serialize_instance
+    inst_path = tmp_path / "c8.json"
+    inst_path.write_text(serialize_instance(make_ck(8)))
+    host_path = tmp_path / "host.json"
+    host_path.write_text(host if isinstance(host, str) else json.dumps(host))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        rc = run(["solve", "--algo", "treewidth", "-i", str(inst_path),
+                  "--host-edges", str(host_path)])
+    assert rc == 2 and "validation error" in err.getvalue()
+
+
 def test_gen_random_points_has_coordinates(tmp_path):
     inst_path = _gen(tmp_path, "random-points", "--n", "2", "--k", "10",
                      "--seed", "1")

@@ -2,14 +2,15 @@
 curve regions, the stretch-1 decision, the optimizer, and cycle scores."""
 
 import random
+from math import ceil
 
 import networkx as nx
 import pytest
 
 from retract import planar
 from retract.core import (Instance, Retraction, ValidationError, cycle_dist,
-                          gen_column_deleted_grid, gen_grid,
-                          gen_random_planar, stretch, subdivide)
+                          distance_lower_bound, gen_column_deleted_grid,
+                          gen_grid, gen_random_planar, stretch, subdivide)
 from retract.oracle import brute_force_optimal, enumerate_min_surrounding_cycle
 from retract.planar import (NotPlanarError, PlaneEmbedding, cycle_score,
                             enclosed_faces, max_disjoint_paths,
@@ -17,7 +18,7 @@ from retract.planar import (NotPlanarError, PlaneEmbedding, cycle_score,
                             reduce_two_connected, retraction_from_curves,
                             stretch1_retract, triangulate_for_face)
 
-from conftest import make_ck, make_w4
+from conftest import make_ck, make_w4, part_embeddings
 from frozen import (COLGRID_OPTIMAL, GRID3_OPTIMAL, GRID4_OPTIMAL,
                     GRID4_CENTER_FACE_MIN_CYCLE, W4_OPTIMAL)
 
@@ -175,10 +176,18 @@ def test_retraction_from_curves_interior_path():
     # C8 plus a chord-free interior path between anchors 0 and 1
     edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 8), (8, 9), (9, 1)]
     inst = Instance(10, edges, tuple(range(8)))
-    ret = stretch1_retract(inst)
-    assert ret is not None
+    emb = plane_embed(inst)
+    face = max((f for f in range(len(emb.faces)) if f != emb.outer_face),
+               key=emb.face_len)
+    sg = triangulate_for_face(emb, face)
+    curves = max_disjoint_paths(sg, sg.s, sg.t)
+    assert len(curves.paths) == 8
+    ret = Retraction(retraction_from_curves(sg.embedding, curves)
+                     .assignment[:inst.n])
     assert stretch(inst, ret).max_stretch <= 1
     assert ret.assignment[8] in (0, 1) and ret.assignment[9] in (0, 1)
+    # the solver's own map may send the path elsewhere, within stretch 1
+    assert stretch(inst, stretch1_retract(inst)).max_stretch <= 1
 
 
 def test_stretch1_identity_on_cycle():
@@ -236,13 +245,78 @@ def test_optimal_agrees_with_oracle_on_pendant_graph():
     assert rep.max_stretch == want.max_stretch
 
 
-def test_fast_route_agrees(monkeypatch):
-    monkeypatch.setattr(planar, "_CURVE_LIMIT", 0)
-    for inst, want in ((gen_grid(3), GRID3_OPTIMAL), (make_w4(), W4_OPTIMAL),
-                       (gen_column_deleted_grid(5), COLGRID_OPTIMAL)):
-        ret, rep = optimal_retract_planar(inst)
-        assert rep.max_stretch == want
-        assert stretch(inst, ret).max_stretch == want
+def _web(k, rings, rng):
+    """The anchor cycle 0..k-1 inside `rings` concentric k-cycles, joined
+    ring to ring by spokes, with a diagonal in about half of the quads: the
+    innermost face lies rings + 1 dual crossings from the outer face."""
+    vid = lambda j, i: k * j + i % k
+    edges = []
+    for j in range(rings + 1):
+        for i in range(k):
+            edges.append((vid(j, i), vid(j, i + 1)))
+            if j < rings:
+                edges.append((vid(j, i), vid(j + 1, i)))
+                x = rng.random()
+                if x < 0.25:
+                    edges.append((vid(j, i), vid(j + 1, i + 1)))
+                elif x < 0.5:
+                    edges.append((vid(j, i + 1), vid(j + 1, i)))
+    return Instance(k * (rings + 1), edges, tuple(range(k)))
+
+
+def _face_family():
+    """(instance, l, limit): each instance is probed at l = optimum - 1
+    and l = optimum; limit, when set, caps the probe at that many faces,
+    those with the longest dual paths."""
+    rng = random.Random(7)
+    insts = [gen_grid(m) for m in (3, 4)]
+    insts += [gen_column_deleted_grid(m) for m in (5, 7)]
+    insts += [_web(rng.randint(4, 8), rng.randint(3, 6), rng)
+              for _ in range(6)]
+    # its innermost face is feasible, and the cover needs 5 layers there
+    insts.append(_web(9, 6, random.Random(16)))
+    insts += [gen_random_planar(rng.randint(3, 16), rng.randint(4, 12),
+                                rng.randrange(1 << 30)) for _ in range(8)]
+    out = []
+    for inst in insts:
+        opt = optimal_retract_planar(inst)[1].max_stretch
+        out += [(inst, l, None) for l in (opt - 1, opt) if l >= 1]
+    # grid 7 at the optimum: only two central faces, 3 crossings deep
+    grid7 = gen_grid(7)
+    out.append((grid7, optimal_retract_planar(grid7)[1].max_stretch, 2))
+    return out
+
+
+def test_cover_decides_each_face_as_flow_does():
+    # per face: the winding cover finds a stretch-1 map exactly when max
+    # flow finds k disjoint curves, on every bounded face of every part
+    outcomes = set()
+    deepest = 0
+    for inst, l, limit in _face_family():
+        for part, emb in part_embeddings(subdivide(inst, l)[0]):
+            faces = [f for f in range(len(emb.faces)) if f != emb.outer_face]
+            crossed = {f: len(planar._dual_crossing_signs(emb, f)) // 2
+                       for f in faces}
+            faces.sort(key=crossed.get, reverse=True)
+            for f in faces[:limit]:
+                sg = triangulate_for_face(emb, f)
+                flow = len(max_disjoint_paths(sg, sg.s, sg.t).paths) == part.k
+                cover = planar._lipschitz_retract(part, emb, f) is not None
+                assert cover == flow, (inst.n, l, f)
+                outcomes.add(flow)
+                deepest = max(deepest, crossed[f])
+    assert outcomes == {True, False}
+    assert deepest >= 5
+
+
+def test_start_lower_bound_is_the_distance_bound():
+    ladder = [gen_grid(m) for m in (3, 4, 5, 6)]
+    ladder += [gen_column_deleted_grid(m) for m in (5, 6, 7, 8)]
+    ladder += [gen_random_planar(nf, k, 100 * k + nf)
+               for k in (6, 8, 10, 12, 14, 16, 20) for nf in (4, 8)]
+    for inst in ladder:
+        assert planar._start_lower_bound(inst) == max(
+            1, ceil(distance_lower_bound(inst)))
 
 
 def test_cycle_score_host_is_k():
