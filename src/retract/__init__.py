@@ -13,7 +13,7 @@ Modules:
 
 from .core import (Instance, Retraction, StretchReport, SubgraphHost,
                    ValidationError, SolverError, ResourceError,
-                   cycle_dist, cycle_distance, stretch, distance_lower_bound, subdivide,
+                   cycle_dist, stretch, distance_lower_bound, subdivide,
                    gen_grid, gen_column_deleted_grid, gen_random_planar,
                    host_from_cycle, parse_instance, serialize_instance)
 from .approx import approx_retract
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Instance", "Retraction", "StretchReport", "SubgraphHost",
     "ValidationError", "SolverError", "ResourceError",
-    "cycle_dist", "cycle_distance", "stretch", "distance_lower_bound", "subdivide",
+    "cycle_dist", "stretch", "distance_lower_bound", "subdivide",
     "gen_grid", "gen_column_deleted_grid", "gen_random_planar",
     "host_from_cycle", "parse_instance", "serialize_instance",
     "approx_retract", "optimal_retract_planar", "stretch1_retract",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 solver or
 resource error. `solve` emits the retraction and a run record (algorithm,
-instance digest, stretch, lower bounds, wall time, version) as JSON.
+instance digest, wall time, version; the stretch and distance bound for
+cycle hosts, ratio_sq for euclid, the host-metric stretch for --host-edges).
 """
 
 from __future__ import annotations
@@ -48,66 +49,45 @@ def _digest(instance):
 
 
 def _solve(args):
+    if args.host_edges and args.algo != "treewidth":
+        raise ValidationError("--host-edges applies to --algo treewidth only")
     inst = _read_instance(args.input)
     t0 = time.monotonic()
-    if args.algo == "planar":
-        from .planar import optimal_retract_planar
-        ret, rep = optimal_retract_planar(inst)
-    elif args.algo == "approx":
-        from .approx import approx_retract
-        ret, rep = approx_retract(inst)
-    elif args.algo == "treewidth":
-        from .treewidth import optimal_retract_tw
-        if args.host_edges:
-            host = parse_host(_read_text(args.host_edges), inst)
-            ret, rep = optimal_retract_tw(inst, host)
-            # non-cycle host: the stretch lives in the host metric, so the
-            # cycle-metric serializer and bounds do not apply
-            record = {
-                "algorithm": "treewidth",
-                "instance_sha256": _digest(inst),
-                "stretch": rep.max_stretch,
-                "wall_time_s": round(time.monotonic() - t0, 6),
-                "version": __version__,
-            }
-            text = json.dumps({"assignment": list(ret.assignment),
-                               "stretch": rep.max_stretch},
-                              sort_keys=True, separators=(",", ":")) + "\n"
-            _write(args.output, text)
-            sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-            return 0
-        ret, rep = optimal_retract_tw(inst)
-    elif args.algo == "euclid":
+    record = {"algorithm": args.algo, "instance_sha256": _digest(inst),
+              "version": __version__}
+    if args.algo == "euclid":
         if inst.points is None:
             raise ValidationError("euclid solver needs a 'points' field")
         from .euclid import PointSet, euclid_retract
-        ps = PointSet(tuple(inst.points), inst.anchors)
-        res = euclid_retract(ps)
-        ret = Retraction(res.assignment)
-        record = {
-            "algorithm": "euclid",
-            "instance_sha256": _digest(inst),
-            "ratio_sq": [res.ratio_sq.numerator, res.ratio_sq.denominator],
-            "wall_time_s": round(time.monotonic() - t0, 6),
-            "version": __version__,
-        }
-        _write(args.output, serialize_retraction(inst, ret))
-        sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-        return 0
-    else:  # oracle
-        from .oracle import brute_force_optimal
-        ret, rep = brute_force_optimal(inst)
-    record = {
-        "algorithm": args.algo,
-        "instance_sha256": _digest(inst),
-        "stretch": rep.max_stretch,
-        "lower_bounds": {
-            "distance": bounds_mod.distance_stretch_lower_bound(inst),
-        },
-        "wall_time_s": round(time.monotonic() - t0, 6),
-        "version": __version__,
-    }
-    _write(args.output, serialize_retraction(inst, ret))
+        res = euclid_retract(PointSet(tuple(inst.points), inst.anchors))
+        record["ratio_sq"] = [res.ratio_sq.numerator, res.ratio_sq.denominator]
+        text = serialize_retraction(inst, Retraction(res.assignment))
+    elif args.host_edges:
+        from .treewidth import optimal_retract_tw
+        host = parse_host(_read_text(args.host_edges), inst)
+        ret, rep = optimal_retract_tw(inst, host)
+        # non-cycle host: the stretch lives in the host metric, so the
+        # cycle-metric serializer and bounds do not apply
+        record["stretch"] = rep.max_stretch
+        text = json.dumps({"assignment": list(ret.assignment),
+                           "stretch": rep.max_stretch},
+                          sort_keys=True, separators=(",", ":")) + "\n"
+    else:
+        if args.algo == "planar":
+            from .planar import optimal_retract_planar as solver
+        elif args.algo == "approx":
+            from .approx import approx_retract as solver
+        elif args.algo == "treewidth":
+            from .treewidth import optimal_retract_tw as solver
+        else:  # oracle
+            from .oracle import brute_force_optimal as solver
+        ret, rep = solver(inst)
+        record["stretch"] = rep.max_stretch
+        record["lower_bounds"] = {
+            "distance": bounds_mod.distance_stretch_lower_bound(inst)}
+        text = serialize_retraction(inst, ret)
+    record["wall_time_s"] = round(time.monotonic() - t0, 6)
+    _write(args.output, text)
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 

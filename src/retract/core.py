@@ -109,9 +109,6 @@ class Instance:
     def anchor_index(self, v):
         return self._anchor_index[v]
 
-    def has_edge(self, u, v):
-        return v in self._adj[u]
-
     def distances_from(self, source):
         """BFS distances from source; -1 for unreachable. Memoized."""
         cached = self._dist_cache.get(source)
@@ -229,14 +226,6 @@ def cycle_dist(k, i, j):
     """Cycle metric on indices 0..k-1."""
     d = abs(i - j)
     return min(d, k - d)
-
-
-def cycle_distance(instance, i, j):
-    """Cycle metric between anchor cycle indices i and j."""
-    k = instance.k
-    if not (0 <= i < k and 0 <= j < k):
-        raise ValidationError("anchor index out of range")
-    return cycle_dist(k, i, j)
 
 
 def check_retraction(instance, retraction):

@@ -71,7 +71,7 @@ def anchors_on_circle(k):
     a slightly inflated circle quantized to the dyadic grid."""
     if k < 3:
         raise ValidationError("k must be >= 3")
-    r = (1 + 0.5 / k ** 2) / (2 * math.sin(math.pi / k))
+    r = circle_radius(k)
     pts = []
     for i in range(k):
         th = 2 * math.pi * i / k
@@ -196,8 +196,10 @@ def delaunay_spanner(points):
 def contract_small_edges(g, k, n):
     """Contract every edge of squared length below (2/(kn))^2; parallel edges
     keep the minimum weight. Returns (graph, group) where group[v] is v's new
-    vertex id. Raises if two anchors of the first k vertices would merge only
-    when told which vertices are anchors -- callers check via group."""
+    vertex id. It does not know which vertices are anchors: callers check
+    through group that no two anchors merged. One union-find pass suffices:
+    an edge left between two groups keeps the least weight of the original
+    edges joining them, none of them short, so it is never contracted."""
     thr = Fraction(4, (k * n) ** 2)
     parent = list(range(g.n))
 
@@ -207,25 +209,10 @@ def contract_small_edges(g, k, n):
             v = parent[v]
         return v
 
-    changed = True
-    sq = dict(g.sq_weights)
-    while changed:
-        changed = False
-        for (u, v), w in sorted(sq.items()):
+    for (u, v), w in g.sq_weights.items():
+        if w < thr:
             ru, rv = find(u), find(v)
-            if ru != rv and w < thr:
-                parent[max(ru, rv)] = min(ru, rv)
-                changed = True
-        if changed:
-            merged = {}
-            for (u, v), w in sq.items():
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    continue
-                e = _normalize_edge(ru, rv)
-                if e not in merged or w < merged[e]:
-                    merged[e] = w
-            sq = merged
+            parent[max(ru, rv)] = min(ru, rv)
     reps = sorted({find(v) for v in range(g.n)})
     new_id = {r: i for i, r in enumerate(reps)}
     group = tuple(new_id[find(v)] for v in range(g.n))
@@ -314,7 +301,8 @@ def _grow_path(adj, path, targets, banned=frozenset()):
     the anchor. Appended branches avoid the kept portion (and `banned`), so
     the result stays a simple path."""
     for t in targets:
-        par = _bfs_parents(adj, t, banned)
+        if t in banned:
+            raise SolverError("path endpoint %d is blocked" % t)
         dist = {t: 0}
         q = deque([t])
         while q:

@@ -1,19 +1,19 @@
 """Exact minimum-stretch retraction for planar guests.
 
 Route: reduce to the 2-connected block containing the anchor cycle H, then
-split on the pieces of G minus the anchors: each component of G - V(H) with
-H attached (and each chord of H with H) is its own part, solved
-independently and merged. A part has one piece, so H bounds a face of every
-embedding of it; networkx embeds only its core, the graph left when chains
-of degree-2 vertices are suppressed, and the chains are spliced back into
-the rotation. Stretch-1 feasibility of a part is decided by scanning bounded
-faces F with a winding cover: vertices are copied into layers that shift
-where an edge crosses a dual path from F to the outer face, labels are
-shortest-path values from the anchor copies, and the map read off layer 0 is
-verified directly. With as many layers on each side as the dual path
-crosses edges, the cover finds a stretch-1 map whenever one exists whose
-winding lies on F alone, so the scan is exact. The optimum is the smallest l
-for which the l-subdivided instance admits a stretch-1 retraction.
+split on the pieces of G minus the anchors (`plane_parts`): each component
+of G - V(H) with H attached (and each chord of H with H) is its own part,
+solved independently and merged. A part has one piece, so H bounds a face of
+every embedding of it; `plane_embed` has networkx embed only its core
+(chains of degree-2 vertices suppressed) and splices the chains back in.
+Stretch-1 feasibility of a part is decided by scanning bounded faces F with
+a winding cover: vertices are copied into layers that shift where an edge
+crosses a dual path from F to the outer face, labels are shortest-path
+values from the anchor copies, and the map read off layer 0 is verified
+directly. With as many layers on each side as the dual path crosses edges,
+the cover finds a stretch-1 map whenever one exists whose winding lies on F
+alone, so the scan is exact. The optimum is the smallest l for which the
+l-subdivided instance admits a stretch-1 retraction.
 
 The paper's certificate, k vertex-disjoint curves from F to H found by max
 flow in a triangulated supergraph and the retraction read off the regions
@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .core import (Instance, Retraction, StretchReport, SolverError,
-                   ValidationError, _normalize_edge, cycle_dist, stretch,
-                   subdivide)
+from .core import (Instance, Retraction, SolverError, ValidationError,
+                   _normalize_edge, cycle_dist, stretch, subdivide)
 
 
 class NotPlanarError(ValidationError):
@@ -233,18 +232,16 @@ def reduce_two_connected(instance):
     return reduced, ReduceMap(instance.n, old_of_new, new_of_old, gateway)
 
 
-def plane_embed(instance):
-    """Split the instance into parts, or embed it with H on the outer face.
+def plane_parts(instance):
+    """Split the instance into the parts that are embedded and solved apart.
 
     A piece is a chord of H, or a connected component C of G minus the
-    anchors together with its edges to H. With two or more pieces nothing is
-    embedded: the result is a list of (sub_instance, old_of_new) pairs, one
-    per piece with H attached, to be solved independently and merged. A part
-    of a 2-connected instance is 2-connected, since its component attaches at
-    two or more anchors. With at most one piece, H bounds a face of every
-    embedding (a connected C lies on one side of the Jordan curve H, so the
-    other side holds nothing), and the result is a PlaneEmbedding whose outer
-    face is that face.
+    anchors together with its edges to H. The result is a list of
+    (sub_instance, old_of_new) pairs, one per piece with H attached, to be
+    solved independently and merged; an instance with at most one piece is
+    its own single part, with the identity map. A part of a 2-connected
+    instance is 2-connected, since its component attaches at two or more
+    anchors.
     """
     k = instance.k
     anchor_new = {a: i for i, a in enumerate(instance.anchors)}
@@ -265,16 +262,7 @@ def plane_embed(instance):
                     comp.append(w)
         comps.append(sorted(comp))
     if len(chords) + len(comps) <= 1:
-        rotation, faces = _nx_faces(instance.n, instance.edges)
-        emb = PlaneEmbedding(instance.n, rotation, faces, None,
-                             instance.anchors)
-        # H's face lies along one of the two sides of the host edge (a, b)
-        a, b = instance.anchors[0], instance.anchors[1]
-        outer = emb.half_face[(a, b)]
-        if emb.face_edge_sets[outer] != host:
-            outer = emb.half_face[(b, a)]
-        emb.outer_face = outer
-        return emb
+        return [(instance, tuple(range(instance.n)))]
     host_new = [(i, (i + 1) % k) for i in range(k)]
     parts = []
     for u, v in chords:
@@ -293,6 +281,27 @@ def plane_embed(instance):
         parts.append((Instance(len(old_of_new), edges, range(k)),
                       old_of_new))
     return parts
+
+
+def plane_embed(instance):
+    """Embed a one-piece part (see plane_parts) with H on the outer face.
+
+    H bounds a face of every embedding of such a part: a connected C lies on
+    one side of the Jordan curve H, so the other side holds nothing. Two or
+    more pieces are rejected, as H may bound no face of the whole.
+    """
+    if len(plane_parts(instance)) > 1:
+        raise ValidationError("H need not bound a face of an instance with "
+                              "two or more pieces; embed its parts")
+    rotation, faces = _nx_faces(instance.n, instance.edges)
+    emb = PlaneEmbedding(instance.n, rotation, faces, None, instance.anchors)
+    # H's face lies along one of the two sides of the host edge (a, b)
+    a, b = instance.anchors[0], instance.anchors[1]
+    outer = emb.half_face[(a, b)]
+    if emb.face_edge_sets[outer] != instance.host_edges():
+        outer = emb.half_face[(b, a)]
+    emb.outer_face = outer
+    return emb
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +711,7 @@ def _stretch1_embedded(instance, embedding):
     faces.sort(key=embedding.face_len, reverse=True)
     for f in faces:
         ret = _lipschitz_retract(instance, embedding, f)
-        if ret is not None and stretch(instance, ret).max_stretch <= 1:
+        if ret is not None:
             return ret
     return None
 
@@ -719,21 +728,14 @@ def stretch1_retract(instance):
         if u in aset and v in aset and (u, v) not in host:
             return None   # a chord joins anchors at cycle distance >= 2
     reduced, rmap = reduce_two_connected(instance)
-    emb = plane_embed(reduced)
-    if isinstance(emb, PlaneEmbedding):
-        sol = _stretch1_embedded(reduced, emb)
-        if sol is None:
+    asg = [None] * reduced.n
+    for sub, old_of_new in plane_parts(reduced):
+        part = _stretch1_embedded(sub, plane_embed(sub))
+        if part is None:
             return None
-    else:
-        asg = [None] * reduced.n
-        for sub, old_of_new in emb:
-            part = _stretch1_embedded(sub, plane_embed(sub))
-            if part is None:
-                return None
-            for new_id, old_id in enumerate(old_of_new):
-                asg[old_id] = old_of_new[part.assignment[new_id]]
-        sol = Retraction(tuple(asg))
-    lifted = rmap.lift(sol)
+        for new_id, old_id in enumerate(old_of_new):
+            asg[old_id] = old_of_new[part.assignment[new_id]]
+    lifted = rmap.lift(Retraction(tuple(asg)))
     if stretch(instance, lifted).max_stretch > 1:
         raise SolverError("lifted retraction exceeds stretch 1")
     return lifted
@@ -810,35 +812,7 @@ def optimal_retract_planar(instance):
 
 
 # ---------------------------------------------------------------------------
-# scores
-
-
-def cycle_score(embedding, cycle, retraction):
-    """Sum of signed steps of the images along a closed vertex sequence.
-
-    A step from image index i to i+1 (mod k) counts +1, the reverse -1,
-    staying put 0; any step between non-adjacent anchors violates the
-    stretch-1 premise. The result is the winding number times k; the host
-    cycle itself always scores k.
-    """
-    anchors = embedding.anchors
-    k = len(anchors)
-    idx = {a: i for i, a in enumerate(anchors)}
-    total = 0
-    m = len(cycle)
-    for i in range(m):
-        u, v = cycle[i], cycle[(i + 1) % m]
-        d = (idx[retraction.image(v)] - idx[retraction.image(u)]) % k
-        if d == 0:
-            continue
-        if d == 1:
-            total += 1
-        elif d == k - 1:
-            total -= 1
-        else:
-            raise ValidationError("images of consecutive cycle vertices are "
-                                  "%d anchors apart" % min(d, k - d))
-    return total
+# faces inside a cycle
 
 
 def enclosed_faces(embedding, cycle_edges):

@@ -4,7 +4,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from retract import planar
-from retract.core import Instance
+from retract.core import Instance, ValidationError
 
 
 def make_w4():
@@ -19,10 +19,34 @@ def make_ck(k):
 
 
 def part_embeddings(inst):
-    """(part, embedding) for each part plane_embed splits the 2-connected
-    reduction of inst into; the reduction itself when it does not split."""
-    reduced, _ = planar.reduce_two_connected(inst)
-    emb = planar.plane_embed(reduced)
-    if isinstance(emb, planar.PlaneEmbedding):
-        return [(reduced, emb)]
-    return [(sub, planar.plane_embed(sub)) for sub, _ in emb]
+    """(part, embedding) for each part of the 2-connected reduction of inst."""
+    return [(sub, planar.plane_embed(sub)) for sub, _ in
+            planar.plane_parts(planar.reduce_two_connected(inst)[0])]
+
+
+def cycle_score(embedding, cycle, retraction):
+    """Sum of signed steps of the images along a closed vertex sequence.
+
+    A step from image index i to i+1 (mod k) counts +1, the reverse -1,
+    staying put 0; any step between non-adjacent anchors violates the
+    stretch-1 premise. The result is the winding number times k; the host
+    cycle itself always scores k.
+    """
+    anchors = embedding.anchors
+    k = len(anchors)
+    idx = {a: i for i, a in enumerate(anchors)}
+    total = 0
+    m = len(cycle)
+    for i in range(m):
+        u, v = cycle[i], cycle[(i + 1) % m]
+        d = (idx[retraction.image(v)] - idx[retraction.image(u)]) % k
+        if d == 0:
+            continue
+        if d == 1:
+            total += 1
+        elif d == k - 1:
+            total -= 1
+        else:
+            raise ValidationError("images of consecutive cycle vertices are "
+                                  "%d anchors apart" % min(d, k - d))
+    return total

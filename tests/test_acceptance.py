@@ -19,7 +19,7 @@ from retract.core import (Instance, Retraction, SubgraphHost,
                           distance_lower_bound, gen_column_deleted_grid,
                           gen_grid, gen_random_planar, stretch, subdivide)
 
-from conftest import part_embeddings
+from conftest import cycle_score, part_embeddings
 
 # (instance, max_stretch) for every solver-produced retraction in criteria 1-5
 _SOLVED = []
@@ -301,8 +301,8 @@ def test_criterion_9_structural_invariants():
                 break
             if ret is None:
                 continue
-            assert planar.cycle_score(emb, part.anchors, ret) == part.k
-            scores = [planar.cycle_score(emb, emb.faces[f], ret)
+            assert cycle_score(emb, part.anchors, ret) == part.k
+            scores = [cycle_score(emb, emb.faces[f], ret)
                       for f in range(len(emb.faces))]
             assert sum(scores) == 0
             assert abs(scores[emb.outer_face]) == part.k

@@ -113,6 +113,52 @@ def test_solve_treewidth_host_edges(tmp_path):
     assert obj["assignment"][:4] == [0, 1, 2, 3]
 
 
+def _points_and_host(tmp_path):
+    """A point-set instance, which every route accepts (its anchors are the
+    hull cycle of a Delaunay graph), and a path host on anchors 0..3."""
+    inst_path = _gen(tmp_path, "random-points", "--n", "2", "--k", "10",
+                     "--seed", "1")
+    host_path = tmp_path / "host.json"
+    host_path.write_text(json.dumps(
+        {"anchors": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 3]]}))
+    return inst_path, host_path
+
+
+@pytest.mark.parametrize("algo,host,fields", [
+    ("planar", False, {"stretch", "lower_bounds"}),
+    ("approx", False, {"stretch", "lower_bounds"}),
+    ("treewidth", False, {"stretch", "lower_bounds"}),
+    ("oracle", False, {"stretch", "lower_bounds"}),
+    ("euclid", False, {"ratio_sq"}),
+    ("treewidth", True, {"stretch"}),
+])
+def test_solve_run_record_fields(tmp_path, capsys, algo, host, fields):
+    inst_path, host_path = _points_and_host(tmp_path)
+    argv = ["solve", "--algo", algo, "-i", str(inst_path),
+            "-o", str(tmp_path / "ret.json")]
+    if host:
+        argv += ["--host-edges", str(host_path)]
+    capsys.readouterr()
+    assert run(argv) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert set(record) == {"algorithm", "instance_sha256", "version",
+                           "wall_time_s"} | fields
+    assert record["algorithm"] == algo
+
+
+def test_solve_host_edges_needs_treewidth(tmp_path):
+    # the other solvers would drop the host file unread
+    inst_path, host_path = _points_and_host(tmp_path)
+    for algo in ("planar", "approx", "euclid", "oracle"):
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            rc = run(["solve", "--algo", algo, "-i", str(inst_path),
+                      "--host-edges", str(host_path)])
+        assert rc == 2 and "--host-edges" in err.getvalue(), algo
+
+
 @pytest.mark.parametrize("host", [
     [1, 2],                                             # not an object
     {"anchors": [0, 1]},                                # missing edges

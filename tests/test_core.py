@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from retract.core import (Instance, Retraction, ValidationError,
-                          cycle_distance, cycle_dist, stretch,
+                          cycle_dist, stretch,
                           distance_lower_bound, subdivide, gen_grid,
                           gen_column_deleted_grid, parse_instance,
                           serialize_instance, host_from_cycle)
@@ -21,8 +21,7 @@ import frozen
 
 @pytest.mark.parametrize("k,i,j,expect", frozen.CYCLE_DIST_CASES)
 def test_cycle_distance_cases(k, i, j, expect):
-    inst = make_ck(k)
-    assert cycle_distance(inst, i, j) == expect
+    assert cycle_dist(k, i, j) == expect
 
 
 def test_cycle_distance_is_a_metric():
@@ -35,12 +34,6 @@ def test_cycle_distance_is_a_metric():
                 assert (d == 0) == (i == j)
                 for h in range(k):
                     assert d <= cycle_dist(k, i, h) + cycle_dist(k, h, j)
-
-
-def test_cycle_distance_range_check():
-    inst = make_ck(6)
-    with pytest.raises(ValidationError):
-        cycle_distance(inst, 0, 6)
 
 
 # --- instance validation ---
@@ -104,7 +97,7 @@ def test_anchor_edge_floor():
     edges = [(i, (i + 1) % k) for i in range(k)] + [(0, 3)]
     inst = Instance(k, edges, tuple(range(k)))
     rep = stretch(inst, Retraction(tuple(range(k))))
-    assert rep.max_stretch >= cycle_distance(inst, 0, 3) == 3
+    assert rep.max_stretch >= cycle_dist(k, 0, 3) == 3
 
 
 # --- distance lower bound ---

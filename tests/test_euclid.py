@@ -95,6 +95,31 @@ def test_contract_merges_tight_pair():
     assert len(set(anchor_groups)) == k
 
 
+def test_contract_merges_tight_triple():
+    # three points pairwise closer than 2/(kn) fall into one group, and every
+    # edge left keeps the least weight between its groups, none below the
+    # threshold
+    k, n = 10, 13
+    d = F(1, k * n + 1)
+    pts = list(anchors_on_circle(k))
+    pts += [(F(1, 100), F(1, 100)), (F(1, 100) + d, F(1, 100)),
+            (F(1, 100), F(1, 100) + d)]
+    g = delaunay_spanner(pts)
+    assert all(g.sq_weights[(u, v)] < F(4, (k * n) ** 2)
+               for u, v in ((k, k + 1), (k, k + 2), (k + 1, k + 2)))
+    g2, group = contract_small_edges(g, k, n)
+    assert group[k] == group[k + 1] == group[k + 2]
+    assert g2.n == n - 2
+    assert len(set(group[:k])) == k
+    least = {}
+    for (u, v), w in g.sq_weights.items():
+        if group[u] != group[v]:
+            e = tuple(sorted((group[u], group[v])))
+            least[e] = min(w, least.get(e, w))
+    assert g2.sq_weights == least
+    assert min(least.values()) >= F(4, (k * n) ** 2)
+
+
 def test_to_unweighted_counts():
     pts = ((F(0), F(0)), (F(1), F(0)), (F(4), F(0)))
     k, n = 4, 8

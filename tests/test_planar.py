@@ -12,13 +12,13 @@ from retract.core import (Instance, Retraction, ValidationError, cycle_dist,
                           distance_lower_bound, gen_column_deleted_grid,
                           gen_grid, gen_random_planar, stretch, subdivide)
 from retract.oracle import brute_force_optimal, enumerate_min_surrounding_cycle
-from retract.planar import (NotPlanarError, PlaneEmbedding, cycle_score,
-                            enclosed_faces, max_disjoint_paths,
-                            optimal_retract_planar, plane_embed,
-                            reduce_two_connected, retraction_from_curves,
-                            stretch1_retract, triangulate_for_face)
+from retract.planar import (NotPlanarError, enclosed_faces,
+                            max_disjoint_paths, optimal_retract_planar,
+                            plane_embed, plane_parts, reduce_two_connected,
+                            retraction_from_curves, stretch1_retract,
+                            triangulate_for_face)
 
-from conftest import make_ck, make_w4, part_embeddings
+from conftest import cycle_score, make_ck, make_w4, part_embeddings
 from frozen import (COLGRID_OPTIMAL, GRID3_OPTIMAL, GRID4_OPTIMAL,
                     GRID4_CENTER_FACE_MIN_CYCLE, W4_OPTIMAL)
 
@@ -61,7 +61,6 @@ def test_reduce_two_grids_sharing_cut_vertex():
 
 def test_plane_embed_counts():
     emb = plane_embed(gen_grid(3))
-    assert isinstance(emb, PlaneEmbedding)
     assert len(emb.faces) == 5            # 9 - 12 + F = 2
     assert emb.face_edge_sets[emb.outer_face] == gen_grid(3).host_edges()
     emb = plane_embed(make_ck(8))
@@ -84,10 +83,14 @@ def test_plane_embed_decomposes():
     edges = [(i, (i + 1) % 8) for i in range(8)]
     edges += [(0, 8), (4, 8), (2, 9), (6, 9)]
     inst = Instance(10, edges, tuple(range(8)))
-    parts = plane_embed(inst)
-    assert isinstance(parts, list) and len(parts) == 2
+    parts = plane_parts(inst)
+    assert len(parts) == 2
     for sub, old_of_new in parts:
         assert sub.k == 8 and sub.n == 9
+        assert old_of_new[:8] == inst.anchors
+        assert plane_parts(sub) == [(sub, tuple(range(9)))]
+    with pytest.raises(ValidationError):
+        plane_embed(inst)
     # no stretch-1 map exists (a hub sees anchors 4 apart); the optimizer
     # still solves the decomposed instance and matches the oracle
     assert stretch1_retract(inst) is None
@@ -396,7 +399,6 @@ def free_components(inst):
 def test_core_embedding_is_a_plane_map(inst):
     assert free_components(inst) <= 1
     emb = plane_embed(inst)
-    assert isinstance(emb, PlaneEmbedding)
     walked = [(walk[i], walk[(i + 1) % len(walk)])
               for walk in emb.faces for i in range(len(walk))]
     directed = {(u, v) for e in inst.edges for u, v in (e, e[::-1])}
