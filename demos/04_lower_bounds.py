@@ -6,8 +6,10 @@
    retraction of a grid induces a coloring with a trichromatic triangle,
    which certifies stretch >= ceil(2m/3) on an m x m grid.
 3. An LP relaxation: stretch-s retractions induce edge weights whose sum
-   around every short cycle vanishes; a violated-cycle certificate at
-   l = ceil(k/s) rules s out.
+   around every short cycle vanishes. The LP at l = ceil(k/s) is infeasible,
+   ruling s out, exactly when a rational combination of cycles shorter than
+   l sums to the host cycle; one elimination over Horton's candidate cycles
+   finds the least such l.
 """
 
 from retract import Instance, gen_grid
@@ -29,6 +31,8 @@ w4 = Instance(5, [(0, 1), (1, 2), (2, 3), (0, 3),
                   (0, 4), (1, 4), (2, 4), (3, 4)], (0, 1, 2, 3))
 feasible, cert = lp_feasible(w4, 4)
 print("W4 LP feasible at l=4:", feasible)
-print("  violated short cycles:", [c.vertices for c in cert])
+print("  short cycles whose weighted sum is the host cycle:")
+for cyc, coef in cert:
+    print("    %3s x %s" % (coef, cyc))
 print("W4 LP stretch lower bound:", lp_stretch_lower_bound(w4))
 print("grid5 LP stretch lower bound:", lp_stretch_lower_bound(gen_grid(5)))

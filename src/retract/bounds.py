@@ -1,10 +1,16 @@
 """Lower-bound certifiers.
 
 Three independent routes: the metric distance bound (anchor pairs), a Sperner
-coloring certificate on square grids, and a cycle linear program decided by a
-cutting-plane loop with an exact-rational separation oracle. Everything runs
-in exact arithmetic; certificates are explicit (a trichromatic triangle, or a
-list of short directed cycles whose equalities are inconsistent).
+coloring certificate on square grids, and a cycle linear program. The LP at l
+is infeasible exactly when the host cycle lies in the rational span of the
+cycles shorter than l, and Horton's candidate cycles (Horton 1987, "A
+polynomial-time algorithm to find the shortest cycle basis of a graph") span
+those, so its least infeasible l is a cycle-span threshold found by one exact
+elimination over the candidates in order of length. The exact-rational
+separation oracle stays as the independent check of a feasible solution.
+Everything runs in exact arithmetic; certificates are explicit (a
+trichromatic triangle, or short cycles with rational coefficients whose
+directed edges sum to the host cycle).
 """
 
 from __future__ import annotations
@@ -219,69 +225,135 @@ def separation_oracle(instance, x, l):
     return None
 
 
+def _horton_candidates(instance, l):
+    """Horton's candidate cycles with fewer than l edges, shortest first.
+
+    For each vertex x take one BFS tree T; each non-tree edge uv closes the
+    walk T(x->u) + uv + T(v->x). The two tree paths share a stem from x to
+    their last common vertex w; stripping it leaves the simple cycle
+    T(w->u) + uv + T(v->w), at most as long as the walk and with the same
+    edge vector. (Neither of u, v is the other's tree ancestor, or uv would
+    be a BFS tree edge, so the cycle has at least three edges.) A simple
+    cycle's edge set fixes its vector up to sign, so one cycle is kept per
+    edge set. Each cycle is a vertex tuple read as a closed directed walk.
+    """
+    seen = set()
+    out = []
+    for x in range(instance.n):
+        parent = {x: None}
+        depth = {x: 0}
+        order = [x]
+        for w in order:
+            for nb in instance.neighbors(w):
+                if nb not in parent:
+                    parent[nb] = w
+                    depth[nb] = depth[w] + 1
+                    order.append(nb)
+        for u, v in instance.edges:
+            if parent[u] == v or parent[v] == u:
+                continue
+            up, vp = [u], [v]          # tree paths u->w and v->w
+            while depth[up[-1]] > depth[vp[-1]]:
+                up.append(parent[up[-1]])
+            while depth[vp[-1]] > depth[up[-1]]:
+                vp.append(parent[vp[-1]])
+            while up[-1] != vp[-1]:
+                up.append(parent[up[-1]])
+                vp.append(parent[vp[-1]])
+            if len(up) + len(vp) - 1 >= l:
+                continue
+            cyc = tuple(reversed(up)) + tuple(vp[:-1])    # w..u, v..
+            key = frozenset(_normalize_edge(cyc[i - 1], cyc[i])
+                            for i in range(len(cyc)))
+            if key not in seen:
+                seen.add(key)
+                out.append(cyc)
+    out.sort(key=len)
+    return out
+
+
+def _span_elimination(instance, l):
+    """Decide whether the host cycle H lies in the rational span of the
+    simple cycles with fewer than l edges.
+
+    Each Horton candidate, shortest first, becomes a row over the free edges
+    (+1 along the edge's normalized direction, -1 against it) and carries
+    its host sum h (host edges count +1 in anchor order, -1 against it) and
+    the combination of candidates it stands for. Rows are reduced in exact
+    rational arithmetic against an echelon basis, pivot = least free edge.
+
+    Returns (combination, None) at the first candidate that reduces to a
+    zero row with h != 0. Such a combination vanishes on every free edge, so
+    it is a cycle-space vector on H alone, i.e. (h/k)*H; its coefficients
+    are rescaled so that it sums to exactly H. Otherwise returns
+    (None, basis) with basis = {pivot: (row, h, combination)}, row[pivot] = 1
+    and every other edge of row after the pivot.
+    """
+    zero = EdgeAssignment(instance)     # host edges +1, free edges 0
+    cands = _horton_candidates(instance, l)
+    basis = {}
+    for idx, cyc in enumerate(cands):
+        h = _cycle_sum(zero, cyc)
+        row = {}
+        for i in range(len(cyc)):
+            u, v = cyc[i - 1], cyc[i]
+            e = _normalize_edge(u, v)
+            if e in zero.values:
+                row[e] = Fraction(1 if (u, v) == e else -1)
+        comb = {idx: Fraction(1)}
+        while row:
+            piv = min(row)
+            if piv not in basis:
+                break
+            prow, ph, pcomb = basis[piv]
+            f = row[piv]
+            for target, src in ((row, prow), (comb, pcomb)):
+                for c, a in src.items():
+                    val = target.get(c, 0) - f * a
+                    if val:
+                        target[c] = val
+                    else:
+                        target.pop(c, None)
+            h -= f * ph
+        if not row:
+            if h == 0:
+                continue
+            scale = instance.k / h
+            return [(cands[i], a * scale)
+                    for i, a in sorted(comb.items())], None
+        inv = 1 / row[piv]
+        basis[piv] = ({c: a * inv for c, a in row.items()}, h * inv,
+                      {i: a * inv for i, a in comb.items()})
+    return None, basis
+
+
 def lp_feasible(instance, l):
     """Decide the cycle LP: does an edge assignment exist with host edges +1
     and zero sum on every directed cycle shorter than l?
 
-    Cutting planes: solve the accumulated equality system exactly (rational
-    RREF), ask the separation oracle, add the violated cycle's equality, and
-    repeat. Returns (True, EdgeAssignment) or (False, [ViolatedCycle, ...])
-    where the certificate cycles combine to an inconsistent equation.
+    It is infeasible exactly when the host cycle H lies in the rational span
+    of the cycles shorter than l (a combination vanishing on the free edges
+    is mu*H and forces mu*k = 0), and those cycles are spanned by Horton's
+    candidate cycles shorter than l (Horton 1987, "A polynomial-time
+    algorithm to find the shortest cycle basis of a graph"). So one
+    elimination over the candidates decides it. Returns (False, combination),
+    a list of (cycle, coefficient) pairs of simple cycles shorter than l
+    whose weighted directed edge sum is exactly H, or (True, EdgeAssignment)
+    read off the echelon basis and checked once by separation_oracle.
     """
-    host = instance.host_edges()
-    free = [e for e in instance.edges if e not in host]
-    col = {e: i for i, e in enumerate(free)}
-    nvar = len(free)
-    # rows in RREF: (coeffs list, rhs, pivot col, contributing cycles)
-    rows = []
-
-    def solve():
-        vals = {}
-        for coeffs, rhs, piv, _ in rows:
-            vals[free[piv]] = rhs     # free variables are 0 in RREF
-        return EdgeAssignment(instance, vals)
-
-    while True:
-        x = solve()
-        cyc = separation_oracle(instance, x, l)
-        if cyc is None:
-            return True, x
-        coeffs = [Fraction(0)] * nvar
-        rhs = Fraction(0)
-        m = len(cyc.vertices)
-        for i in range(m):
-            u, v = cyc.vertices[i], cyc.vertices[(i + 1) % m]
-            e = _normalize_edge(u, v)
-            if e in host:
-                rhs -= x.directed(u, v)   # host values are constants
-            else:
-                coeffs[col[e]] += 1 if (u, v) == e else -1
-        support = [cyc]
-        for rc, rr, rp, rcyc in rows:
-            if coeffs[rp] != 0:
-                f = coeffs[rp]
-                coeffs = [a - f * b for a, b in zip(coeffs, rc)]
-                rhs -= f * rr
-                support = support + rcyc
-        piv = next((i for i, a in enumerate(coeffs) if a != 0), None)
-        if piv is None:
-            if rhs != 0:
-                return False, support
-            raise SolverError("separating cycle reduced to a satisfied row")
-        inv = 1 / coeffs[piv]
-        coeffs = [a * inv for a in coeffs]
-        rhs *= inv
-        # keep full RREF: eliminate the new pivot from the old rows
-        new_rows = []
-        for rc, rr, rp, rcyc in rows:
-            if rc[piv] != 0:
-                f = rc[piv]
-                rc = [a - f * b for a, b in zip(rc, coeffs)]
-                rr -= f * rhs
-                rcyc = rcyc + support
-            new_rows.append((rc, rr, rp, rcyc))
-        new_rows.append((coeffs, rhs, piv, support))
-        rows = new_rows
+    combination, basis = _span_elimination(instance, l)
+    if combination is not None:
+        return False, combination
+    vals = {}
+    for p in sorted(basis, reverse=True):
+        row, h, _ = basis[p]
+        vals[p] = -h - sum(a * vals.get(e, 0) for e, a in row.items()
+                           if e != p)
+    x = EdgeAssignment(instance, vals)
+    if separation_oracle(instance, x, l) is not None:
+        raise SolverError("span basis gave an assignment violating a "
+                          "cycle shorter than %d" % l)
+    return True, x
 
 
 def lp_certificate(instance):
@@ -291,28 +363,25 @@ def lp_certificate(instance):
     edge the signed cycle step between its endpoints' images, so host edges
     get +1, every step is at most s, and a cycle with fewer than ceil(k/s)
     edges sums to a multiple of k smaller than k in absolute value, so to 0.
-    Feasibility is monotone non-increasing in l (constraint sets only grow),
-    so binary search finds the smallest infeasible l0 in [2, k], and cycles
-    are lp_feasible's certificate at l0. Every s with ceil(k/s) >= l0 is then
-    impossible; the bound is one more than the largest such s. When the LP
-    is feasible at l = k the result is (1, None, None).
+    The smallest infeasible l0 is one more than the length of the first
+    Horton candidate, in order of length, that puts H in the span of the
+    candidates so far (see lp_feasible; every cycle of length L through x is
+    the telescoping sum of the candidates of x's tree for its own edges, each
+    at most L long, so the candidates shorter than l span all cycles shorter
+    than l). cycles is lp_feasible's combination at l0. Every s with
+    ceil(k/s) >= l0 is then impossible; the bound is one more than the
+    largest such s. When the LP is feasible at l = k the result is
+    (1, None, None).
     """
     k = instance.k
-    feasible, cycles = lp_feasible(instance, k)
-    if feasible:
+    cycles, _ = _span_elimination(instance, k)
+    if cycles is None:
         return 1, None, None
-    lo, hi = 2, k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        feasible, cert = lp_feasible(instance, mid)
-        if feasible:
-            lo = mid + 1
-        else:
-            hi, cycles = mid, cert
+    l0 = 1 + max(len(c) for c, _ in cycles)
     s = 1
-    while -(-k // (s + 1)) >= lo:
+    while -(-k // (s + 1)) >= l0:
         s += 1
-    return s + 1, lo, cycles
+    return s + 1, l0, cycles
 
 
 def lp_stretch_lower_bound(instance):

@@ -101,12 +101,12 @@ def _lb(args):
         value, l0, cert = bounds_mod.lp_certificate(inst)
         out = {"method": "lp", "bound": value}
         if l0 is not None:
-            # the short cycles whose equalities are inconsistent at l = l0
+            # cycles shorter than l0 whose weighted sum is the host cycle
             out["l"] = l0
             out["certificate"] = [
-                {"cycle": list(c.vertices),
-                 "sum": [c.total.numerator, c.total.denominator]}
-                for c in cert]
+                {"cycle": list(cyc),
+                 "coef": [coef.numerator, coef.denominator]}
+                for cyc, coef in cert]
     else:  # sperner
         m = isqrt(inst.n)
         if m * m != inst.n or gen_grid(m).edges != inst.edges:

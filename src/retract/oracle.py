@@ -2,14 +2,16 @@
 
 Independent of the solver modules on purpose: optimal retraction is found by
 iterative deepening on the target stretch with DFS + forward checking (an
-exact branch-and-bound), and surrounding-cycle lengths are found by exhaustive
-simple-cycle enumeration with a face flood-fill containment test.
+exact branch-and-bound), surrounding-cycle lengths are found by exhaustive
+simple-cycle enumeration with a face flood-fill containment test, and cycle-LP
+infeasibility certificates are checked by summing their cycles edge by edge.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .core import (Retraction, StretchReport, ResourceError, ValidationError,
                    host_from_cycle)
@@ -243,7 +245,6 @@ def brute_force_min_ratio(points, budget=None):
     are assigned in order, anchor candidates nearest-first. Returns
     (assignment, ratio_sq) with exact rational ratio_sq.
     """
-    from fractions import Fraction
     if budget is None:
         budget = SearchBudget()
     pts = points.points
@@ -302,3 +303,56 @@ def brute_force_min_ratio(points, budget=None):
         raise ResourceError("search exhausted without a solution")
     asg = tuple(best[0].get(v, v) for v in range(points.n))
     return asg, best[1]
+
+
+def check_lp_certificate(graph, l, combination):
+    """Check a cycle-LP infeasibility certificate at l by direct summation.
+
+    combination is a sequence of (cycle, coefficient) pairs, each cycle a
+    vertex sequence read as a closed directed walk. Every cycle must be a
+    simple cycle of the guest with at least 3 and fewer than l edges, and
+    every coefficient a nonzero rational. The weighted sum of the cycles'
+    directed edges must be 0 on every edge off the anchor cycle and the same
+    c != 0 on each anchor-cycle edge taken in anchor order: then no edge
+    values with anchor-cycle edges +1 sum to 0 around every cycle shorter
+    than l, since the coefficient-weighted sum of their sums around the
+    certificate's cycles would be both 0 and c*k. Returns c; raises
+    ValidationError naming the first failure.
+    """
+    if not combination:
+        raise ValidationError("empty certificate")
+    edges = {frozenset(e) for e in graph.edges}
+    net = {}                           # (u, v) with u < v -> weight along u->v
+    for cycle, coef in combination:
+        cycle = tuple(cycle)
+        coef = Fraction(coef)
+        if coef == 0:
+            raise ValidationError("zero coefficient on %r" % (cycle,))
+        if len(cycle) < 3 or len(set(cycle)) != len(cycle):
+            raise ValidationError("%r is not a simple cycle" % (cycle,))
+        if len(cycle) >= l:
+            raise ValidationError("%r has length %d >= %d"
+                                  % (cycle, len(cycle), l))
+        for i in range(len(cycle)):
+            u, v = cycle[i - 1], cycle[i]
+            if frozenset((u, v)) not in edges:
+                raise ValidationError("(%r, %r) is not an edge" % (u, v))
+            key, sign = ((u, v), 1) if u < v else ((v, u), -1)
+            net[key] = net.get(key, 0) + sign * coef
+    anchors = graph.anchors
+    k = len(anchors)
+    along = {}
+    for i in range(k):
+        a, b = anchors[i], anchors[(i + 1) % k]
+        along[(a, b) if a < b else (b, a)] = 1 if a < b else -1
+    first = min(along)
+    c = net.get(first, 0) * along[first]
+    if c == 0:
+        raise ValidationError("the cycles sum to 0 on the anchor cycle")
+    for e in edges:
+        key = tuple(sorted(e))
+        want = c * along.get(key, 0)
+        if net.get(key, 0) != want:
+            raise ValidationError("edge %r carries %s, expected %s"
+                                  % (key, net.get(key, 0), want))
+    return c

@@ -61,3 +61,17 @@ GRID3_SUBDIV3_VERTICES = 17
 # --- surrounding cycles ---
 GRID4_CENTER_FACE_MIN_CYCLE = 4   # its own boundary
 CK_INNER_FACE_MIN_CYCLE = "k"     # only one cycle exists
+
+# --- LP threshold on the planar ladder (grids, column-deleted grids, and
+# gen_random_planar(nf, k, 100k + nf)): (bound, l0) as computed by the
+# binary search of cutting-plane loops that the span threshold replaced.
+# grid:6, colgrid:7 and colgrid:8 are the three of 54 to 70 edges.
+LADDER_LP = {
+    "grid:3": (2, 5), "grid:4": (3, 5), "grid:5": (4, 5), "grid:6": (5, 5),
+    "colgrid:5": (2, 11), "colgrid:6": (2, 13), "colgrid:7": (2, 15),
+    "colgrid:8": (2, 17),
+    "rp:6,4": (2, 4), "rp:6,8": (2, 5), "rp:8,4": (2, 5), "rp:8,8": (3, 4),
+    "rp:10,4": (3, 5), "rp:10,8": (4, 4), "rp:12,4": (2, 8), "rp:12,8": (3, 5),
+    "rp:14,4": (3, 6), "rp:14,8": (3, 6), "rp:16,4": (4, 5), "rp:16,8": (4, 5),
+    "rp:20,4": (5, 5), "rp:20,8": (3, 9),
+}

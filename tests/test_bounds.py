@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from retract import core, oracle, planar
-from retract.bounds import (EdgeAssignment, ViolatedCycle,
-                            distance_stretch_lower_bound, lp_feasible,
+from retract.bounds import (EdgeAssignment, distance_stretch_lower_bound,
+                            lp_certificate, lp_feasible,
                             lp_stretch_lower_bound, retraction_coloring,
                             segment_coloring, separation_oracle,
                             sperner_certificate)
-from retract.core import Instance, ValidationError, gen_grid
+from retract.core import (Instance, ValidationError, gen_column_deleted_grid,
+                          gen_grid, gen_random_planar)
 
 import frozen
 from conftest import make_ck, make_w4
@@ -186,10 +187,10 @@ def test_lp_w4_frozen():
     assert ok3 is frozen.W4_LP3_FEASIBLE
     ok4, cert = lp_feasible(w4, 4)
     assert ok4 is frozen.W4_LP4_FEASIBLE
-    assert all(isinstance(c, ViolatedCycle) for c in cert)
-    assert all(len(c.vertices) == 3 for c in cert)
+    assert oracle.check_lp_certificate(w4, 4, cert)
+    assert all(len(cyc) == 3 for cyc, _ in cert)
     # the four triangle equalities clash with the host sum of 4
-    assert len({tuple(sorted(c.vertices)) for c in cert}) == 4
+    assert len({tuple(sorted(cyc)) for cyc, _ in cert}) == 4
 
 
 def test_lp_cycle_always_feasible():
@@ -227,6 +228,42 @@ def test_lp_lower_bound_sound_vs_oracle():
         best = oracle.brute_force_optimal(inst)
         assert best is not None
         assert lb <= best[1].max_stretch
+
+
+def _ladder_instance(key):
+    family, params = key.split(":")
+    if family == "grid":
+        return gen_grid(int(params))
+    if family == "colgrid":
+        return gen_column_deleted_grid(int(params))
+    k, nf = map(int, params.split(","))
+    return gen_random_planar(nf, k, 100 * k + nf)
+
+
+@pytest.mark.parametrize("key", sorted(frozen.LADDER_LP))
+def test_lp_certificate_ladder_frozen(key):
+    inst = _ladder_instance(key)
+    bound, l0, cert = lp_certificate(inst)
+    assert (bound, l0) == frozen.LADDER_LP[key]
+    assert oracle.check_lp_certificate(inst, l0, cert)
+
+
+def test_lp_threshold_exact_on_random_planar():
+    # l0 is the least infeasible l: the certificate proves l0 infeasible
+    # and separation_oracle accepts the solution at l0 - 1
+    rng = random.Random(4242)
+    for _ in range(200):
+        k, nf = rng.randrange(3, 11), rng.randrange(1, 7)
+        inst = gen_random_planar(nf, k, rng.randrange(1 << 30))
+        bound, l0, cert = lp_certificate(inst)
+        if l0 is None:
+            assert bound == 1 and lp_feasible(inst, k)[0]
+            continue
+        assert oracle.check_lp_certificate(inst, l0, cert)
+        ok, x = lp_feasible(inst, l0 - 1)
+        assert ok and separation_oracle(inst, x, l0 - 1) is None
+        assert bound == 1 + max(s for s in range(1, k + 1)
+                                if -(-k // s) >= l0)
 
 
 def test_lp_sound_for_retractions():

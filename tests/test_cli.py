@@ -2,6 +2,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,10 @@ def test_lb_distance_prints_two(tmp_path, capsys):
     assert out == {"bound": 2, "method": "distance"}
 
 
+def _combination(out):
+    return [(c["cycle"], Fraction(*c["coef"])) for c in out["certificate"]]
+
+
 def test_lb_lp_w4_certificate(tmp_path, capsys):
     from conftest import make_w4
     from retract.core import serialize_instance
@@ -64,6 +69,7 @@ def test_lb_lp_w4_certificate(tmp_path, capsys):
     assert out["bound"] == frozen.W4_LP_LOWER_BOUND
     assert out["l"] == 4
     assert len(out["certificate"]) == 4
+    assert oracle.check_lp_certificate(make_w4(), 4, _combination(out))
 
 
 def test_lb_lp_certificate_is_for_l0(tmp_path, capsys):
@@ -72,12 +78,10 @@ def test_lb_lp_certificate_is_for_l0(tmp_path, capsys):
     assert run(["lb", "--method", "lp", "-i", str(inst_path)]) == 0
     out = json.loads(capsys.readouterr().out.strip())
     assert out["bound"] == frozen.GRID5_LP_LOWER_BOUND
-    # the smallest infeasible l is 5 < k = 16: every certificate cycle is
-    # shorter than 5 and has a nonzero sum
+    # the smallest infeasible l is 5 < k = 16: the certificate's cycles are
+    # shorter than 5 and their weighted sum is a nonzero multiple of H
     assert out["l"] == 5
-    assert out["certificate"]
-    for c in out["certificate"]:
-        assert len(c["cycle"]) < 5 and c["sum"][0] != 0
+    assert oracle.check_lp_certificate(gen_grid(5), 5, _combination(out))
 
 
 def test_lb_sperner_on_grid(tmp_path, capsys):

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from retract.core import (Instance, ResourceError, SubgraphHost, stretch,
-                          gen_grid, distance_lower_bound)
+from retract.bounds import lp_certificate
+from retract.core import (Instance, ResourceError, SubgraphHost,
+                          ValidationError, stretch, gen_grid,
+                          gen_random_planar, distance_lower_bound)
 from retract.oracle import (SearchBudget, brute_force_optimal,
-                            enumerate_optimal)
+                            check_lp_certificate, enumerate_optimal)
 
 from conftest import make_w4, make_ck
 import frozen
@@ -84,3 +86,45 @@ def test_tree_host():
     ret, rep = brute_force_optimal(G, host=host)
     assert all(ret.assignment[a] == a for a in host.anchors)
     assert rep.max_stretch >= 1
+
+
+def _lp_certified():
+    """(instance, l0, certificate) from the LP bound on a few instances."""
+    insts = [make_w4(), gen_grid(4), gen_grid(5)]
+    insts += [gen_random_planar(nf, k, 31 * k + nf)
+              for k in (6, 9, 12) for nf in (3, 6)]
+    out = []
+    for inst in insts:
+        _, l0, cert = lp_certificate(inst)
+        if l0 is not None:
+            out.append((inst, l0, cert))
+    return out
+
+
+def test_lp_checker_rejects_mutations():
+    cases = _lp_certified()
+    assert len(cases) >= 6
+    non_edges = 0
+    for inst, l0, cert in cases:
+        assert check_lp_certificate(inst, l0, cert) != 0
+        for i, (cyc, coef) in enumerate(cert):
+            dropped = cert[:i] + cert[i + 1:]
+            with pytest.raises(ValidationError):
+                check_lp_certificate(inst, l0, dropped)
+            changed = cert[:i] + [(cyc, coef * 2)] + cert[i + 1:]
+            with pytest.raises(ValidationError, match="carries"):
+                check_lp_certificate(inst, l0, changed)
+            long = cert[:i] + [(inst.anchors, coef)] + cert[i + 1:]
+            with pytest.raises(ValidationError, match="length"):
+                check_lp_certificate(inst, l0, long)
+            # swap the first vertex for one off the cycle and not adjacent
+            # to the second, so the cycle steps along a non-edge
+            far = next((z for z in range(inst.n) if z not in cyc
+                        and z not in inst.neighbors(cyc[1])), None)
+            if far is not None:
+                bad = cert[:i] + [((far,) + tuple(cyc[1:]), coef)] \
+                    + cert[i + 1:]
+                with pytest.raises(ValidationError, match="not an edge"):
+                    check_lp_certificate(inst, l0, bad)
+                non_edges += 1
+    assert non_edges
