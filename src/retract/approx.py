@@ -164,12 +164,8 @@ def find_largest_hole(embedding, k):
     off = Fraction(k, 16)
     cx_range = (half - off, half + off)
     cy_range = (half - off, half + off)
-    # the hole must also fit inside M: t <= distance from center to M's sides;
-    # centers live within [half-off, half+off], so t <= half - (... ) varies.
-    # Treat M's sides as constraints via candidate values and a final clamp
-    # inside feasibility: fold them in by capping t candidates at
-    # min(cx, side-cx, cy, side-cy) >= half - off.
-    t_cap = half - off if half - off > 0 else half
+    # every allowed center is at least half - off = k/16 from M's sides
+    t_cap = half - off
 
     crit = {t_cap}
     xs = [p[0] for p in pts]

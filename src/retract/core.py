@@ -258,21 +258,29 @@ def stretch(instance, retraction):
 
 
 def distance_lower_bound(instance):
-    """max over anchor pairs of d_H(u,v)/d_G(u,v), as an exact Fraction."""
+    """max(1, max over anchor pairs of d_H(a,b)/d_G(a,b)), as an exact Fraction.
+
+    Only branch anchors (more than two neighbours, so an edge off H) are
+    sources, and that is exact. Take anchors a != b and a shortest a-b path P
+    in G. If P uses only host edges, |P| >= d_H(a,b) and the ratio is at most
+    1. Otherwise let p be where P first takes a non-host edge and q where its
+    last non-host edge ends: P runs along H before p and after q, so p and q
+    are branch anchors, and p != q as P is simple. With c the length of P
+    outside its p-q subpath, d_G(a,b) = c + d_G(p,q) and d_H(a,b) <=
+    c + d_H(p,q), so the ratio is at most
+    (c + d_H(p,q)) / (c + d_G(p,q)) <= max(1, d_H(p,q)/d_G(p,q)).
+    """
     k = instance.k
-    best = Fraction(1)
-    for i in range(k):
-        a = instance.anchors[i]
-        dg = instance.distances_from(a)
-        for j in range(i + 1, k):
-            b = instance.anchors[j]
-            dh = cycle_dist(k, i, j)
-            if dg[b] <= 0:
-                raise ValidationError("anchor pair (%d, %d) disconnected" % (a, b))
-            r = Fraction(dh, dg[b])
-            if r > best:
-                best = r
-    return best
+    branch = [i for i, a in enumerate(instance.anchors)
+              if len(instance.neighbors(a)) > 2]
+    num, den = 1, 1
+    for x, i in enumerate(branch):
+        dg = instance.distances_from(instance.anchors[i])
+        for j in branch[x + 1:]:
+            dh, d = cycle_dist(k, i, j), dg[instance.anchors[j]]
+            if dh * den > num * d:
+                num, den = dh, d
+    return Fraction(num, den)
 
 
 def subdivide(instance, l):
@@ -325,17 +333,8 @@ def gen_grid(m):
 
 def gen_column_deleted_grid(m):
     """gen_grid(m) with every vertical edge not in the first or last column removed."""
-    if m < 3:
-        raise ValidationError("grid size must be >= 3")
-    vid = lambda r, c: r * m + c
-    edges = []
-    for r in range(m):
-        for c in range(m):
-            if c + 1 < m:
-                edges.append((vid(r, c), vid(r, c + 1)))
-            if r + 1 < m and c in (0, m - 1):
-                edges.append((vid(r, c), vid(r + 1, c)))
     grid = gen_grid(m)
+    edges = [(u, v) for u, v in grid.edges if v - u == 1 or u % m in (0, m - 1)]
     return Instance(m * m, edges, grid.anchors)
 
 

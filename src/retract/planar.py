@@ -25,19 +25,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import ceil
 
 import networkx as nx
 
 from .core import (Instance, Retraction, SolverError, ValidationError,
-                   _normalize_edge, cycle_dist, stretch, subdivide)
+                   _normalize_edge, cycle_dist, distance_lower_bound, stretch,
+                   subdivide)
 
 
 class NotPlanarError(ValidationError):
     """The guest graph is not planar; the exact algorithm does not apply."""
-
-
-# anchor sample size for the distance lower bound on huge instances
-_LB_SAMPLE = 64
 
 
 class PlaneEmbedding:
@@ -179,7 +177,6 @@ class ReduceMap:
     """
     n_original: int
     old_of_new: tuple
-    new_of_old: dict
     gateway: dict
 
     def lift(self, reduced_retraction):
@@ -229,7 +226,7 @@ def reduce_two_connected(instance):
              if u in new_of_old and v in new_of_old]
     anchors = tuple(new_of_old[a] for a in instance.anchors)
     reduced = Instance(len(old_of_new), edges, anchors)
-    return reduced, ReduceMap(instance.n, old_of_new, new_of_old, gateway)
+    return reduced, ReduceMap(instance.n, old_of_new, gateway)
 
 
 def plane_parts(instance):
@@ -742,23 +739,8 @@ def stretch1_retract(instance):
 
 
 def _start_lower_bound(instance):
-    """ceil of the distance lower bound; on instances with more than
-    _LB_SAMPLE anchors only every step-th anchor is a source (still a valid
-    lower bound: a max over a subset of anchor pairs)."""
-    k = instance.k
-    step = max(1, k // _LB_SAMPLE)
-    best = 1
-    for i in range(0, k, step):
-        a = instance.anchors[i]
-        dg = instance.distances_from(a)
-        for j in range(k):
-            b = instance.anchors[j]
-            if b == a:
-                continue
-            dh = cycle_dist(k, i, j)
-            if dg[b] > 0 and dh > best * dg[b]:
-                best = -(-dh // dg[b])
-    return best
+    """The distance lower bound rounded up: where the search over l starts."""
+    return max(1, ceil(distance_lower_bound(instance)))
 
 
 def optimal_retract_planar(instance):

@@ -206,14 +206,13 @@ def host_stretch(instance, host, retraction):
     return StretchReport(best, witness)
 
 
-def stretch1_tw(instance, host, decomp=None):
+def stretch1_tw(instance, host):
     """A stretch-1 retraction of the instance onto the host, or None."""
     for a in host.anchors:
         if not (0 <= a < instance.n):
             raise ValidationError("host anchor %d outside the instance" % a)
-    if decomp is None:
-        decomp = tree_decompose(instance)
-    asg = _stretch1_graph(instance.n, instance.edges, host, decomp)
+    asg = _stretch1_graph(instance.n, instance.edges, host,
+                          tree_decompose(instance))
     if asg is None:
         return None
     return Retraction(tuple(asg))

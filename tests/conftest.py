@@ -1,10 +1,12 @@
 import sys
+from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from retract import planar
-from retract.core import Instance, ValidationError
+from retract.core import Instance, ValidationError, cycle_dist
 
 
 def make_w4():
@@ -16,6 +18,29 @@ def make_w4():
 def make_ck(k):
     """G = H = C_k."""
     return Instance(k, [(i, (i + 1) % k) for i in range(k)], tuple(range(k)))
+
+
+def all_pairs_distance_ratio(inst):
+    """max over every anchor pair of d_H/d_G, by a BFS from every anchor."""
+    adj = [[] for _ in range(inst.n)]
+    for u, v in inst.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    k = inst.k
+    best = Fraction(0)
+    for i, a in enumerate(inst.anchors):
+        dist = {a: 0}
+        queue = deque([a])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        for j in range(i + 1, k):
+            best = max(best, Fraction(cycle_dist(k, i, j),
+                                      dist[inst.anchors[j]]))
+    return best
 
 
 def part_embeddings(inst):

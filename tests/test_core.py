@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,9 +12,13 @@ from retract.core import (Instance, Retraction, ValidationError,
                           cycle_dist, stretch,
                           distance_lower_bound, subdivide, gen_grid,
                           gen_column_deleted_grid, parse_instance,
-                          serialize_instance, host_from_cycle)
+                          serialize_instance, host_from_cycle,
+                          gen_random_planar)
+from retract.euclid import (build_host_cycle, contract_small_edges,
+                            delaunay_spanner, gen_random_points,
+                            to_unweighted)
 
-from conftest import make_w4, make_ck
+from conftest import all_pairs_distance_ratio, make_w4, make_ck
 import frozen
 
 
@@ -113,6 +118,49 @@ def test_cycle_distance_bound_is_one():
 
 def test_w4_distance_bound():
     assert distance_lower_bound(make_w4()) == 1
+
+
+def _chords_and_pendants(seed):
+    """Seeded guest, usually non-planar: C_k, free vertices on a random
+    tree hung off H, random chords and cross edges, and pendant trees."""
+    rng = random.Random(seed)
+    k = rng.randint(3, 14)
+    n = k + rng.randint(0, 10)
+    edges = {(i, (i + 1) % k) for i in range(k)}
+    for v in range(k, n):
+        edges.add((rng.randrange(v), v))
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.sample(range(n), 2)
+        if (u, v) not in edges and (v, u) not in edges:
+            edges.add((u, v))
+    for _ in range(rng.randint(0, 4)):
+        root = rng.randrange(n)
+        for _ in range(rng.randint(1, 3)):
+            edges.add((root, n))
+            root, n = n, n + 1
+    return Instance(n, sorted(edges), tuple(range(k)))
+
+
+def _euclid_host(n_int, k, seed):
+    ps = gen_random_points(n_int, k, seed)
+    g2, group = contract_small_edges(delaunay_spanner(ps), k, ps.n)
+    total, edges, _ = to_unweighted(g2, k, ps.n)
+    host = build_host_cycle(total, edges,
+                            [group[a] for a in ps.anchor_indices])
+    return Instance(total, edges, tuple(host))
+
+
+def test_distance_bound_equals_all_pairs_reference():
+    insts = [gen(m) for gen in (gen_grid, gen_column_deleted_grid)
+             for m in range(3, 9)]
+    insts += [gen_random_planar(seed % 11, 3 + seed % 14, seed)
+              for seed in range(200)]
+    insts += [_chords_and_pendants(seed) for seed in range(200)]
+    for base in insts[::8]:
+        insts += [subdivide(base, 2)[0], subdivide(base, 3)[0]]
+    insts += [_euclid_host(0, 10, 9000), _euclid_host(1, 10, 9010)]
+    for inst in insts:
+        assert distance_lower_bound(inst) == all_pairs_distance_ratio(inst), inst
 
 
 # --- subdivision ---

@@ -9,8 +9,8 @@ import pytest
 
 from retract import planar
 from retract.core import (Instance, Retraction, ValidationError, cycle_dist,
-                          distance_lower_bound, gen_column_deleted_grid,
-                          gen_grid, gen_random_planar, stretch, subdivide)
+                          gen_column_deleted_grid, gen_grid, gen_random_planar,
+                          stretch, subdivide)
 from retract.oracle import brute_force_optimal, enumerate_min_surrounding_cycle
 from retract.planar import (NotPlanarError, enclosed_faces,
                             max_disjoint_paths, optimal_retract_planar,
@@ -18,7 +18,8 @@ from retract.planar import (NotPlanarError, enclosed_faces,
                             retraction_from_curves, stretch1_retract,
                             triangulate_for_face)
 
-from conftest import cycle_score, make_ck, make_w4, part_embeddings
+from conftest import (all_pairs_distance_ratio, cycle_score, make_ck, make_w4,
+                      part_embeddings)
 from frozen import (COLGRID_OPTIMAL, GRID3_OPTIMAL, GRID4_OPTIMAL,
                     GRID4_CENTER_FACE_MIN_CYCLE, W4_OPTIMAL)
 
@@ -313,13 +314,17 @@ def test_cover_decides_each_face_as_flow_does():
 
 
 def test_start_lower_bound_is_the_distance_bound():
-    ladder = [gen_grid(m) for m in (3, 4, 5, 6)]
+    # C_256 plus a hub adjacent to anchors 1 and 129: d_H = 128, d_G = 2
+    hub = Instance(257, [(i, (i + 1) % 256) for i in range(256)]
+                   + [(1, 256), (129, 256)], tuple(range(256)))
+    assert planar._start_lower_bound(hub) == 64
+    ladder = [hub] + [gen_grid(m) for m in (3, 4, 5, 6)]
     ladder += [gen_column_deleted_grid(m) for m in (5, 6, 7, 8)]
     ladder += [gen_random_planar(nf, k, 100 * k + nf)
                for k in (6, 8, 10, 12, 14, 16, 20) for nf in (4, 8)]
     for inst in ladder:
-        assert planar._start_lower_bound(inst) == max(
-            1, ceil(distance_lower_bound(inst)))
+        assert planar._start_lower_bound(inst) == ceil(
+            all_pairs_distance_ratio(inst))
 
 
 def test_cycle_score_host_is_k():
