@@ -472,7 +472,7 @@ def parse_retraction(text):
 
 def parse_host(text, instance):
     """A SubgraphHost from JSON {anchors: [...], edges: [[u, v], ...]} whose
-    anchors are vertices of the instance."""
+    anchors are vertices of the instance and whose edges are its edges."""
     obj = _json_object(text)
     for field in ("anchors", "edges"):
         if field not in obj:
@@ -487,4 +487,8 @@ def parse_host(text, instance):
         raise ValidationError("host edges must be a list")
     edges = [tuple(_int_list(e, "host edges[%d]" % i, 2))
              for i, e in enumerate(obj["edges"])]
+    guest = set(instance.edges)
+    for u, v in edges:
+        if _normalize_edge(u, v) not in guest:
+            raise ValidationError("host edge %r is not a guest edge" % ([u, v],))
     return SubgraphHost(anchors, edges)

@@ -12,8 +12,9 @@ crosses a dual path from F to the outer face, labels are shortest-path
 values from the anchor copies, and the map read off layer 0 is verified
 directly. With as many layers on each side as the dual path crosses edges,
 the cover finds a stretch-1 map whenever one exists whose winding lies on F
-alone, so the scan is exact. The optimum is the smallest l for which the
-l-subdivided instance admits a stretch-1 retraction.
+alone, so the scan is exact. A part's optimum is the least l at which its
+l-subdivision admits a stretch-1 retraction, scanned upward from the part's
+distance bound; the instance's optimum is the largest part optimum.
 
 The paper's certificate, k vertex-disjoint curves from F to H found by max
 flow in a triangulated supergraph and the retraction read off the regions
@@ -713,27 +714,29 @@ def _stretch1_embedded(instance, embedding):
     return None
 
 
-def stretch1_retract(instance):
-    """A stretch-1 retraction of the instance, or None if none exists.
-
-    The instance is reduced to the block of H once; every part the block
-    splits into is then 2-connected and is decided on its own embedding.
-    """
-    host = instance.host_edges()
-    aset = set(instance.anchors)
-    for u, v in instance.edges:
-        if u in aset and v in aset and (u, v) not in host:
-            return None   # a chord joins anchors at cycle distance >= 2
+def _retract_parts(instance, solve_part):
+    """Reduce to the block of H and split it into parts, once; merge the maps
+    `solve_part` gives the parts and lift the result (None if a part has
+    none)."""
     reduced, rmap = reduce_two_connected(instance)
     asg = [None] * reduced.n
     for sub, old_of_new in plane_parts(reduced):
-        part = _stretch1_embedded(sub, plane_embed(sub))
+        part = solve_part(sub)
         if part is None:
             return None
         for new_id, old_id in enumerate(old_of_new):
             asg[old_id] = old_of_new[part.assignment[new_id]]
-    lifted = rmap.lift(Retraction(tuple(asg)))
-    if stretch(instance, lifted).max_stretch > 1:
+    return rmap.lift(Retraction(tuple(asg)))
+
+
+def stretch1_retract(instance):
+    """A stretch-1 retraction of the instance, or None if none exists.
+
+    A chord part's bounded faces have lengths d+1 and k-d+1, both below k,
+    so the face scan tries neither and returns None."""
+    lifted = _retract_parts(
+        instance, lambda part: _stretch1_embedded(part, plane_embed(part)))
+    if lifted is not None and stretch(instance, lifted).max_stretch > 1:
         raise SolverError("lifted retraction exceeds stretch 1")
     return lifted
 
@@ -743,73 +746,40 @@ def _start_lower_bound(instance):
     return max(1, ceil(distance_lower_bound(instance)))
 
 
+def _part_optimum(part):
+    """(l, map): the least l at which the part's l-subdivision admits a
+    stretch-1 retraction, and that map restricted to the part. Feasibility
+    is monotone in l, and the scan starts at the part's distance bound,
+    which is at most its optimum."""
+    cap = max(1, part.k // 2)
+    for l in range(min(_start_lower_bound(part), cap), cap + 1):
+        sub = subdivide(part, l)[0] if l > 1 else part
+        ret = _stretch1_embedded(sub, plane_embed(sub))
+        if ret is not None:
+            return l, Retraction(ret.assignment[:part.n])
+    # every retraction has stretch <= floor(k/2), and the cover is exact
+    raise SolverError("no stretch-1 retraction of the %d-subdivision" % cap)
+
+
 def optimal_retract_planar(instance):
     """Minimum-stretch retraction of a planar instance.
 
-    stretch(G) <= l iff the l-subdivision admits a stretch-1 retraction, so
-    gallop upward from the distance lower bound and finish with binary
-    search; floor(k/2) is always feasible.
+    Each part is solved at its own optimum OPT_p. Every non-anchor vertex and
+    every non-host edge of the block lies in one part, part maps fix the
+    anchors and host edges have stretch 1, so a merged map's stretch is its
+    largest part stretch and OPT(block) = max OPT_p. The lift sends each
+    hanging component to its gateway's image, so it adds no stretch.
     """
-    k = instance.k
-    cap = max(1, k // 2)
-    found = {}
+    optima = []
 
-    def feasible(l):
-        if l in found:
-            return found[l] is not None
-        sub, _ = subdivide(instance, l)
-        sol = stretch1_retract(sub)
-        if sol is None:
-            found[l] = None
-            return False
-        ret = Retraction(sol.assignment[:instance.n])
-        rep = stretch(instance, ret)
-        if rep.max_stretch > l:
-            raise SolverError("subdivision restriction exceeded stretch %d" % l)
-        found[l] = (ret, rep)
-        return True
+    def solve_part(part):
+        l, ret = _part_optimum(part)
+        optima.append(l)
+        return ret
 
-    lo = min(_start_lower_bound(instance), cap)
-    # gallop: first feasible value, doubling from the lower bound
-    l = lo
-    last_bad = lo - 1
-    while not feasible(l):
-        last_bad = l
-        if l >= cap:
-            break
-        l = min(2 * l, cap)
-    if found[l] is None:
-        # every retraction has stretch <= floor(k/2), and the cover is exact
-        raise SolverError("no stretch-1 retraction of the %d-subdivision" % l)
-    hi = l
-    # binary search in (last_bad, hi]
-    while last_bad + 1 < hi:
-        mid = (last_bad + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            last_bad = mid
-    ret, rep = found[hi]
+    ret = _retract_parts(instance, solve_part)
+    rep = stretch(instance, ret)
+    if rep.max_stretch != max(optima):
+        raise SolverError("retraction has stretch %d, not its parts' optimum "
+                          "%d" % (rep.max_stretch, max(optima)))
     return ret, rep
-
-
-# ---------------------------------------------------------------------------
-# faces inside a cycle
-
-
-def enclosed_faces(embedding, cycle_edges):
-    """Face ids strictly inside a simple cycle (given by its edge set):
-    everything unreachable from the outer face without crossing the cycle."""
-    cyc = {_normalize_edge(u, v) for u, v in cycle_edges}
-    outside = {embedding.outer_face}
-    stack = [embedding.outer_face]
-    while stack:
-        f = stack.pop()
-        for e in embedding.face_edge_sets[f]:
-            if e in cyc:
-                continue
-            for g in embedding.edge_faces[e]:
-                if g not in outside:
-                    outside.add(g)
-                    stack.append(g)
-    return frozenset(f for f in range(len(embedding.faces)) if f not in outside)

@@ -6,7 +6,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from retract import planar
-from retract.core import Instance, ValidationError, cycle_dist
+from retract.core import (Instance, ValidationError, _normalize_edge,
+                          cycle_dist)
 
 
 def make_w4():
@@ -75,3 +76,21 @@ def cycle_score(embedding, cycle, retraction):
             raise ValidationError("images of consecutive cycle vertices are "
                                   "%d anchors apart" % min(d, k - d))
     return total
+
+
+def enclosed_faces(embedding, cycle_edges):
+    """Face ids strictly inside a simple cycle (given by its edge set):
+    everything unreachable from the outer face without crossing the cycle."""
+    cyc = {_normalize_edge(u, v) for u, v in cycle_edges}
+    outside = {embedding.outer_face}
+    stack = [embedding.outer_face]
+    while stack:
+        f = stack.pop()
+        for e in embedding.face_edge_sets[f]:
+            if e in cyc:
+                continue
+            for g in embedding.edge_faces[e]:
+                if g not in outside:
+                    outside.add(g)
+                    stack.append(g)
+    return frozenset(f for f in range(len(embedding.faces)) if f not in outside)

@@ -175,6 +175,7 @@ def test_solve_host_edges_needs_treewidth(tmp_path):
     {"anchors": [0, 1], "edges": [[1, 2]]},             # edge leaves anchors
     {"anchors": [0, 2], "edges": []},                   # disconnected host
     "{not json",                                        # invalid JSON
+    {"anchors": [0, 2], "edges": [[0, 2]]},             # not a guest edge
 ])
 def test_solve_treewidth_malformed_host_exits_2(tmp_path, host):
     from conftest import make_ck

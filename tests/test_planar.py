@@ -12,14 +12,13 @@ from retract.core import (Instance, Retraction, ValidationError, cycle_dist,
                           gen_column_deleted_grid, gen_grid, gen_random_planar,
                           stretch, subdivide)
 from retract.oracle import brute_force_optimal, enumerate_min_surrounding_cycle
-from retract.planar import (NotPlanarError, enclosed_faces,
-                            max_disjoint_paths, optimal_retract_planar,
-                            plane_embed, plane_parts, reduce_two_connected,
-                            retraction_from_curves, stretch1_retract,
-                            triangulate_for_face)
+from retract.planar import (NotPlanarError, max_disjoint_paths,
+                            optimal_retract_planar, plane_embed, plane_parts,
+                            reduce_two_connected, retraction_from_curves,
+                            stretch1_retract, triangulate_for_face)
 
-from conftest import (all_pairs_distance_ratio, cycle_score, make_ck, make_w4,
-                      part_embeddings)
+from conftest import (all_pairs_distance_ratio, cycle_score, enclosed_faces,
+                      make_ck, make_w4, part_embeddings)
 from frozen import (COLGRID_OPTIMAL, GRID3_OPTIMAL, GRID4_OPTIMAL,
                     GRID4_CENTER_FACE_MIN_CYCLE, W4_OPTIMAL)
 
@@ -200,7 +199,13 @@ def test_stretch1_identity_on_cycle():
     assert ret.assignment == tuple(range(5))
 
 
-@pytest.mark.parametrize("inst", [make_w4(), gen_grid(3)])
+def c8_with_chord():
+    # C8 plus the chord (0, 4): its faces have length 5, both below k
+    edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)]
+    return Instance(8, edges, tuple(range(8)))
+
+
+@pytest.mark.parametrize("inst", [make_w4(), gen_grid(3), c8_with_chord()])
 def test_stretch1_none_and_short_surrounding_cycles(inst):
     assert stretch1_retract(inst) is None
     # contrapositive of the score bound: every bounded face is surrounded by
@@ -224,9 +229,7 @@ def test_stretch1_monotone_in_subdivision():
 
 
 def test_optimal_chord():
-    edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)]
-    inst = Instance(8, edges, tuple(range(8)))
-    _, rep = optimal_retract_planar(inst)
+    _, rep = optimal_retract_planar(c8_with_chord())
     assert rep.max_stretch == 4
 
 
@@ -456,11 +459,21 @@ def _split_family():
 
 
 def test_split_instances_match_oracle():
+    # the answer has the oracle's optimum, and so does each of its parts
     kinds = set()
     for kind, inst in _split_family():
         ret, rep = optimal_retract_planar(inst)
         _, want = brute_force_optimal(inst)
         assert rep.max_stretch == want.max_stretch, kind
         assert stretch(inst, ret).max_stretch == rep.max_stretch
+        red, rmap = reduce_two_connected(inst)
+        for part, old_of_new in plane_parts(red):
+            orig = [rmap.old_of_new[v] for v in old_of_new]
+            part_of = {v: p for p, v in enumerate(orig)}
+            restricted = Retraction(tuple(part_of[ret.assignment[v]]
+                                          for v in orig))
+            _, part_want = brute_force_optimal(part)
+            assert (stretch(part, restricted).max_stretch
+                    == part_want.max_stretch), kind
         kinds.add(kind)
     assert kinds == {"colgrid", "random", "chord"}
