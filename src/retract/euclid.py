@@ -237,13 +237,14 @@ def _floor_sqrt_fraction(f):
 def to_unweighted(g, k, n):
     """Replace each weighted edge by a unit-length path: ceil(k^2 n / 2)
     edges for weights >= k, floor(k n w / 2) otherwise (>= 1 after
-    contraction). Returns (total vertices, edges, positions) with original
-    vertex ids preserved and subdivision vertices interpolated exactly."""
+    contraction). Returns (total vertices, edges, along) with original
+    vertex ids preserved; along[w - g.n] = (u, v, j, m) places subdivision
+    vertex w at j/m of the way from u to v (see `_position`)."""
     thr = Fraction(4, (k * n) ** 2)
     long_count = (k * k * n + 1) // 2
     total = g.n
     edges = []
-    pos = list(g.points)
+    along = []
     for (u, v), sq in sorted(g.sq_weights.items()):
         if sq < thr:
             raise ValidationError("edge (%d,%d) below contraction threshold"
@@ -254,15 +255,22 @@ def to_unweighted(g, k, n):
             m = _floor_sqrt_fraction(sq * k * k * n * n / 4)
             if m < 1:
                 raise SolverError("subdivision count fell below 1")
-        chain = list(range(total, total + m - 1))
+        path = [u] + list(range(total, total + m - 1)) + [v]
         total += m - 1
-        path = [u] + chain + [v]
-        pu, pv = g.points[u], g.points[v]
-        for j, w in enumerate(chain, start=1):
-            pos.append((pu[0] + Fraction(j, m) * (pv[0] - pu[0]),
-                        pu[1] + Fraction(j, m) * (pv[1] - pu[1])))
+        along.extend((u, v, j, m) for j in range(1, m))
         edges.extend((path[i], path[i + 1]) for i in range(m))
-    return total, edges, pos
+    return total, edges, along
+
+
+def _position(g, along, w):
+    """Exact position of vertex w of to_unweighted(g, ...), whose third
+    value is `along`."""
+    if w < g.n:
+        return g.points[w]
+    u, v, j, m = along[w - g.n]
+    pu, pv = g.points[u], g.points[v]
+    return (pu[0] + Fraction(j, m) * (pv[0] - pu[0]),
+            pu[1] + Fraction(j, m) * (pv[1] - pu[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +442,7 @@ def euclid_retract(points):
     if len(set(aidx)) != k:
         raise SolverError("contraction merged two anchors; anchor spacing "
                           "premise violated")
-    total, edges, pos = to_unweighted(g2, k, n)
+    total, edges, along = to_unweighted(g2, k, n)
     host = build_host_cycle(total, edges, aidx)
     inst = Instance(n=total, edges=edges, anchors=tuple(host))
     ret, _ = planar_mod.optimal_retract_planar(inst)
@@ -445,8 +453,7 @@ def euclid_retract(points):
         if v in anchor_set:
             assignment.append(v)
             continue
-        img = ret.assignment[group[v]]
-        p = pos[img]
+        p = _position(g2, along, ret.assignment[group[v]])
         best = min(range(k),
                    key=lambda i: (_sqdist(p, anchor_pts[i]), i))
         assignment.append(points.anchor_indices[best])

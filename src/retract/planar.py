@@ -1,20 +1,24 @@
 """Exact minimum-stretch retraction for planar guests.
 
 Route: reduce to the 2-connected block containing the anchor cycle H, then
-split on the pieces of G minus the anchors (`plane_parts`): each component
-of G - V(H) with H attached (and each chord of H with H) is its own part,
-solved independently and merged. A part has one piece, so H bounds a face of
-every embedding of it; `plane_embed` has networkx embed only its core
-(chains of degree-2 vertices suppressed) and splices the chains back in.
-Stretch-1 feasibility of a part is decided by scanning bounded faces F with
-a winding cover: vertices are copied into layers that shift where an edge
-crosses a dual path from F to the outer face, labels are shortest-path
-values from the anchor copies, and the map read off layer 0 is verified
-directly. With as many layers on each side as the dual path crosses edges,
-the cover finds a stretch-1 map whenever one exists whose winding lies on F
-alone, so the scan is exact. A part's optimum is the least l at which its
-l-subdivision admits a stretch-1 retraction, scanned upward from the part's
-distance bound; the instance's optimum is the largest part optimum.
+split on the pieces of G - V(H) (`plane_parts`): each component of G - V(H)
+with H attached, and each chord of H, is solved independently and merged.
+A chain, a chord or a component whose vertices all have degree 2, is a path
+of L edges between anchors a and b; it has a map of stretch l exactly when
+L*l >= d_H(a, b), so it is decided in closed form with no sub-instance,
+subdivision, embedding or cover. Every other piece is a part: H with the
+piece attached. A part has one piece, so H bounds a face of every embedding
+of it; `plane_embed` has networkx embed only its core (chains of degree-2
+vertices suppressed) and splices the chains back in. Stretch-1 feasibility
+of a part is decided by scanning bounded faces F with a winding cover:
+vertices are copied into layers that shift where an edge crosses a dual
+path from F to the outer face, labels are shortest-path values from the
+anchor copies, and the map read off layer 0 is verified directly. With as
+many layers on each side as the dual path crosses edges, the cover finds a
+stretch-1 map whenever one exists whose winding lies on F alone, so the
+scan is exact. A part's optimum is the least l at which its l-subdivision
+admits a stretch-1 retraction, scanned upward from the part's distance
+bound; the instance's optimum is the largest piece optimum.
 
 The paper's certificate, k vertex-disjoint curves from F to H found by max
 flow in a triangulated supergraph and the retraction read off the regions
@@ -231,20 +235,22 @@ def reduce_two_connected(instance):
 
 
 def plane_parts(instance):
-    """Split the instance into the parts that are embedded and solved apart.
+    """Split the instance into the pieces that are solved apart.
 
     A piece is a chord of H, or a connected component C of G minus the
-    anchors together with its edges to H. The result is a list of
-    (sub_instance, old_of_new) pairs, one per piece with H attached, to be
-    solved independently and merged; an instance with at most one piece is
-    its own single part, with the identity map. A part of a 2-connected
-    instance is 2-connected, since its component attaches at two or more
-    anchors.
+    anchors together with its edges to H. Returns (parts, chains). A chain
+    is a chord or a component whose vertices all have degree 2: the path
+    (a, inner vertices..., b) between two anchors, decided in closed form
+    with no sub-instance (see `_chain_images`). Every other piece is a part
+    (sub_instance, old_of_new): H with that piece attached; an instance with
+    no chain and at most one piece is its own single part, with the
+    identity map. A part of a 2-connected instance is 2-connected, since
+    its component attaches at two or more anchors.
     """
     k = instance.k
     anchor_new = {a: i for i, a in enumerate(instance.anchors)}
     host = instance.host_edges()
-    chords = [(u, v) for u, v in instance.edges
+    chains = [(u, v) for u, v in instance.edges
               if u in anchor_new and v in anchor_new and (u, v) not in host]
     comps = []
     seen = set(anchor_new)
@@ -258,15 +264,22 @@ def plane_parts(instance):
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)
-        comps.append(sorted(comp))
-    if len(chords) + len(comps) <= 1:
-        return [(instance, tuple(range(instance.n)))]
+        if any(len(instance.neighbors(v)) != 2 for v in comp):
+            comps.append(sorted(comp))
+            continue
+        # a path of degree-2 vertices: walk it from an anchor at one end
+        end = next(v for v in comp
+                   if any(w in anchor_new for w in instance.neighbors(v)))
+        chain = [next(w for w in instance.neighbors(end) if w in anchor_new),
+                 end]
+        while chain[-1] not in anchor_new:
+            x, y = instance.neighbors(chain[-1])
+            chain.append(y if x == chain[-2] else x)
+        chains.append(tuple(chain))
+    if not chains and len(comps) <= 1:
+        return [(instance, tuple(range(instance.n)))], []
     host_new = [(i, (i + 1) % k) for i in range(k)]
     parts = []
-    for u, v in chords:
-        # a chord is its own sub-instance on the anchors alone
-        edges = host_new + [(anchor_new[u], anchor_new[v])]
-        parts.append((Instance(k, edges, range(k)), tuple(instance.anchors)))
     for comp in comps:
         old_of_new = tuple(instance.anchors) + tuple(comp)
         new_of_old = dict(anchor_new)
@@ -278,7 +291,7 @@ def plane_parts(instance):
                     edges.append((new_of_old[v], new_of_old[w]))
         parts.append((Instance(len(old_of_new), edges, range(k)),
                       old_of_new))
-    return parts
+    return parts, chains
 
 
 def plane_embed(instance):
@@ -288,7 +301,8 @@ def plane_embed(instance):
     one side of the Jordan curve H, so the other side holds nothing. Two or
     more pieces are rejected, as H may bound no face of the whole.
     """
-    if len(plane_parts(instance)) > 1:
+    parts, chains = plane_parts(instance)
+    if len(parts) + len(chains) > 1:
         raise ValidationError("H need not bound a face of an instance with "
                               "two or more pieces; embed its parts")
     rotation, faces = _nx_faces(instance.n, instance.edges)
@@ -714,28 +728,57 @@ def _stretch1_embedded(instance, embedding):
     return None
 
 
-def _retract_parts(instance, solve_part):
-    """Reduce to the block of H and split it into parts, once; merge the maps
-    `solve_part` gives the parts and lift the result (None if a part has
-    none)."""
+def _chain_images(k, i, j, L, l):
+    """Anchor indices of the inner vertices of a chain of L edges from anchor
+    i to anchor j, at a stretch l with L*l >= d = d_H(i, j).
+
+    Inner vertex t goes min(t*l, d) steps from i along the shorter arc (the
+    increasing one on a tie), so consecutive images are at most l apart.
+    That suffices, and L*l >= d is also necessary: the images of the chain
+    form a walk of L steps from i to j, each of at most l. The map is
+    checked over the chain's L edges, as the cover checks each part map."""
+    d = cycle_dist(k, i, j)
+    step = 1 if (j - i) % k == d else -1
+    idx = [(i + step * min(t * l, d)) % k for t in range(L)] + [j]
+    if any(cycle_dist(k, x, y) > l for x, y in zip(idx, idx[1:])):
+        raise SolverError("chain map exceeds stretch %d" % l)
+    return idx[1:-1]
+
+
+def _retract_parts(instance, solve_part, chain_stretch):
+    """Reduce to the block of H and split it into pieces, once; merge the
+    maps `solve_part` gives the parts with each chain's map at the stretch
+    `chain_stretch(d, L)` gives a chain of L edges between anchors d apart on
+    H, and lift the result (None if a piece has no map)."""
     reduced, rmap = reduce_two_connected(instance)
-    asg = [None] * reduced.n
-    for sub, old_of_new in plane_parts(reduced):
+    parts, chains = plane_parts(reduced)
+    asg = list(range(reduced.n))
+    for sub, old_of_new in parts:
         part = solve_part(sub)
         if part is None:
             return None
         for new_id, old_id in enumerate(old_of_new):
             asg[old_id] = old_of_new[part.assignment[new_id]]
+    k = reduced.k
+    for chain in chains:
+        i, j = reduced.anchor_index(chain[0]), reduced.anchor_index(chain[-1])
+        L = len(chain) - 1
+        l = chain_stretch(cycle_dist(k, i, j), L)
+        if l is None:
+            return None
+        for v, t in zip(chain[1:-1], _chain_images(k, i, j, L, l)):
+            asg[v] = reduced.anchors[t]
     return rmap.lift(Retraction(tuple(asg)))
 
 
 def stretch1_retract(instance):
     """A stretch-1 retraction of the instance, or None if none exists.
 
-    A chord part's bounded faces have lengths d+1 and k-d+1, both below k,
-    so the face scan tries neither and returns None."""
+    A chain of L edges between anchors d apart on H has one exactly when
+    L >= d; each part is decided by the face scan."""
     lifted = _retract_parts(
-        instance, lambda part: _stretch1_embedded(part, plane_embed(part)))
+        instance, lambda part: _stretch1_embedded(part, plane_embed(part)),
+        lambda d, L: 1 if L >= d else None)
     if lifted is not None and stretch(instance, lifted).max_stretch > 1:
         raise SolverError("lifted retraction exceeds stretch 1")
     return lifted
@@ -764,10 +807,12 @@ def _part_optimum(part):
 def optimal_retract_planar(instance):
     """Minimum-stretch retraction of a planar instance.
 
-    Each part is solved at its own optimum OPT_p. Every non-anchor vertex and
-    every non-host edge of the block lies in one part, part maps fix the
+    Each piece is solved at its own optimum OPT_p: a part by the scan of
+    `_part_optimum`, a chain of L edges between anchors d apart on H at
+    max(1, ceil(d/L)) (see `_chain_images`). Every non-anchor vertex and
+    every non-host edge of the block lies in one piece, piece maps fix the
     anchors and host edges have stretch 1, so a merged map's stretch is its
-    largest part stretch and OPT(block) = max OPT_p. The lift sends each
+    largest piece stretch and OPT(block) = max OPT_p. The lift sends each
     hanging component to its gateway's image, so it adds no stretch.
     """
     optima = []
@@ -777,9 +822,13 @@ def optimal_retract_planar(instance):
         optima.append(l)
         return ret
 
-    ret = _retract_parts(instance, solve_part)
+    def solve_chain(d, L):
+        optima.append(max(1, -(-d // L)))
+        return optima[-1]
+
+    ret = _retract_parts(instance, solve_part, solve_chain)
     rep = stretch(instance, ret)
     if rep.max_stretch != max(optima):
-        raise SolverError("retraction has stretch %d, not its parts' optimum "
+        raise SolverError("retraction has stretch %d, not its pieces' optimum "
                           "%d" % (rep.max_stretch, max(optima)))
     return ret, rep

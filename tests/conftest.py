@@ -44,10 +44,29 @@ def all_pairs_distance_ratio(inst):
     return best
 
 
+def chain_piece(inst, chain):
+    """(sub_instance, old_of_new) for a chain (a, inner..., b) of
+    plane_parts(inst): H with the chain attached, the anchors first."""
+    k = inst.k
+    old_of_new = tuple(inst.anchors) + tuple(chain[1:-1])
+    new_of_old = {v: i for i, v in enumerate(old_of_new)}
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(new_of_old[u], new_of_old[v]) for u, v in zip(chain, chain[1:])]
+    return Instance(len(old_of_new), edges, range(k)), old_of_new
+
+
+def pieces(inst):
+    """(sub_instance, old_of_new) for every piece of plane_parts(inst), the
+    chains built explicitly."""
+    parts, chains = planar.plane_parts(inst)
+    return parts + [chain_piece(inst, chain) for chain in chains]
+
+
 def part_embeddings(inst):
-    """(part, embedding) for each part of the 2-connected reduction of inst."""
+    """(piece, embedding) for each piece of the 2-connected reduction of
+    inst, chains included."""
     return [(sub, planar.plane_embed(sub)) for sub, _ in
-            planar.plane_parts(planar.reduce_two_connected(inst)[0])]
+            pieces(planar.reduce_two_connected(inst)[0])]
 
 
 def cycle_score(embedding, cycle, retraction):

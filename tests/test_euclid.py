@@ -5,12 +5,13 @@ import networkx as nx
 import pytest
 
 from retract import euclid
-from retract.core import ValidationError, gen_random_planar
+from retract.core import Instance, ValidationError, gen_random_planar
 from retract.euclid import (PointSet, WeightedPlanarGraph, anchors_on_circle,
                             build_host_cycle, contract_small_edges,
                             delaunay_spanner, euclid_retract,
                             gen_random_points, to_unweighted)
 from retract.oracle import brute_force_min_ratio
+from retract.planar import optimal_retract_planar
 
 F = Fraction
 
@@ -145,6 +146,49 @@ def test_to_unweighted_rejects_small():
                                 (0, 2): F(1)}, pts)
     with pytest.raises(ValidationError):
         to_unweighted(g, 4, 8)
+
+
+# (k, interior points, seed) of the point sets of the euclid-points workload
+BENCH_SETS = ((10, 0, 9000), (11, 0, 0), (12, 0, 0), (13, 0, 9018),
+              (14, 0, 9009), (10, 1, 9010), (10, 1, 9100), (10, 1, 9102),
+              (10, 2, 9101))
+
+
+def _eager_positions(g, k, n):
+    """Every vertex position of to_unweighted(g, k, n), each subdivision
+    vertex interpolated exactly along its edge, in the order it numbers
+    them."""
+    pos = list(g.points)
+    for (u, v), sq in sorted(g.sq_weights.items()):
+        m = ((k * k * n + 1) // 2 if sq >= k * k
+             else math.isqrt(sq.numerator * sq.denominator * k * k * n * n
+                             // 4) // sq.denominator)
+        pu, pv = g.points[u], g.points[v]
+        pos += [(pu[0] + F(j, m) * (pv[0] - pu[0]),
+                 pu[1] + F(j, m) * (pv[1] - pu[1])) for j in range(1, m)]
+    return pos
+
+
+def test_lazy_positions_match_eager_interpolation():
+    snapped = 0
+    for k, n_int, seed in BENCH_SETS:
+        ps = gen_random_points(n_int, k, seed)
+        g2, group = contract_small_edges(delaunay_spanner(ps), k, ps.n)
+        total, edges, along = to_unweighted(g2, k, ps.n)
+        eager = _eager_positions(g2, k, ps.n)
+        assert len(eager) == total
+        host = build_host_cycle(total, edges,
+                                [group[a] for a in ps.anchor_indices])
+        ret, _ = optimal_retract_planar(Instance(total, edges, tuple(host)))
+        want = list(range(k))
+        for v in range(k, ps.n):
+            img = ret.assignment[group[v]]
+            assert euclid._position(g2, along, img) == eager[img]
+            snapped += img >= g2.n
+            want.append(min(range(k), key=lambda i: (
+                euclid._sqdist(eager[img], ps.points[i]), i)))
+        assert euclid_retract(ps).assignment == tuple(want)
+    assert snapped >= 1
 
 
 def _pipeline_graph(ps):

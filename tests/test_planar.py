@@ -17,8 +17,9 @@ from retract.planar import (NotPlanarError, max_disjoint_paths,
                             reduce_two_connected, retraction_from_curves,
                             stretch1_retract, triangulate_for_face)
 
-from conftest import (all_pairs_distance_ratio, cycle_score, enclosed_faces,
-                      make_ck, make_w4, part_embeddings)
+from conftest import (all_pairs_distance_ratio, chain_piece, cycle_score,
+                      enclosed_faces, make_ck, make_w4, part_embeddings,
+                      pieces)
 from frozen import (COLGRID_OPTIMAL, GRID3_OPTIMAL, GRID4_OPTIMAL,
                     GRID4_CENTER_FACE_MIN_CYCLE, W4_OPTIMAL)
 
@@ -77,18 +78,18 @@ def test_plane_embed_rejects_nonplanar():
 
 
 def test_plane_embed_decomposes():
-    # C8 plus a hub on anchors 0,4 and a second hub on anchors 2,6: G - V(H)
-    # has two components, one part each (they cannot sit on the same side
-    # of H, so no embedding of the whole has H as a face)
+    # C8 plus a hub on anchors 0,1,4 and a second hub on anchors 2,6,7:
+    # G - V(H) has two components, one part each (they cannot sit on the
+    # same side of H, so no embedding of the whole has H as a face)
     edges = [(i, (i + 1) % 8) for i in range(8)]
-    edges += [(0, 8), (4, 8), (2, 9), (6, 9)]
+    edges += [(0, 8), (1, 8), (4, 8), (2, 9), (6, 9), (7, 9)]
     inst = Instance(10, edges, tuple(range(8)))
-    parts = plane_parts(inst)
-    assert len(parts) == 2
+    parts, chains = plane_parts(inst)
+    assert len(parts) == 2 and chains == []
     for sub, old_of_new in parts:
         assert sub.k == 8 and sub.n == 9
         assert old_of_new[:8] == inst.anchors
-        assert plane_parts(sub) == [(sub, tuple(range(9)))]
+        assert plane_parts(sub) == ([(sub, tuple(range(9)))], [])
     with pytest.raises(ValidationError):
         plane_embed(inst)
     # no stretch-1 map exists (a hub sees anchors 4 apart); the optimizer
@@ -97,6 +98,28 @@ def test_plane_embed_decomposes():
     _, rep = optimal_retract_planar(inst)
     _, want = brute_force_optimal(inst)
     assert rep.max_stretch == want.max_stretch == 2
+
+
+def test_plane_parts_takes_out_chains():
+    # C8 plus the chord (1, 5), the path 0-8-9-4, a hub 10 on anchors 2 and
+    # 6, and a hub 11 on anchors 3, 5 and 7: three chains and one part
+    edges = [(i, (i + 1) % 8) for i in range(8)] + [(1, 5)]
+    edges += [(0, 8), (8, 9), (9, 4), (2, 10), (6, 10)]
+    edges += [(3, 11), (5, 11), (7, 11)]
+    inst = Instance(12, edges, tuple(range(8)))
+    parts, chains = plane_parts(inst)
+    assert chains == [(1, 5), (0, 8, 9, 4), (2, 10, 6)]
+    assert [old for _, old in parts] == [tuple(range(8)) + (11,)]
+    with pytest.raises(ValidationError):
+        plane_embed(inst)
+    # the chord's optimum 4 = d_H(1, 5) is the largest piece optimum
+    ret, rep = optimal_retract_planar(inst)
+    _, want = brute_force_optimal(inst)
+    assert rep.max_stretch == want.max_stretch == 4
+    # chains go min(t*l, d) steps along the increasing arc on a tie
+    assert ret.assignment[8:11] == (2, 4, 4)
+    # one chain alone is no part: it is decided without an embedding
+    assert plane_parts(c8_with_chord()) == ([], [(0, 4)])
 
 
 def test_triangulate_preserves_distances():
@@ -467,7 +490,7 @@ def test_split_instances_match_oracle():
         assert rep.max_stretch == want.max_stretch, kind
         assert stretch(inst, ret).max_stretch == rep.max_stretch
         red, rmap = reduce_two_connected(inst)
-        for part, old_of_new in plane_parts(red):
+        for part, old_of_new in pieces(red):
             orig = [rmap.old_of_new[v] for v in old_of_new]
             part_of = {v: p for p, v in enumerate(orig)}
             restricted = Retraction(tuple(part_of[ret.assignment[v]]
@@ -477,3 +500,66 @@ def test_split_instances_match_oracle():
                     == part_want.max_stretch), kind
         kinds.add(kind)
     assert kinds == {"colgrid", "random", "chord"}
+
+
+# ---------------------------------------------------------------------------
+# chains in closed form: a chain of L edges between anchors d apart on H is
+# feasible at stretch l exactly when L*l >= d
+
+
+def _check_chain(inst, chain):
+    """The closed-form optimum of a chain of inst equals the face scan's on
+    its explicit piece and the oracle's; its map has stretch exactly l, and
+    the cover finds no map of the piece's (l-1)-subdivision."""
+    piece, _ = chain_piece(inst, chain)
+    k = inst.k
+    i, j = inst.anchor_index(chain[0]), inst.anchor_index(chain[-1])
+    L = len(chain) - 1
+    ret, rep = optimal_retract_planar(piece)
+    l = rep.max_stretch
+    assert l == max(1, ceil(cycle_dist(k, i, j) / L))
+    assert planar._part_optimum(piece)[0] == l
+    assert brute_force_optimal(piece)[1].max_stretch == l
+    images = planar._chain_images(k, i, j, L, l)
+    assert ret.assignment == tuple(range(k)) + tuple(images)
+    assert stretch(piece, ret).max_stretch == l
+    if l > 1:
+        sub = subdivide(piece, l - 1)[0]
+        assert planar._stretch1_embedded(sub, plane_embed(sub)) is None
+    return l
+
+
+def test_chain_on_a_cycle_matches_scan_and_oracle():
+    # C_k plus one chain of L edges between every pair of anchors
+    optima = set()
+    for k in range(3, 13):
+        for L in range(1, 7):
+            for a in range(k):
+                for b in range(a + 1, k):
+                    if L == 1 and b - a in (1, k - 1):
+                        continue        # a chord must leave H
+                    path = [a] + list(range(k, k + L - 1)) + [b]
+                    inst = Instance(k + L - 1, list(make_ck(k).edges)
+                                    + list(zip(path, path[1:])), range(k))
+                    _, chains = plane_parts(inst)
+                    assert chains == [tuple(path)]
+                    optima.add(_check_chain(inst, chains[0]))
+    assert optima == set(range(1, 7))
+
+
+def test_chain_pieces_of_ladder_and_random_instances():
+    # every chain piece of the planar ladder and of 200 random instances
+    insts = [gen_grid(m) for m in (3, 4, 5, 6)]
+    insts += [gen_column_deleted_grid(m) for m in (5, 6, 7, 8)]
+    insts += [gen_random_planar(nf, k, 100 * k + nf)
+              for k in (6, 8, 10, 12, 14, 16, 20) for nf in (4, 8)]
+    insts += [gen_random_planar(seed % 13, 3 + seed % 10, seed)
+              for seed in range(200)]
+    chords = inner = 0
+    for inst in insts:
+        red, _ = reduce_two_connected(inst)
+        for chain in plane_parts(red)[1]:
+            _check_chain(red, chain)
+            chords += len(chain) == 2
+            inner += len(chain) > 2
+    assert chords >= 20 and inner >= 20
