@@ -3,13 +3,16 @@ isometric on the boundary, find a large empty axis-aligned hole near the
 center, and project every vertex radially from the hole center back onto the
 anchor cycle.
 
-All geometry is exact rational arithmetic (Fraction); no floats anywhere.
+All geometry is exact, with no floats anywhere: the embedding and the
+projection use rational arithmetic (Fraction), and the hole search runs on
+integers, every coordinate scaled by a common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import (Retraction, StretchReport, SolverError, cycle_dist,
                    distance_lower_bound, stretch)
@@ -157,27 +160,34 @@ def find_largest_hole(embedding, k):
     tie, so it lies in the finite critical set {(xi-xj)/2, (yi-yj)/2,
     |xi - bound|, |yi - bound|, center-range half-extents}; binary search over
     that set with an exact feasibility sweep.
+
+    The search runs on integers: every coordinate and range bound is scaled
+    by den = 2 * lcm(their denominators), which makes each critical value an
+    integer. A positive scale keeps every comparison and sort order, so only
+    the returned Hole is converted back to Fraction.
     """
     side = embedding.side
-    pts = list(embedding.placement)
     half = side / 2
     off = Fraction(k, 16)
-    cx_range = (half - off, half + off)
-    cy_range = (half - off, half + off)
+    lo_c, hi_c = half - off, half + off
+    den = 2 * lcm(lo_c.denominator, hi_c.denominator,
+                  *(c.denominator for p in embedding.placement for c in p))
+    pts = [(int(x * den), int(y * den)) for x, y in embedding.placement]
+    cx_range = cy_range = (int(lo_c * den), int(hi_c * den))
     # every allowed center is at least half - off = k/16 from M's sides
-    t_cap = half - off
+    t_cap = cx_range[0]
 
     crit = {t_cap}
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    bounds = [cx_range[0], cx_range[1], cy_range[0], cy_range[1]]
+    bounds = cx_range + cy_range
     for i in range(len(pts)):
         for b in bounds:
             crit.add(abs(xs[i] - b))
             crit.add(abs(ys[i] - b))
         for j in range(i + 1, len(pts)):
-            crit.add(abs(xs[i] - xs[j]) / 2)
-            crit.add(abs(ys[i] - ys[j]) / 2)
+            crit.add(abs(xs[i] - xs[j]) // 2)
+            crit.add(abs(ys[i] - ys[j]) // 2)
     crit = sorted(c for c in crit if 0 < c <= t_cap)
 
     def feasible(t):
@@ -195,7 +205,8 @@ def find_largest_hole(embedding, k):
             hi = mid - 1
     if best_t is None:
         raise SolverError("no empty hole found (contradicts the averaging bound)")
-    return Hole(best_c, best_t)
+    return Hole((Fraction(best_c[0], den), Fraction(best_c[1], den)),
+                Fraction(best_t, den))
 
 
 def _ray_to_boundary(side, center, p):

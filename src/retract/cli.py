@@ -9,6 +9,7 @@ cycle hosts, ratio_sq for euclid, the host-metric stretch for --host-edges).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -157,7 +158,9 @@ def _verify(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(prog="retract",
                                 description="minimum-stretch retraction "
                                             "toolkit")

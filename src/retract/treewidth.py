@@ -1,17 +1,20 @@
 """Exact retraction to an arbitrary connected subgraph host via tree
 decompositions.
 
-A stretch-1 retraction is decided by dynamic programming over a nice tree
-decomposition (min-fill heuristic width). General stretch reduces to the
-stretch-1 question on subdivided graphs: the smallest l for which the graph
-with every non-host edge replaced by an l-edge path retracts with stretch 1
-equals the optimal stretch. Decompositions of the subdivided graphs are built
-from the original decomposition by splicing in path bags, so their width never
-exceeds max(width, 2).
+A retraction of stretch at most l is decided by dynamic programming over a
+nice tree decomposition (min-fill heuristic width) of the graph itself, built
+once per solve: a vertex may take an image only if it lies within host
+distance l of the images of its neighbours already in the bag. The optimum is
+the least l the DP accepts, scanned upward from the anchor distance ratio.
+
+The subdivision route (`_subdivided`, `_spliced_decomposition`) is kept as a
+reference: stretch l is feasible iff the graph with every non-host edge
+replaced by an l-edge path retracts with stretch 1.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import networkx as nx
@@ -111,9 +114,10 @@ def tree_decompose(instance):
     return _make_nice(*_raw_decompose(instance.n, instance.edges))
 
 
-def _stretch1_graph(n, edges, host, decomp):
-    """Assignment list for a stretch-1 retraction of (n, edges) onto the
-    host subgraph, or None. Core of the DP; edges need not form an Instance."""
+def _stretch1_graph(n, edges, host, decomp, l=1):
+    """Assignment list for a retraction of (n, edges) onto the host subgraph
+    with stretch at most l, or None. Core of the DP; edges need not form an
+    Instance."""
     anchor_set = set(host.anchors)
     images = host.anchors
     eset = {_normalize_edge(u, v) for u, v in edges}
@@ -156,7 +160,7 @@ def _stretch1_graph(n, edges, host, decomp):
         table = set()
         for g in child_table:
             for a in candidates:
-                if all(host.dist(a, g[i]) <= 1 for i in nbrs):
+                if all(host.dist(a, g[i]) <= l for i in nbrs):
                     table.add(g[:pos] + (a,) + g[pos:])
         tables[idx] = table
     if not tables[decomp.root]:
@@ -258,24 +262,53 @@ def _spliced_decomposition(bags, adj, chains):
     return bags, adj
 
 
+def _start_bound(n, edges, host):
+    """max(1, ceil of the max over anchor pairs of d_H(a, b) / d_G(a, b)),
+    by BFS in G from each anchor.
+
+    A lower bound on the optimal stretch for any host: a retraction of
+    stretch l maps a shortest a-b path of G to a host walk from a to b whose
+    d_G(a, b) steps each have length at most l.
+    """
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    best = 1
+    for a in host.anchors:
+        dist = {a: 0}
+        queue = deque([a])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        for b in host.anchors:
+            if b != a and b in dist:
+                best = max(best, -(-host.dist(a, b) // dist[b]))
+    return best
+
+
 def optimal_retract_tw(instance, host=None):
     """Minimum-stretch retraction onto an arbitrary connected subgraph host.
 
-    Tries l = 1, 2, ... (bounded by the host diameter, which is always
-    achievable): stretch l is feasible iff the graph with non-host edges
-    subdivided into l-edge paths has a stretch-1 retraction.
+    Runs the DP on the instance's own decomposition, built once, for
+    l = `_start_bound`, l + 1, ... up to the host diameter (always
+    achievable); the first l the DP accepts is the optimum. Deciding
+    stretch <= l directly answers the stretch-1 question on the
+    l-subdivision: a stretch-1 map of the l-subdivision restricts to a
+    stretch-<=l map of G, and a stretch-l map of G extends along host
+    geodesics to a stretch-1 map of the l-subdivision.
     """
     if host is None:
         host = host_from_cycle(instance)
-    base_bags, base_adj = _raw_decompose(instance.n, instance.edges)
+    decomp = tree_decompose(instance)
     limit = max(1, host.diameter())
-    for l in range(1, limit + 1):
-        n_l, edges_l, chains = _subdivided(instance, host, l)
-        bags, adj = _spliced_decomposition(base_bags, base_adj, chains)
-        decomp = _make_nice(bags, adj)
-        asg = _stretch1_graph(n_l, edges_l, host, decomp)
+    for l in range(_start_bound(instance.n, instance.edges, host), limit + 1):
+        asg = _stretch1_graph(instance.n, instance.edges, host, decomp, l)
         if asg is not None:
-            ret = Retraction(tuple(asg[:instance.n]))
+            ret = Retraction(tuple(asg))
             return ret, host_stretch(instance, host, ret)
     raise SolverError("no retraction within the host diameter; "
                       "host metric must be inconsistent")

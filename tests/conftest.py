@@ -6,6 +6,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from retract import planar
+from retract.approx import Hole
 from retract.core import (Instance, ValidationError, _normalize_edge,
                           cycle_dist)
 
@@ -113,3 +114,63 @@ def enclosed_faces(embedding, cycle_edges):
                     outside.add(g)
                     stack.append(g)
     return frozenset(f for f in range(len(embedding.faces)) if f not in outside)
+
+
+def _fraction_hole_feasible(points, cx_range, cy_range, t):
+    """The hole search's feasibility sweep on Fraction coordinates: a center
+    in the ranges at L-inf distance >= t from every point, or None."""
+    xlo, xhi = cx_range
+    ylo, yhi = cy_range
+    if xlo > xhi or ylo > yhi:
+        return None
+    cand_x = {xlo, xhi}
+    for px, _ in points:
+        for cx in (px - t, px + t):
+            if xlo <= cx <= xhi:
+                cand_x.add(cx)
+    for cx in sorted(cand_x):
+        bad = sorted((py - t, py + t) for px, py in points if abs(px - cx) < t)
+        y = ylo
+        ok = True
+        for lo, hi in bad:
+            if lo < y < hi:
+                y = hi
+                if y > yhi:
+                    ok = False
+                    break
+        if ok and y <= yhi:
+            return (cx, y)
+    return None
+
+
+def fraction_largest_hole(embedding, k):
+    """Reference for `approx.find_largest_hole`: the same critical-set binary
+    search, run on the Fraction coordinates."""
+    pts = list(embedding.placement)
+    half = embedding.side / 2
+    off = Fraction(k, 16)
+    cx_range = cy_range = (half - off, half + off)
+    t_cap = half - off
+    crit = {t_cap}
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    bounds = cx_range + cy_range
+    for i in range(len(pts)):
+        for b in bounds:
+            crit.add(abs(xs[i] - b))
+            crit.add(abs(ys[i] - b))
+        for j in range(i + 1, len(pts)):
+            crit.add(abs(xs[i] - xs[j]) / 2)
+            crit.add(abs(ys[i] - ys[j]) / 2)
+    crit = sorted(c for c in crit if 0 < c <= t_cap)
+    lo, hi = 0, len(crit) - 1
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        w = _fraction_hole_feasible(pts, cx_range, cy_range, crit[mid])
+        if w is not None:
+            best = Hole(w, crit[mid])
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return best

@@ -11,7 +11,9 @@ from retract.approx import (approx_retract, find_largest_hole, grid_embed,
                             project_to_cycle, _boundary_param, _boundary_point)
 from retract.core import (Instance, check_retraction, cycle_dist,
                           distance_lower_bound, gen_column_deleted_grid,
-                          gen_grid, stretch)
+                          gen_grid, gen_random_planar, stretch)
+
+from conftest import fraction_largest_hole
 
 
 def random_cycle_instance(n, k, rng, extra=2.0):
@@ -144,3 +146,28 @@ def test_column_grid_approx_is_order_m():
         inst = gen_column_deleted_grid(m)
         _, rep = approx_retract(inst)
         assert rep.max_stretch * 4 >= m
+
+
+def _hole_cases():
+    """The planar ladder (22 instances) and 200 seeded random planar
+    instances."""
+    insts = [gen_grid(m) for m in (3, 4, 5, 6)]
+    insts += [gen_column_deleted_grid(m) for m in (5, 6, 7, 8)]
+    insts += [gen_random_planar(nf, k, 100 * k + nf)
+              for k in (6, 8, 10, 12, 14, 16, 20) for nf in (4, 8)]
+    rng = random.Random(2024)
+    insts += [gen_random_planar(rng.randint(0, 12), rng.randint(4, 16),
+                                rng.randrange(1 << 31)) for _ in range(200)]
+    return insts
+
+
+def test_integer_hole_search_matches_fraction_reference():
+    for inst in _hole_cases():
+        emb = grid_embed(inst)
+        hole = find_largest_hole(emb, inst.k)
+        want = fraction_largest_hole(emb, inst.k)
+        assert hole == want
+        assert all(isinstance(c, Fraction)
+                   for c in hole.center + (hole.half_side,))
+        assert project_to_cycle(emb, hole, inst).assignment == \
+            project_to_cycle(emb, want, inst).assignment

@@ -55,6 +55,26 @@ def test_lb_distance_prints_two(tmp_path, capsys):
     assert out == {"bound": 2, "method": "distance"}
 
 
+def test_runs_in_one_process_keep_their_own_results(tmp_path, capsys):
+    # the parser is built once and shared by every run in the process
+    from retract.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    inst_path = _gen(tmp_path, "grid", "--m", "3")
+    capsys.readouterr()
+    assert run(["solve", "--algo", "planar", "-i", str(inst_path)]) == 0
+    out, err = capsys.readouterr()
+    _, claimed = parse_retraction(out)
+    assert claimed == frozen.GRID3_OPTIMAL
+    assert json.loads(err.strip().splitlines()[-1])["algorithm"] == "planar"
+    assert run(["solve", "--algo", "bogus", "-i", str(inst_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice" in err
+    assert run(["lb", "--method", "distance", "-i", str(inst_path)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"bound": 2, "method": "distance"}
+    assert err == ""
+
+
 def _combination(out):
     return [(c["cycle"], Fraction(*c["coef"])) for c in out["certificate"]]
 

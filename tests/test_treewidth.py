@@ -3,14 +3,17 @@ import random
 import pytest
 
 from retract import oracle, planar
-from retract.core import (Instance, SubgraphHost, ValidationError, gen_grid,
-                          host_from_cycle)
-from retract.treewidth import (NiceTreeDecomposition, host_stretch,
-                               optimal_retract_tw, stretch1_tw,
+from retract.core import (Instance, SubgraphHost, ValidationError,
+                          gen_column_deleted_grid, gen_grid, host_from_cycle)
+from retract.treewidth import (NiceTreeDecomposition, _make_nice,
+                               _raw_decompose, _spliced_decomposition,
+                               _start_bound, _stretch1_graph, _subdivided,
+                               host_stretch, optimal_retract_tw, stretch1_tw,
                                tree_decompose)
 
 import frozen
 from conftest import make_ck, make_w4
+from test_acceptance import _random_host_case
 
 
 def _check_decomposition(decomp, n, edges):
@@ -56,7 +59,6 @@ def test_decompose_path_width_one():
     p5 = Instance(n=5, edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
                   anchors=(0, 1, 2, 3, 4))
     # a bare path is not a valid Instance; build the graph directly
-    from retract.treewidth import _make_nice, _raw_decompose
     bags, adj = _raw_decompose(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     d = _make_nice(bags, adj)
     assert d.width == 1
@@ -156,6 +158,20 @@ def _random_host_instance(rng):
     return holder, SubgraphHost(sorted(anchors), hedges)
 
 
+def _spliced_optimum(g, host):
+    """(l, assignment) for the least l at which g with every non-host edge
+    subdivided into l edges has a stretch-1 retraction, decided on the
+    spliced decomposition (the reference route), or None."""
+    bb, ba = _raw_decompose(g.n, g.edges)
+    for l in range(1, max(1, host.diameter()) + 1):
+        n_l, edges_l, chains = _subdivided(g, host, l)
+        bags, adj = _spliced_decomposition(bb, ba, chains)
+        asg = _stretch1_graph(n_l, edges_l, host, _make_nice(bags, adj))
+        if asg is not None:
+            return l, asg
+    return None
+
+
 def test_random_hosts_match_oracle():
     rng = random.Random(4242)
     done = 0
@@ -164,26 +180,46 @@ def test_random_hosts_match_oracle():
         if len(host.anchors) < 2:
             continue
         best = oracle.brute_force_optimal(g, host)
-        from retract.treewidth import (_make_nice, _raw_decompose,
-                                       _spliced_decomposition, _subdivided)
-        bb, ba = _raw_decompose(g.n, g.edges)
-        found = None
-        for l in range(1, max(1, host.diameter()) + 1):
-            n_l, edges_l, chains = _subdivided(g, host, l)
-            from retract.treewidth import _stretch1_graph
-            bags, adj = _spliced_decomposition(bb, ba, chains)
-            asg = _stretch1_graph(n_l, edges_l, host,
-                                  _make_nice(bags, adj))
-            if asg is not None:
-                found = l
-                break
-        assert (found is None) == (best is None)
-        if found is not None:
+        spliced = _spliced_optimum(g, host)
+        assert (spliced is None) == (best is None)
+        if spliced is not None:
+            found, asg = spliced
             # achieved stretch on the original graph
             s = max(host.dist(asg[u], asg[v]) for u, v in g.edges)
             assert s == best[1].max_stretch == found or \
                    (found == 1 and s == 0 == best[1].max_stretch)
         done += 1
+
+
+def _differential_cases():
+    """300 seeded random hosts, cycle hosts of small grids, and the
+    criterion-7 cases."""
+    rng = random.Random(1111)
+    cases = []
+    while len(cases) < 300:
+        g, host = _random_host_instance(rng)
+        if len(host.anchors) >= 2:
+            cases.append((g, host))
+    for inst in (gen_grid(3), gen_grid(4), gen_column_deleted_grid(5),
+                 gen_column_deleted_grid(6)):
+        cases.append((inst, host_from_cycle(inst)))
+    rng = random.Random(777)
+    drawn = 0
+    while drawn < 30:
+        g, host = _random_host_case(rng)
+        if host.k >= 2:
+            cases.append((g, host))
+            drawn += 1
+    return cases
+
+
+def test_direct_dp_matches_spliced_route():
+    for g, host in _differential_cases():
+        l, _ = _spliced_optimum(g, host)
+        ret, rep = optimal_retract_tw(g, host)
+        assert rep.max_stretch == l
+        assert host_stretch(g, host, ret).max_stretch == l
+        assert _start_bound(g.n, g.edges, host) <= l
 
 
 def test_anchor_order_invariance():
@@ -196,8 +232,6 @@ def test_anchor_order_invariance():
 
 
 def test_spliced_width_bound():
-    from retract.treewidth import (_make_nice, _raw_decompose,
-                                   _spliced_decomposition, _subdivided)
     g = gen_grid(3)
     host = host_from_cycle(g)
     bb, ba = _raw_decompose(g.n, g.edges)
