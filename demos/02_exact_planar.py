@@ -4,10 +4,10 @@ The planar solver answers "is there a stretch-1 retraction?" one face at a
 time: a face can hold all the winding exactly when it is surrounded by k
 vertex-disjoint curves to the anchors, and the solver decides that with a
 winding cover, shortest paths from the anchors in as many layers as a dual
-path from the face crosses edges, verifying the map it reads off. It turns
-that decision into an optimizer by subdividing every non-host edge: the
-l-subdivision admits a stretch-1 retraction exactly when the original admits
-stretch l.
+path from the face crosses edges, verifying the map it reads off. It decides
+stretch l the same way on the instance itself, with every non-host edge of
+length l in the cover: the l-subdivision admits a stretch-1 retraction
+exactly when the original admits stretch l.
 """
 
 from retract import gen_grid, gen_random_planar, stretch, subdivide

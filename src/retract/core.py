@@ -43,7 +43,7 @@ class Instance:
     """
 
     __slots__ = ("n", "edges", "anchors", "points", "_adj", "_anchor_index",
-                 "_dist_cache")
+                 "_dist_cache", "_host_edges")
 
     def __init__(self, n, edges, anchors, points=None):
         if not isinstance(n, int) or n <= 0:
@@ -70,11 +70,14 @@ class Instance:
                 raise ValidationError("anchor %r out of range" % (a,))
         self.anchors = anchors
         k = len(anchors)
+        host = []
         for i in range(k):
             e = _normalize_edge(anchors[i], anchors[(i + 1) % k])
             if e not in seen:
                 raise ValidationError(
                     "anchors do not form a cycle: missing edge %r" % (e,))
+            host.append(e)
+        self._host_edges = frozenset(host)
         if points is not None:
             points = tuple((Fraction(x), Fraction(y)) for x, y in points)
             if len(points) != n:
@@ -129,9 +132,7 @@ class Instance:
 
     def host_edges(self):
         """The k cycle edges of H, normalized."""
-        k = self.k
-        return frozenset(_normalize_edge(self.anchors[i], self.anchors[(i + 1) % k])
-                         for i in range(k))
+        return self._host_edges
 
     def __eq__(self, other):
         return (isinstance(other, Instance) and self.n == other.n

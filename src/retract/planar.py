@@ -9,16 +9,15 @@ L*l >= d_H(a, b), so it is decided in closed form with no sub-instance,
 subdivision, embedding or cover. Every other piece is a part: H with the
 piece attached. A part has one piece, so H bounds a face of every embedding
 of it; `plane_embed` has networkx embed only its core (chains of degree-2
-vertices suppressed) and splices the chains back in. Stretch-1 feasibility
-of a part is decided by scanning bounded faces F with a winding cover:
-vertices are copied into layers that shift where an edge crosses a dual
-path from F to the outer face, labels are shortest-path values from the
-anchor copies, and the map read off layer 0 is verified directly. With as
-many layers on each side as the dual path crosses edges, the cover finds a
-stretch-1 map whenever one exists whose winding lies on F alone, so the
-scan is exact. A part's optimum is the least l at which its l-subdivision
-admits a stretch-1 retraction, scanned upward from the part's distance
-bound; the instance's optimum is the largest piece optimum.
+vertices suppressed) and splices the chains back in, once per part. Each
+stretch l of a part is decided on that embedding by scanning bounded faces F
+with a winding cover: vertices are copied into layers that shift where an
+edge crosses a dual path from F to the outer face, labels are shortest-path
+values from the anchor copies, with host edges of length 1 and all others of
+length l, and the map read off layer 0 is verified directly. The scan is
+exact (see `_lipschitz_retract`). A part's optimum is the least feasible l,
+scanned upward from the part's distance bound; the instance's optimum is
+the largest piece optimum.
 
 The paper's certificate, k vertex-disjoint curves from F to H found by max
 flow in a triangulated supergraph and the retraction read off the regions
@@ -35,8 +34,8 @@ from math import ceil
 import networkx as nx
 
 from .core import (Instance, Retraction, SolverError, ValidationError,
-                   _normalize_edge, cycle_dist, distance_lower_bound, stretch,
-                   subdivide)
+                   _normalize_edge, cycle_dist, distance_lower_bound, stretch)
+from .core import subdivide  # noqa: F401  (perfbench/spans.py wraps it here)
 
 
 class NotPlanarError(ValidationError):
@@ -83,9 +82,6 @@ class PlaneEmbedding:
                 ef.setdefault(e, []).append(fid)
         self.edge_faces = {e: tuple(fs) for e, fs in ef.items()}
         self.half_face = half_face
-
-    def face_len(self, fid):
-        return len(self.faces[fid])
 
 
 def _nx_faces(n, edges):
@@ -652,18 +648,21 @@ def _dual_crossing_signs(embedding, face):
     return sign
 
 
-def _lipschitz_retract(instance, embedding, face):
-    """Self-certifying stretch-1 construction via the winding cover.
+def _lipschitz_retract(instance, embedding, face, l=1):
+    """Self-certifying stretch-l construction via the winding cover.
 
     Vertices are copied into layers, edges crossing the dual path shift the
     layer, anchor copies are seeded at their index plus k per layer, and the
-    label of each vertex is its shortest-path value in the cover. The result
-    is verified directly; None means no stretch-1 map has all its winding
-    on this face. J layers on each side, J the number of edges the dual path
+    label of each vertex is its shortest-path value in the cover, with host
+    edges of length 1 and all others of length l: the unit cover's labels on
+    the l-subdivision, which has the same faces and dual path. The result is
+    verified directly; None means no stretch-l map has all its winding on
+    this face. J layers on each side, J the number of edges the dual path
     crosses, suffice: some shortest path to a layer-0 copy projects to a
     simple path of G, which crosses each of those edges at most once.
     """
     k = instance.k
+    host = instance.host_edges()
     sign = _dual_crossing_signs(embedding, face)
     J = max(1, len(sign) // 2)
     width = 2 * J + 1
@@ -680,49 +679,56 @@ def _lipschitz_retract(instance, embedding, face):
                 dist[node] = val
                 heap.append((val, node))
     heapq.heapify(heap)
-    adj = [[] for _ in range(n)]   # (neighbor, layer shift)
+    adj = [[] for _ in range(n)]   # (neighbor, layer shift, length)
     for u, v in instance.edges:
         su = sign.get((u, v), 0)
-        adj[u].append((v, su))
-        adj[v].append((u, -su))
+        length = 1 if (u, v) in host else l
+        adj[u].append((v, su, length))
+        adj[v].append((u, -su, length))
     while heap:
         d, node = heapq.heappop(heap)
         if d > dist[node]:
             continue
         v, j = node // width, node % width - J
-        for w, s in adj[v]:
+        for w, s, length in adj[v]:
             j2 = j + s
             if j2 < -J or j2 > J:
                 continue
             node2 = w * width + (j2 + J)
-            if d + 1 < dist[node2]:
-                dist[node2] = d + 1
-                heapq.heappush(heap, (d + 1, node2))
-    assignment = [None] * n
-    for v in range(n):
-        d = dist[v * width + J]
-        if d == INF:
-            return None
-        assignment[v] = instance.anchors[(d - offset) % k]
-    for a in instance.anchors:
-        if assignment[a] != a:
-            return None
+            d2 = d + length
+            if d2 < dist[node2]:
+                dist[node2] = d2
+                heapq.heappush(heap, (d2, node2))
+    layer0 = dist[J::width]
+    if INF in layer0:
+        return None
+    assignment = [instance.anchors[(d - offset) % k] for d in layer0]
+    if any(assignment[a] != a for a in instance.anchors):
+        return None
     ret = Retraction(tuple(assignment))
-    rep = stretch(instance, ret)
-    return ret if rep.max_stretch <= 1 else None
+    return ret if stretch(instance, ret).max_stretch <= l else None
 
 
 # ---------------------------------------------------------------------------
 # the decision procedure and the optimizer
 
 
-def _stretch1_embedded(instance, embedding):
-    k = instance.k
-    faces = [f for f in range(len(embedding.faces))
-             if f != embedding.outer_face and embedding.face_len(f) >= k]
-    faces.sort(key=embedding.face_len, reverse=True)
+def _stretch1_embedded(instance, embedding, l=1):
+    """A map of stretch at most l that the cover finds on a bounded face, or
+    None. A face walk's images step at most each edge's length, 1 on H and l
+    elsewhere, so faces shorter than k in that length cannot wind around H;
+    the longest faces are tried first."""
+    host = instance.host_edges()
+    size = {}
+    for f, walk in enumerate(embedding.faces):
+        if f != embedding.outer_face:
+            # H is a cycle, so the walk passes each host edge at most once
+            on_h = len(embedding.face_edge_sets[f] & host)
+            size[f] = on_h + l * (len(walk) - on_h)
+    faces = sorted((f for f in size if size[f] >= instance.k), key=size.get,
+                   reverse=True)
     for f in faces:
-        ret = _lipschitz_retract(instance, embedding, f)
+        ret = _lipschitz_retract(instance, embedding, f, l)
         if ret is not None:
             return ret
     return None
@@ -745,43 +751,10 @@ def _chain_images(k, i, j, L, l):
     return idx[1:-1]
 
 
-def _retract_parts(instance, solve_part, chain_stretch):
-    """Reduce to the block of H and split it into pieces, once; merge the
-    maps `solve_part` gives the parts with each chain's map at the stretch
-    `chain_stretch(d, L)` gives a chain of L edges between anchors d apart on
-    H, and lift the result (None if a piece has no map)."""
-    reduced, rmap = reduce_two_connected(instance)
-    parts, chains = plane_parts(reduced)
-    asg = list(range(reduced.n))
-    for sub, old_of_new in parts:
-        part = solve_part(sub)
-        if part is None:
-            return None
-        for new_id, old_id in enumerate(old_of_new):
-            asg[old_id] = old_of_new[part.assignment[new_id]]
-    k = reduced.k
-    for chain in chains:
-        i, j = reduced.anchor_index(chain[0]), reduced.anchor_index(chain[-1])
-        L = len(chain) - 1
-        l = chain_stretch(cycle_dist(k, i, j), L)
-        if l is None:
-            return None
-        for v, t in zip(chain[1:-1], _chain_images(k, i, j, L, l)):
-            asg[v] = reduced.anchors[t]
-    return rmap.lift(Retraction(tuple(asg)))
-
-
 def stretch1_retract(instance):
-    """A stretch-1 retraction of the instance, or None if none exists.
-
-    A chain of L edges between anchors d apart on H has one exactly when
-    L >= d; each part is decided by the face scan."""
-    lifted = _retract_parts(
-        instance, lambda part: _stretch1_embedded(part, plane_embed(part)),
-        lambda d, L: 1 if L >= d else None)
-    if lifted is not None and stretch(instance, lifted).max_stretch > 1:
-        raise SolverError("lifted retraction exceeds stretch 1")
-    return lifted
+    """The optimal retraction if its stretch is 1, else None (none exists)."""
+    ret, rep = optimal_retract_planar(instance)
+    return ret if rep.max_stretch == 1 else None
 
 
 def _start_lower_bound(instance):
@@ -790,23 +763,24 @@ def _start_lower_bound(instance):
 
 
 def _part_optimum(part):
-    """(l, map): the least l at which the part's l-subdivision admits a
-    stretch-1 retraction, and that map restricted to the part. Feasibility
-    is monotone in l, and the scan starts at the part's distance bound,
-    which is at most its optimum."""
+    """(l, map): the least l at which the part has a map of stretch l, and
+    that map, each l decided on one embedding of the part by the face scan
+    with non-host edges of length l. Feasibility is monotone in l, and the
+    scan starts at the part's distance bound, at most its optimum."""
+    emb = plane_embed(part)
     cap = max(1, part.k // 2)
     for l in range(min(_start_lower_bound(part), cap), cap + 1):
-        sub = subdivide(part, l)[0] if l > 1 else part
-        ret = _stretch1_embedded(sub, plane_embed(sub))
+        ret = _stretch1_embedded(part, emb, l)
         if ret is not None:
-            return l, Retraction(ret.assignment[:part.n])
+            return l, ret
     # every retraction has stretch <= floor(k/2), and the cover is exact
-    raise SolverError("no stretch-1 retraction of the %d-subdivision" % cap)
+    raise SolverError("no retraction of stretch %d found" % cap)
 
 
 def optimal_retract_planar(instance):
     """Minimum-stretch retraction of a planar instance.
 
+    The instance is reduced to the block of H and split into pieces once.
     Each piece is solved at its own optimum OPT_p: a part by the scan of
     `_part_optimum`, a chain of L edges between anchors d apart on H at
     max(1, ceil(d/L)) (see `_chain_images`). Every non-anchor vertex and
@@ -815,18 +789,24 @@ def optimal_retract_planar(instance):
     largest piece stretch and OPT(block) = max OPT_p. The lift sends each
     hanging component to its gateway's image, so it adds no stretch.
     """
+    reduced, rmap = reduce_two_connected(instance)
+    parts, chains = plane_parts(reduced)
+    asg = list(range(reduced.n))
     optima = []
-
-    def solve_part(part):
-        l, ret = _part_optimum(part)
+    for sub, old_of_new in parts:
+        l, part = _part_optimum(sub)
         optima.append(l)
-        return ret
-
-    def solve_chain(d, L):
-        optima.append(max(1, -(-d // L)))
-        return optima[-1]
-
-    ret = _retract_parts(instance, solve_part, solve_chain)
+        for new_id, old_id in enumerate(old_of_new):
+            asg[old_id] = old_of_new[part.assignment[new_id]]
+    k = reduced.k
+    for chain in chains:
+        i, j = reduced.anchor_index(chain[0]), reduced.anchor_index(chain[-1])
+        L = len(chain) - 1
+        l = max(1, -(-cycle_dist(k, i, j) // L))
+        optima.append(l)
+        for v, t in zip(chain[1:-1], _chain_images(k, i, j, L, l)):
+            asg[v] = reduced.anchors[t]
+    ret = rmap.lift(Retraction(tuple(asg)))
     rep = stretch(instance, ret)
     if rep.max_stretch != max(optima):
         raise SolverError("retraction has stretch %d, not its pieces' optimum "

@@ -288,7 +288,7 @@ def test_criterion_9_structural_invariants():
         for part, emb in part_embeddings(inst):
             ret = None
             for f in range(len(emb.faces)):
-                if f == emb.outer_face or emb.face_len(f) < part.k:
+                if f == emb.outer_face or len(emb.faces[f]) < part.k:
                     continue
                 sg = planar.triangulate_for_face(emb, f)
                 curves = planar.max_disjoint_paths(sg, sg.s, sg.t)

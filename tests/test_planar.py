@@ -204,7 +204,7 @@ def test_retraction_from_curves_interior_path():
     inst = Instance(10, edges, tuple(range(8)))
     emb = plane_embed(inst)
     face = max((f for f in range(len(emb.faces)) if f != emb.outer_face),
-               key=emb.face_len)
+               key=lambda f: len(emb.faces[f]))
     sg = triangulate_for_face(emb, face)
     curves = max_disjoint_paths(sg, sg.s, sg.t)
     assert len(curves.paths) == 8
@@ -339,16 +339,46 @@ def test_cover_decides_each_face_as_flow_does():
     assert deepest >= 5
 
 
+def _ladder():
+    """The 22 instances of the planar ladder: grids, column-deleted grids
+    and random planar instances with k up to 20."""
+    insts = [gen_grid(m) for m in (3, 4, 5, 6)]
+    insts += [gen_column_deleted_grid(m) for m in (5, 6, 7, 8)]
+    return insts + [gen_random_planar(nf, k, 100 * k + nf)
+                    for k in (6, 8, 10, 12, 14, 16, 20) for nf in (4, 8)]
+
+
+def test_length_l_cover_matches_subdivided_probe():
+    # every probe of every part, from l = 1 to the part's optimum: the cover
+    # with non-host edges of length l accepts exactly when the unit cover
+    # accepts on the explicitly l-subdivided part, and exactly from the
+    # part's optimum on, with a map of stretch at most l
+    insts = _ladder() + [gen_grid(7)]
+    insts += [gen_random_planar(nf, k, 1000 * k + nf)
+              for k in range(3, 13) for nf in range(31)]
+    parts = probes = 0
+    for inst in insts:
+        for part, _ in plane_parts(reduce_two_connected(inst)[0])[0]:
+            opt = planar._part_optimum(part)[0]
+            emb = plane_embed(part)
+            for l in range(1, opt + 1):
+                ret = planar._stretch1_embedded(part, emb, l)
+                sub = subdivide(part, l)[0]
+                ref = planar._stretch1_embedded(sub, plane_embed(sub))
+                assert (ret is None) == (ref is None) == (l < opt), (inst, l)
+                if ret is not None:
+                    assert stretch(part, ret).max_stretch <= l
+                probes += 1
+            parts += 1
+    assert parts >= 600 and probes >= 1000
+
+
 def test_start_lower_bound_is_the_distance_bound():
     # C_256 plus a hub adjacent to anchors 1 and 129: d_H = 128, d_G = 2
     hub = Instance(257, [(i, (i + 1) % 256) for i in range(256)]
                    + [(1, 256), (129, 256)], tuple(range(256)))
     assert planar._start_lower_bound(hub) == 64
-    ladder = [hub] + [gen_grid(m) for m in (3, 4, 5, 6)]
-    ladder += [gen_column_deleted_grid(m) for m in (5, 6, 7, 8)]
-    ladder += [gen_random_planar(nf, k, 100 * k + nf)
-               for k in (6, 8, 10, 12, 14, 16, 20) for nf in (4, 8)]
-    for inst in ladder:
+    for inst in [hub] + _ladder():
         assert planar._start_lower_bound(inst) == ceil(
             all_pairs_distance_ratio(inst))
 
@@ -549,10 +579,7 @@ def test_chain_on_a_cycle_matches_scan_and_oracle():
 
 def test_chain_pieces_of_ladder_and_random_instances():
     # every chain piece of the planar ladder and of 200 random instances
-    insts = [gen_grid(m) for m in (3, 4, 5, 6)]
-    insts += [gen_column_deleted_grid(m) for m in (5, 6, 7, 8)]
-    insts += [gen_random_planar(nf, k, 100 * k + nf)
-              for k in (6, 8, 10, 12, 14, 16, 20) for nf in (4, 8)]
+    insts = _ladder()
     insts += [gen_random_planar(seed % 13, 3 + seed % 10, seed)
               for seed in range(200)]
     chords = inner = 0
