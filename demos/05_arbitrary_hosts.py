@@ -2,10 +2,11 @@
 
 The treewidth solver drops the planarity and cycle-host assumptions: the
 host may be any connected subgraph (a path, a tree, a cycle with chords).
-A dynamic program over a nice tree decomposition decides stretch-1
-retractability; subdividing non-host edges lifts that to any target stretch,
-and splicing the subdivision chains into the decomposition keeps the width
-at most max(width, 2).
+A dynamic program over a nice tree decomposition decides, for each target
+stretch l, whether a map of stretch l exists. Every l is decided on G's own
+decomposition, built once per solve: an introduce node gives the new vertex
+an image a only if host.dist(a, g[i]) <= l for the image g[i] of each of its
+neighbours in the bag, so no edge is subdivided.
 """
 
 from retract import Instance, SubgraphHost, gen_grid

@@ -1,7 +1,9 @@
 """Exact minimum-stretch retraction for planar guests.
 
-Route: reduce to the 2-connected block containing the anchor cycle H, then
-split on the pieces of G - V(H) (`plane_parts`): each component of G - V(H)
+Route: reduce to the 2-connected block containing the anchor cycle H, found
+by one lowpoint DFS over the instance's adjacency (an instance with nothing
+hanging off that block is its own block and is not copied), then split on
+the pieces of G - V(H) (`plane_parts`): each component of G - V(H)
 with H attached, and each chord of H, is solved independently and merged.
 A chain, a chord or a component whose vertices all have degree 2, is a path
 of L edges between anchors a and b; it has a map of stretch l exactly when
@@ -194,40 +196,71 @@ class ReduceMap:
 def reduce_two_connected(instance):
     """Collapse everything outside the block containing H onto its cut vertex.
 
-    Returns (reduced_instance, ReduceMap). The anchor cycle lies in a single
-    block; every other vertex belongs to a component of G minus that block
-    attached at exactly one block vertex, and any retraction of the block
-    lifts by sending the whole component to its gateway's image.
+    Returns (reduced_instance, ReduceMap). The block is found by one
+    iterative lowpoint DFS over the instance's adjacency, rooted at an
+    anchor r. A tree child c of p whose subtree reaches no vertex above p
+    (low[c] >= disc[p]) is cut off by p; if that subtree holds no anchor it
+    hangs off p, and every vertex in it takes p's gateway, or p itself when
+    p is kept, so nested hangs collapse onto the outermost cut vertex. This
+    is exact: H is a 2-connected cycle through r, so a cut-off subtree
+    holding an anchor is a child subtree of r, and at most one of those
+    holds anchors. Any retraction of the block lifts by sending each
+    hanging vertex to its gateway's image. An instance with nothing hanging
+    is its own block: it is returned itself, with the identity map.
     """
-    g = nx.Graph()
-    g.add_nodes_from(range(instance.n))
-    g.add_edges_from(instance.edges)
-    aset = set(instance.anchors)
-    block = None
-    for comp in nx.biconnected_components(g):
-        if aset <= comp:
-            block = set(comp)
-            break
-    if block is None:  # k >= 3 so H is a cycle inside one block
-        raise ValidationError("anchor cycle does not lie in one block")
+    n = instance.n
+    root = instance.anchors[0]
+    disc = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    anchored = [False] * n      # the vertex's DFS subtree holds an anchor
+    for a in instance.anchors:
+        anchored[a] = True
+    disc[root] = 0
+    order = [root]
+    stack = [(root, iter(instance.neighbors(root)))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if disc[w] < 0:
+                disc[w] = low[w] = len(order)
+                parent[w] = v
+                order.append(w)
+                stack.append((w, iter(instance.neighbors(w))))
+                break
+            if disc[w] < low[v] and w != parent[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            p = parent[v]
+            if p >= 0:
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if anchored[v]:
+                    anchored[p] = True
+    # in preorder, so a vertex's parent is settled before the vertex
     gateway = {}
-    if len(block) < instance.n:
-        rest = g.subgraph(v for v in range(instance.n) if v not in block)
-        for comp in nx.connected_components(rest):
-            gates = {w for v in comp for w in g[v] if w in block}
-            if len(gates) != 1:
-                raise ValidationError("hanging component attaches at %d block "
-                                      "vertices, expected 1" % len(gates))
-            gate = gates.pop()
-            for v in comp:
-                gateway[v] = gate
-    old_of_new = tuple(sorted(block))
+    anchored_cuts = 0
+    for v in order[1:]:
+        p = parent[v]
+        if p in gateway:
+            gateway[v] = gateway[p]
+        elif low[v] >= disc[p]:
+            if anchored[v]:
+                anchored_cuts += 1
+            else:
+                gateway[v] = p
+    if anchored_cuts > 1:
+        raise SolverError("anchor cycle does not lie in one block")
+    if not gateway:
+        return instance, ReduceMap(n, tuple(range(n)), {})
+    old_of_new = tuple(v for v in range(n) if v not in gateway)
     new_of_old = {old: new for new, old in enumerate(old_of_new)}
     edges = [(new_of_old[u], new_of_old[v]) for u, v in instance.edges
              if u in new_of_old and v in new_of_old]
     anchors = tuple(new_of_old[a] for a in instance.anchors)
     reduced = Instance(len(old_of_new), edges, anchors)
-    return reduced, ReduceMap(instance.n, old_of_new, gateway)
+    return reduced, ReduceMap(n, old_of_new, gateway)
 
 
 def plane_parts(instance):

@@ -3,6 +3,8 @@ from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 from retract import planar
@@ -61,6 +63,42 @@ def pieces(inst):
     chains built explicitly."""
     parts, chains = planar.plane_parts(inst)
     return parts + [chain_piece(inst, chain) for chain in chains]
+
+
+def nx_reduce_two_connected(instance):
+    """Reference for `planar.reduce_two_connected`: the block of H from
+    networkx's biconnected components, each component of G minus the block
+    collapsed onto the one block vertex it attaches at. Always builds a new
+    reduced instance."""
+    g = nx.Graph()
+    g.add_nodes_from(range(instance.n))
+    g.add_edges_from(instance.edges)
+    aset = set(instance.anchors)
+    block = None
+    for comp in nx.biconnected_components(g):
+        if aset <= comp:
+            block = set(comp)
+            break
+    if block is None:  # k >= 3 so H is a cycle inside one block
+        raise ValidationError("anchor cycle does not lie in one block")
+    gateway = {}
+    if len(block) < instance.n:
+        rest = g.subgraph(v for v in range(instance.n) if v not in block)
+        for comp in nx.connected_components(rest):
+            gates = {w for v in comp for w in g[v] if w in block}
+            if len(gates) != 1:
+                raise ValidationError("hanging component attaches at %d block "
+                                      "vertices, expected 1" % len(gates))
+            gate = gates.pop()
+            for v in comp:
+                gateway[v] = gate
+    old_of_new = tuple(sorted(block))
+    new_of_old = {old: new for new, old in enumerate(old_of_new)}
+    edges = [(new_of_old[u], new_of_old[v]) for u, v in instance.edges
+             if u in new_of_old and v in new_of_old]
+    anchors = tuple(new_of_old[a] for a in instance.anchors)
+    reduced = Instance(len(old_of_new), edges, anchors)
+    return reduced, planar.ReduceMap(instance.n, old_of_new, gateway)
 
 
 def part_embeddings(inst):

@@ -7,7 +7,7 @@ from math import ceil
 import networkx as nx
 import pytest
 
-from retract import planar
+from retract import euclid, planar
 from retract.core import (Instance, Retraction, ValidationError, cycle_dist,
                           gen_column_deleted_grid, gen_grid, gen_random_planar,
                           stretch, subdivide)
@@ -18,8 +18,8 @@ from retract.planar import (NotPlanarError, max_disjoint_paths,
                             stretch1_retract, triangulate_for_face)
 
 from conftest import (all_pairs_distance_ratio, chain_piece, cycle_score,
-                      enclosed_faces, make_ck, make_w4, part_embeddings,
-                      pieces)
+                      enclosed_faces, make_ck, make_w4, nx_reduce_two_connected,
+                      part_embeddings, pieces)
 from frozen import (COLGRID_OPTIMAL, GRID3_OPTIMAL, GRID4_OPTIMAL,
                     GRID4_CENTER_FACE_MIN_CYCLE, W4_OPTIMAL)
 
@@ -43,6 +43,8 @@ def test_reduce_identity_on_grid():
     inst = gen_grid(3)
     red, rmap = reduce_two_connected(inst)
     assert red.n == inst.n and red.edges == inst.edges
+    assert red is inst
+    assert rmap == planar.ReduceMap(inst.n, tuple(range(inst.n)), {})
     ret, rep = brute_force_optimal(red)
     assert stretch(inst, rmap.lift(ret)).max_stretch == rep.max_stretch
 
@@ -58,6 +60,75 @@ def test_reduce_two_grids_sharing_cut_vertex():
     lifted = rmap.lift(ret)
     assert stretch(inst, lifted).max_stretch == rep.max_stretch
     assert lifted.assignment[9] == lifted.assignment[8]
+
+
+def _euclid_instance(k, n_interior, seed):
+    """The subdivided instance `euclid_retract` solves for a point set."""
+    points = euclid.gen_random_points(n_interior, k, seed)
+    g, group = euclid.contract_small_edges(euclid.delaunay_spanner(points),
+                                           k, points.n)
+    total, edges, _ = euclid.to_unweighted(g, k, points.n)
+    aidx = [group[points.anchor_indices[i]] for i in range(k)]
+    host = euclid.build_host_cycle(total, edges, aidx)
+    return Instance(total, edges, tuple(host))
+
+
+def _hanging_cases():
+    """Hand-built instances with parts hanging off the block of H."""
+    w4 = list(make_w4().edges)              # hub 4 is not an anchor
+    c6 = [(i, (i + 1) % 6) for i in range(6)]
+    return [
+        # a pendant tree on anchor 2
+        Instance(10, c6 + [(2, 6), (6, 7), (6, 8), (8, 9)], range(6)),
+        # a triangle glued at the hub
+        Instance(7, w4 + [(4, 5), (5, 6), (6, 4)], range(4)),
+        # a triangle glued at the hub, carrying its own pendant path
+        Instance(9, w4 + [(4, 5), (5, 6), (6, 4), (5, 7), (7, 8)], range(4)),
+        # two triangles sharing one cut vertex, the hub, then anchor 0
+        Instance(9, w4 + [(4, 5), (5, 6), (6, 4), (4, 7), (7, 8), (8, 4)],
+                 range(4)),
+        Instance(10, c6 + [(0, 6), (6, 7), (7, 0), (0, 8), (8, 9), (9, 0)],
+                 range(6)),
+    ]
+
+
+# (k, interior points, generator seed) of the benchmark's Euclidean sets
+EUCLID_SETS = ((10, 0, 9000), (11, 0, 0), (12, 0, 0), (13, 0, 9018),
+               (14, 0, 9009), (10, 1, 9010), (10, 1, 9100), (10, 1, 9102),
+               (10, 2, 9101))
+
+
+def test_lowpoint_reduce_matches_networkx_reference():
+    insts = _ladder() + [gen_grid(7)]
+    insts += [gen_random_planar(nf, k, 1000 * k + nf)
+              for k in range(3, 13) for nf in range(31)]
+    insts += [_euclid_instance(*s) for s in EUCLID_SETS]
+    insts += _hanging_cases()
+    hanging = 0
+    for inst in insts:
+        red, rmap = reduce_two_connected(inst)
+        ref, ref_map = nx_reduce_two_connected(inst)
+        assert red == ref and rmap == ref_map, inst
+        assert (red is inst) == (not ref_map.gateway)
+        hanging += bool(ref_map.gateway)
+    assert len(insts) == 22 + 1 + 310 + 9 + 5
+    assert hanging >= 250
+    gateways = [reduce_two_connected(inst)[1].gateway
+                for inst in _hanging_cases()]
+    assert gateways[2] == {5: 4, 6: 4, 7: 4, 8: 4}
+    assert gateways[3] == {v: 4 for v in range(5, 9)}
+
+
+def test_reduce_pendant_path_needs_no_recursion():
+    # a 20,000-vertex path hung off anchor 3 of C6 is a DFS branch 20,000 deep
+    m = 20000
+    edges = [(i, (i + 1) % 6) for i in range(6)] + [(3, 6)]
+    edges += [(v, v + 1) for v in range(6, 5 + m)]
+    inst = Instance(6 + m, edges, range(6))
+    red, rmap = reduce_two_connected(inst)
+    assert red == make_ck(6)
+    lifted = rmap.lift(Retraction(tuple(range(6))))
+    assert lifted.assignment[6:] == (3,) * m
 
 
 def test_plane_embed_counts():
