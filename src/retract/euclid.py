@@ -129,27 +129,44 @@ def _det3(m):
 
 def _in_circle(pts, ia, ib, ic, idx):
     """Is point idx strictly inside the circumcircle of CCW triangle
-    (ia, ib, ic)? Co-circular ties broken by perturbing the lift of point i
-    upward by eps*i (a regular-triangulation perturbation): larger-index
-    co-circular points count as outside."""
-    rows = []
-    for i in (ia, ib, ic, idx):
-        x, y = pts[i]
-        rows.append((x, y, x * x + y * y, 1, i))
-    # 4x4 determinant expanded along the lifted column
-    d0 = 0
-    d1 = 0
-    for r in range(4):
-        sub = [rows[j][:2] + (rows[j][3],) for j in range(4) if j != r]
-        cof = (-1) ** (r + 2) * _det3(sub)
-        d0 += rows[r][2] * cof
-        d1 += rows[r][4] * cof
+    (ia, ib, ic)? The test is the sign of the lifted 4x4 determinant with
+    rows (x, y, x^2 + y^2, 1). Translating every point by -d, d the tested
+    point, leaves it unchanged and makes d's row (0, 0, 0, 1), so it is the
+    3x3 determinant of the rows (x, y, x^2 + y^2) of a, b and c taken
+    relative to d. Co-circular ties are broken by perturbing the lift of
+    point i upward by eps*i (a regular-triangulation perturbation):
+    larger-index co-circular points count as outside."""
+    dx, dy = pts[idx]
+    ax, ay = pts[ia][0] - dx, pts[ia][1] - dy
+    bx, by = pts[ib][0] - dx, pts[ib][1] - dy
+    cx, cy = pts[ic][0] - dx, pts[ic][1] - dy
+    d0 = ((ax * ax + ay * ay) * (bx * cy - by * cx)
+          - (bx * bx + by * by) * (ax * cy - ay * cx)
+          + (cx * cx + cy * cy) * (ax * by - ay * bx))
     if d0 != 0:
         return d0 > 0
+    # the perturbation's coefficient: the 4x4 determinant with the point
+    # indices in place of the lift, expanded along that column
+    rows = [pts[i] + (1, i) for i in (ia, ib, ic, idx)]
+    d1 = 0
+    for r in range(4):
+        sub = [rows[j][:3] for j in range(4) if j != r]
+        d1 += rows[r][3] * (-1) ** r * _det3(sub)
     if d1 != 0:
         return d1 > 0
     raise SolverError("degenerate in-circle test (coincident or collinear "
                       "input); cannot perturb consistently")
+
+
+def _integer_points(pts):
+    """The rational points scaled by the lcm of their denominators, as
+    integer pairs; ratios of squared distances are unchanged."""
+    den = 1
+    for x, y in pts:
+        den = den * x.denominator // math.gcd(den, x.denominator)
+        den = den * y.denominator // math.gcd(den, y.denominator)
+    return [(x.numerator * (den // x.denominator),
+             y.numerator * (den // y.denominator)) for x, y in pts]
 
 
 def delaunay_spanner(points):
@@ -162,12 +179,7 @@ def delaunay_spanner(points):
     n = len(pts)
     if n < 3:
         raise ValidationError("need at least 3 points")
-    # scale to integers for fast predicates
-    den = 1
-    for x, y in pts:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-        den = den * y.denominator // math.gcd(den, y.denominator)
-    ipts = [(int(x * den), int(y * den)) for x, y in pts]
+    ipts = _integer_points(pts)   # integers for fast predicates
     edges = set()
     found_triangle = False
     for a in range(n):
@@ -413,15 +425,19 @@ class EuclidResult:
 
 
 def _ratio_sq(points, assignment):
-    pts = points.points
-    worst = Fraction(0)
+    """The worst squared ratio |f(u) f(v)|^2 / |u v|^2 over pairs of points,
+    on the points scaled to integers: pairs are compared by
+    cross-multiplying, and one Fraction is built at the end."""
+    pts = _integer_points(points.points)
+    num, den = 0, 1
     for u in range(points.n):
+        pu, fu = pts[u], pts[assignment[u]]
         for v in range(u + 1, points.n):
-            num = _sqdist(pts[assignment[u]], pts[assignment[v]])
-            if num == 0:
-                continue
-            worst = max(worst, Fraction(num, _sqdist(pts[u], pts[v])))
-    return worst
+            a = _sqdist(fu, pts[assignment[v]])
+            b = _sqdist(pu, pts[v])
+            if a * den > num * b:
+                num, den = a, b
+    return Fraction(num, den)
 
 
 def euclid_retract(points):

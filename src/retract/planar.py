@@ -10,16 +10,19 @@ of L edges between anchors a and b; it has a map of stretch l exactly when
 L*l >= d_H(a, b), so it is decided in closed form with no sub-instance,
 subdivision, embedding or cover. Every other piece is a part: H with the
 piece attached. A part has one piece, so H bounds a face of every embedding
-of it; `plane_embed` has networkx embed only its core (chains of degree-2
-vertices suppressed) and splices the chains back in, once per part. Each
-stretch l of a part is decided on that embedding by scanning bounded faces F
-with a winding cover: vertices are copied into layers that shift where an
-edge crosses a dual path from F to the outer face, labels are shortest-path
-values from the anchor copies, with host edges of length 1 and all others of
-length l, and the map read off layer 0 is verified directly. The scan is
-exact (see `_lipschitz_retract`). A part's optimum is the least feasible l,
-scanned upward from the part's distance bound; the instance's optimum is
-the largest piece optimum.
+of it. Each part is taken to its weighted core once (`plane_core`): the
+vertices of degree other than 2, each chain of degree-2 vertices between
+them one core edge that carries its length L, and networkx embeds only
+that core. Each stretch l of a part is decided on the core by scanning its
+bounded faces F with a winding cover: core vertices are copied into layers
+that shift where a core edge crosses a dual path from F to the outer face,
+and labels are shortest-path values from the core anchor copies, with a
+core edge of length L on H and L*l off it. The map is verified per chain
+from the labels, and only the accepted map gives images to the inner chain
+vertices. The scan is exact (see `_lipschitz_retract`). A part's optimum is
+the least feasible l, scanned upward from the part's distance bound; the
+instance's optimum is the largest piece optimum. `plane_embed` splices the
+chains back into the core's embedding, for the curve certificate below.
 
 The paper's certificate, k vertex-disjoint curves from F to H found by max
 flow in a triangulated supergraph and the retraction read off the regions
@@ -86,50 +89,92 @@ class PlaneEmbedding:
         self.half_face = half_face
 
 
-def _nx_faces(n, edges):
-    """Planarity-test the graph and list the faces of one embedding.
+class PlaneCore:
+    """A part's weighted core, embedded once.
 
-    networkx embeds only the core: the vertices whose degree is not 2, plus
-    interior vertices promoted from any chain of degree-2 vertices that
-    would otherwise close a loop or repeat a core edge, so that every core
-    edge stands for exactly one chain. The chains are spliced back into the
-    core rotation, and faces are walked by networkx's rule: after the
-    half-edge (v, w), leave w towards the neighbor preceding v in w's
-    clockwise order.
+    The core is the vertices of degree other than 2, plus interior vertices
+    promoted from any chain of degree-2 vertices that would otherwise close a
+    loop or repeat a core edge, so that the core is simple and each core
+    edge stands for exactly one chain. A chain lies wholly on H or wholly
+    off it, since an inner vertex of H has no edge off H. `embedding` embeds
+    the core alone, with H's face as outer face, and `forward` holds the
+    host core edges directed in anchor order. For the cover, `vertices`
+    lists the core vertices, whose positions there are their dense ids;
+    `seeds` pairs each core anchor's dense id with its anchor index; each
+    link (chain, x, y, on H) gives a core edge's chain, in anchor order on H,
+    and the dense ids x and y of its first and last vertex; and
+    face_lengths[f] is face f's length (on H, off H).
     """
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    core = [len(a) != 2 for a in adj]
+
+    __slots__ = ("instance", "embedding", "forward", "vertices", "seeds",
+                 "links", "face_lengths")
+
+    def __init__(self, instance, embedding, forward, chains):
+        self.instance = instance
+        self.embedding = embedding
+        self.forward = forward
+        self.vertices = tuple(v for v in range(instance.n)
+                              if embedding.rotation[v])
+        index = {v: c for c, v in enumerate(self.vertices)}
+        self.seeds = tuple((index[a], i)
+                           for i, a in enumerate(instance.anchors)
+                           if a in index)
+        self.links = tuple((c, index[c[0]], index[c[-1]],
+                            (c[0], c[-1]) in forward) for c in chains)
+        span = {_normalize_edge(c[0], c[-1]): (len(c) - 1, on_h)
+                for c, _, _, on_h in self.links}
+        self.face_lengths = []
+        for fes in embedding.face_edge_sets:
+            on_h = off_h = 0
+            for e in fes:
+                L, h = span[e]
+                if h:
+                    on_h += L
+                else:
+                    off_h += L
+            self.face_lengths.append((on_h, off_h))
+
+
+def plane_core(instance):
+    """Planarity-test the instance and embed its core (see PlaneCore).
+
+    networkx embeds the core. The faces are walked on the core's rotation
+    and listed in the order a walk of the whole graph would find them: by
+    the least (vertex, rotation position) of any half-edge on the face, a
+    chain's inner vertex v ordering its two half-edges as v's sorted
+    neighbors do, so `plane_embed`'s face ids are the core's.
+    """
+    n = instance.n
+    nbr = [instance.neighbors(v) for v in range(n)]
+    core = [len(a) != 2 for a in nbr]
     if not any(core):          # a bare cycle
         core[0] = True
-    # step[(u, w)] is u's neighbor on the chain the core edge (u, w) stands
-    # for; `walked` holds both end half-edges of every chain taken
-    step = {}
+    # path[(u, w)] is the chain that the core edge (u, w) stands for, walked
+    # from u; `walked` holds both end half-edges of every chain taken
+    path = {}
     walked = set()
     core_edges = set()
 
     def add_chain(chain):
         u, v = chain[0], chain[-1]
         core_edges.add(_normalize_edge(u, v))
-        step[(u, v)] = chain[1]
-        step[(v, u)] = chain[-2]
+        path[(u, v)] = chain
+        path[(v, u)] = chain[::-1]
         walked.add((u, chain[1]))
         walked.add((v, chain[-2]))
 
-    for u, v in edges:
+    for u, v in instance.edges:
         if core[u] and core[v]:
             add_chain((u, v))
     for u in range(n):
         if not core[u]:
             continue
-        for x in adj[u]:
+        for x in nbr[u]:
             if (u, x) in walked:
                 continue
             chain = [u, x]
             while not core[chain[-1]]:
-                a, b = adj[chain[-1]]
+                a, b = nbr[chain[-1]]
                 chain.append(b if a == chain[-2] else a)
             v = chain[-1]
             i = 0
@@ -138,18 +183,31 @@ def _nx_faces(n, edges):
                     chain[i] == v
                     or _normalize_edge(chain[i], v) in core_edges):
                 core[chain[i + 1]] = True
-                add_chain(chain[i:i + 2])
+                add_chain(tuple(chain[i:i + 2]))
                 i += 1
-            add_chain(chain[i:])
+            add_chain(tuple(chain[i:]))
     g = nx.Graph()
     g.add_nodes_from(v for v in range(n) if core[v])
     g.add_edges_from(core_edges)
     ok, emb = nx.check_planarity(g)
     if not ok:
         raise NotPlanarError("guest graph is not planar")
-    rotation = tuple(tuple(step[(v, w)] for w in emb.neighbors_cw_order(v))
-                     if core[v] else tuple(adj[v]) for v in range(n))
-    faces = []
+    rotation = [()] * n
+    for v in g:
+        rotation[v] = tuple(emb.neighbors_cw_order(v))
+
+    def first_half_edge(u, w):
+        # the least (vertex, rotation position) of a half-edge on the chain
+        # walked from u to w
+        chain = path[(u, w)]
+        key = (u, rotation[u].index(w))
+        if len(chain) > 2:
+            m = min(chain[1:-1])
+            after = chain[chain.index(m) + 1]
+            key = min(key, (m, nbr[m].index(after)))
+        return key
+
+    found = []
     seen = set()
     for v0 in range(n):
         for w0 in rotation[v0]:
@@ -157,13 +215,42 @@ def _nx_faces(n, edges):
                 continue
             v, w = v0, w0
             walk = []
+            key = None
             while (v, w) not in seen:
                 seen.add((v, w))
                 walk.append(v)
+                here = first_half_edge(v, w)
+                if key is None or here < key:
+                    key = here
                 rot = rotation[w]
                 v, w = w, rot[rot.index(v) - 1]
-            faces.append(tuple(walk))
-    return rotation, faces
+            found.append((key, walk))
+    found.sort()
+    embedding = PlaneEmbedding(n, rotation, [walk for _, walk in found], None,
+                               instance.anchors)
+    k = instance.k
+    host = instance.host_edges()
+    chains = []
+    forward = set()
+    host_core = set()
+    for e in embedding.graph_edges:
+        chain = path[e]
+        if _normalize_edge(chain[0], chain[1]) in host:
+            host_core.add(e)
+            i = instance.anchor_index(chain[0])
+            if instance.anchor_index(chain[1]) != (i + 1) % k:
+                chain = path[e[::-1]]
+            forward.add((chain[0], chain[-1]))
+        chains.append(chain)
+    # H's face lies along one of the two sides of the host edge from anchor
+    # 0 to anchor 1, on the chain whose L anchor steps pass anchor 0
+    x, y = next((x, y) for x, y in forward
+                if -instance.anchor_index(x) % k < len(path[(x, y)]) - 1)
+    outer = embedding.half_face[(x, y)]
+    if embedding.face_edge_sets[outer] != host_core:
+        outer = embedding.half_face[(y, x)]
+    embedding.outer_face = outer
+    return PlaneCore(instance, embedding, frozenset(forward), chains)
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +415,35 @@ def plane_embed(instance):
 
     H bounds a face of every embedding of such a part: a connected C lies on
     one side of the Jordan curve H, so the other side holds nothing. Two or
-    more pieces are rejected, as H may bound no face of the whole.
+    more pieces are rejected, as H may bound no face of the whole. The
+    embedding is the core's (`plane_core`) with every chain spliced back
+    in: each face walk starts at its least half-edge, and the faces keep
+    the core's ids.
     """
     parts, chains = plane_parts(instance)
     if len(parts) + len(chains) > 1:
         raise ValidationError("H need not bound a face of an instance with "
                               "two or more pieces; embed its parts")
-    rotation, faces = _nx_faces(instance.n, instance.edges)
-    emb = PlaneEmbedding(instance.n, rotation, faces, None, instance.anchors)
-    # H's face lies along one of the two sides of the host edge (a, b)
-    a, b = instance.anchors[0], instance.anchors[1]
-    outer = emb.half_face[(a, b)]
-    if emb.face_edge_sets[outer] != instance.host_edges():
-        outer = emb.half_face[(b, a)]
-    emb.outer_face = outer
-    return emb
+    core = plane_core(instance)
+    emb = core.embedding
+    path = {}
+    for chain, _, _, _ in core.links:
+        path[(chain[0], chain[-1])] = chain
+        path[(chain[-1], chain[0])] = chain[::-1]
+    rotation = tuple(tuple(path[(v, w)][1] for w in emb.rotation[v])
+                     if emb.rotation[v] else instance.neighbors(v)
+                     for v in range(instance.n))
+    faces = []
+    for walk in emb.faces:
+        full = []
+        for i, v in enumerate(walk):
+            full += path[(v, walk[(i + 1) % len(walk)])][:-1]
+        m = len(full)
+        start = min(range(m), key=lambda i: (
+            full[i], rotation[full[i]].index(full[(i + 1) % m])))
+        faces.append(full[start:] + full[:start])
+    return PlaneEmbedding(instance.n, rotation, faces, emb.outer_face,
+                          instance.anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +742,11 @@ def retraction_from_curves(embedding, curves):
 # the winding cover: the per-face decision
 
 
-def _dual_crossing_signs(embedding, face):
+def _dual_crossing_signs(embedding, face, forward):
     """BFS in the face-adjacency graph from `face` to the outer face; return
-    sign[(u,v)] = +-1 for the primal directed edges crossed by the dual path,
-    normalized so walking the host cycle in anchor order scores +1."""
+    sign[(u,v)] = +-1 for the directed edges crossed by the dual path,
+    normalized so the crossed edge of `forward` (H's edges directed in
+    anchor order) scores +1."""
     parent = {face: None}
     queue = [face]
     for f in queue:
@@ -671,9 +773,7 @@ def _dual_crossing_signs(embedding, face):
             sign[(v, u)] = sign.get((v, u), 0) + 1
             sign[(u, v)] = sign.get((u, v), 0) - 1
         f = prev
-    anchors = embedding.anchors
-    k = len(anchors)
-    w = sum(sign.get((anchors[i], anchors[(i + 1) % k]), 0) for i in range(k))
+    w = sum(sign.get(he, 0) for he in forward)
     if w == 0:
         raise SolverError("dual path does not separate H from F")
     if w < 0:
@@ -681,43 +781,71 @@ def _dual_crossing_signs(embedding, face):
     return sign
 
 
-def _lipschitz_retract(instance, embedding, face, l=1):
-    """Self-certifying stretch-l construction via the winding cover.
+def _lipschitz_retract(core, face, l=1):
+    """Self-certifying stretch-l construction on the weighted core via the
+    winding cover; None means no stretch-l map has all its winding on
+    `face`.
 
-    Vertices are copied into layers, edges crossing the dual path shift the
-    layer, anchor copies are seeded at their index plus k per layer, and the
-    label of each vertex is its shortest-path value in the cover, with host
-    edges of length 1 and all others of length l: the unit cover's labels on
-    the l-subdivision, which has the same faces and dual path. The result is
-    verified directly; None means no stretch-l map has all its winding on
-    this face. J layers on each side, J the number of edges the dual path
-    crosses, suffice: some shortest path to a layer-0 copy projects to a
-    simple path of G, which crosses each of those edges at most once.
+    Core vertices are copied into layers -J..J, J the number of core edges
+    that a dual path from `face` to H's face crosses; a core edge whose
+    chain has L edges has length L on H and L*l off it, and shifts the layer
+    where the dual path crosses it. Core anchor copies are seeded at their
+    anchor index plus k per layer, labels are shortest-path values, and a
+    vertex's image is its layer-0 label mod k. This is the unit cover of the
+    l-subdivided part, with every anchor seeded, read at the same face:
+    - J suffices. In the unbounded cover, seeds and hence labels rise by k
+      per layer. Take a shortest path to a layer-0 copy with fewest edges.
+      Were some vertex on it in layers j1 and then j2, the prefix to the
+      first visit, moved up j2 - j1 layers, would reach the second visit at
+      the same cost with fewer edges. So the path projects to a simple path
+      of the core, which crosses each crossed core edge at most once.
+    - Chains. Put each crossing on its chain's last edge. An inner chain
+      vertex has degree 2, so paths through a chain cost its length, and
+      inner vertex t of a chain from x to y, with edges of length w and
+      layer shift s, is labelled min(D(x, 0) + t*w, D(y, s) + (L - t)*w).
+    - Anchors inside a chain on H carry no seed. Number H's copies by
+      walking H in anchor order; this psi grows by 1 per host edge, and
+      every anchor copy's seed is psi or psi + k, anchor 0's being psi.
+      With every anchor seeded the labels are min over copies h of H of
+      psi(h) + d(h, v). With the core anchors alone they are the same plus
+      one common 0 or k, since walking H forward from a core anchor copy
+      reaches every copy of H at psi or psi + k. The images agree.
+    - Another dual path relabels the layers of the vertices between the two
+      paths; that moves psi by a multiple of k, so the images agree again.
+    The map is verified before it is returned, in O(1) per chain. Copies
+    joined by an edge the dual path does not cross are labelled at most
+    the edge's length apart, so the edge's images are within l. So it
+    suffices that: core anchors are fixed; on a chain on H, in anchor order,
+    inner vertex t is labelled from y where 2t > D(y, s) + L - D(x, 0), and
+    those labels fall by 1 as t rises, while the anchors rise by 1, so with
+    k >= 3 only t = L - 1 may be, and it must be fixed; and on a crossed
+    chain off H, its last edge is within l. The expanded map is then
+    checked with `stretch` as well.
     """
-    k = instance.k
-    host = instance.host_edges()
-    sign = _dual_crossing_signs(embedding, face)
-    J = max(1, len(sign) // 2)
+    inst = core.instance
+    k = inst.k
+    sign = _dual_crossing_signs(core.embedding, face, core.forward)
+    J = len(sign) // 2
     width = 2 * J + 1
-    n = instance.n
     INF = float("inf")
-    dist = [INF] * (n * width)
+    dist = [INF] * (len(core.vertices) * width)
     offset = k * (J + 1)
     heap = []
-    for i, a in enumerate(instance.anchors):
+    for c, i in core.seeds:
         for j in range(-J, J + 1):
             val = i + k * j + offset
-            node = a * width + (j + J)
-            if val < dist[node]:
-                dist[node] = val
-                heap.append((val, node))
+            node = c * width + (j + J)
+            dist[node] = val
+            heap.append((val, node))
     heapq.heapify(heap)
-    adj = [[] for _ in range(n)]   # (neighbor, layer shift, length)
-    for u, v in instance.edges:
-        su = sign.get((u, v), 0)
-        length = 1 if (u, v) in host else l
-        adj[u].append((v, su, length))
-        adj[v].append((u, -su, length))
+    adj = [[] for _ in core.vertices]   # (neighbor, layer shift, length)
+    shifts = []
+    for chain, x, y, on_h in core.links:
+        s = sign.get((chain[0], chain[-1]), 0)
+        shifts.append(s)
+        length = len(chain) - 1 if on_h else (len(chain) - 1) * l
+        adj[x].append((y, s, length))
+        adj[y].append((x, -s, length))
     while heap:
         d, node = heapq.heappop(heap)
         if d > dist[node]:
@@ -732,36 +860,57 @@ def _lipschitz_retract(instance, embedding, face, l=1):
             if d2 < dist[node2]:
                 dist[node2] = d2
                 heapq.heappush(heap, (d2, node2))
-    layer0 = dist[J::width]
-    if INF in layer0:
+    if INF in dist:
         return None
-    assignment = [instance.anchors[(d - offset) % k] for d in layer0]
-    if any(assignment[a] != a for a in instance.anchors):
+    lab = dist[J::width]
+    if any(lab[c] % k != i for c, i in core.seeds):
         return None
-    ret = Retraction(tuple(assignment))
-    return ret if stretch(instance, ret).max_stretch <= l else None
+    for (chain, x, y, on_h), s in zip(core.links, shifts):
+        L = len(chain) - 1
+        if on_h and L > 1:
+            a, b = lab[x], dist[y * width + J + s]
+            # the first inner vertex labelled from y: b + L - t < a + t
+            t = max(1, (b + L - a) // 2 + 1)
+            if t < L - 1 or (t == L - 1 and (b + L - 2 * t - a) % k):
+                return None
+        elif s and not on_h:
+            a, b = lab[x], dist[y * width + J + s]
+            if cycle_dist(k, min(a + (L - 1) * l, b + l) % k,
+                          lab[y] % k) > l:
+                return None
+    anchors = inst.anchors
+    asg = [None] * inst.n
+    for c, v in enumerate(core.vertices):
+        asg[v] = anchors[lab[c] % k]
+    for (chain, x, y, on_h), s in zip(core.links, shifts):
+        L = len(chain) - 1
+        if L > 1:
+            w = 1 if on_h else l
+            a, b = lab[x], dist[y * width + J + s]
+            for t in range(1, L):
+                asg[chain[t]] = anchors[min(a + t * w, b + (L - t) * w) % k]
+    ret = Retraction(tuple(asg))
+    if stretch(inst, ret).max_stretch > l:
+        raise SolverError("core cover map exceeds stretch %d" % l)
+    return ret
 
 
 # ---------------------------------------------------------------------------
 # the decision procedure and the optimizer
 
 
-def _stretch1_embedded(instance, embedding, l=1):
-    """A map of stretch at most l that the cover finds on a bounded face, or
-    None. A face walk's images step at most each edge's length, 1 on H and l
-    elsewhere, so faces shorter than k in that length cannot wind around H;
-    the longest faces are tried first."""
-    host = instance.host_edges()
-    size = {}
-    for f, walk in enumerate(embedding.faces):
-        if f != embedding.outer_face:
-            # H is a cycle, so the walk passes each host edge at most once
-            on_h = len(embedding.face_edge_sets[f] & host)
-            size[f] = on_h + l * (len(walk) - on_h)
-    faces = sorted((f for f in size if size[f] >= instance.k), key=size.get,
-                   reverse=True)
+def _stretch1_embedded(core, l=1):
+    """A map of stretch at most l that the cover finds on a bounded face of
+    the part's core, or None. A face walk's images step at most each edge's
+    length, 1 on H and l elsewhere, so faces shorter than k in that length
+    cannot wind around H; the longest faces are tried first."""
+    size = {f: on_h + l * off_h
+            for f, (on_h, off_h) in enumerate(core.face_lengths)
+            if f != core.embedding.outer_face}
+    faces = sorted((f for f in size if size[f] >= core.instance.k),
+                   key=size.get, reverse=True)
     for f in faces:
-        ret = _lipschitz_retract(instance, embedding, f, l)
+        ret = _lipschitz_retract(core, f, l)
         if ret is not None:
             return ret
     return None
@@ -797,13 +946,14 @@ def _start_lower_bound(instance):
 
 def _part_optimum(part):
     """(l, map): the least l at which the part has a map of stretch l, and
-    that map, each l decided on one embedding of the part by the face scan
-    with non-host edges of length l. Feasibility is monotone in l, and the
-    scan starts at the part's distance bound, at most its optimum."""
-    emb = plane_embed(part)
+    that map. The part's core is embedded once, and each l is decided on it
+    by the face scan, with a core edge of L edges of length L on H and L*l
+    off it. Feasibility is monotone in l, and the scan starts at the part's
+    distance bound, at most its optimum."""
+    core = plane_core(part)
     cap = max(1, part.k // 2)
     for l in range(min(_start_lower_bound(part), cap), cap + 1):
-        ret = _stretch1_embedded(part, emb, l)
+        ret = _stretch1_embedded(core, l)
         if ret is not None:
             return l, ret
     # every retraction has stretch <= floor(k/2), and the cover is exact

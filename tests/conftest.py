@@ -1,3 +1,4 @@
+import heapq
 import sys
 from collections import deque
 from fractions import Fraction
@@ -9,8 +10,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from retract import planar
 from retract.approx import Hole
-from retract.core import (Instance, ValidationError, _normalize_edge,
-                          cycle_dist)
+from retract.core import (Instance, Retraction, SolverError, ValidationError,
+                          _normalize_edge, cycle_dist, stretch)
+
+# (k, interior points, seed) of the point sets of the euclid-points workload
+BENCH_SETS = ((10, 0, 9000), (11, 0, 0), (12, 0, 0), (13, 0, 9018),
+              (14, 0, 9009), (10, 1, 9010), (10, 1, 9100), (10, 1, 9102),
+              (10, 2, 9101))
 
 
 def make_w4():
@@ -106,6 +112,140 @@ def part_embeddings(inst):
     inst, chains included."""
     return [(sub, planar.plane_embed(sub)) for sub, _ in
             pieces(planar.reduce_two_connected(inst)[0])]
+
+
+def host_forward(embedding):
+    """H's edges directed in anchor order."""
+    a = embedding.anchors
+    return [(a[i], a[(i + 1) % len(a)]) for i in range(len(a))]
+
+
+def full_cover(instance, embedding, face, l=1):
+    """Reference for `planar._lipschitz_retract`: the winding cover over
+    every vertex of the part, with every anchor seeded and every stretch
+    checked.
+
+    Vertices are copied into layers, edges crossing the dual path shift the
+    layer, anchor copies are seeded at their index plus k per layer, and the
+    label of each vertex is its shortest-path value in the cover, with host
+    edges of length 1 and all others of length l. J layers on each side, J
+    the number of edges the dual path crosses."""
+    k = instance.k
+    host = instance.host_edges()
+    sign = planar._dual_crossing_signs(embedding, face,
+                                       host_forward(embedding))
+    J = max(1, len(sign) // 2)
+    width = 2 * J + 1
+    n = instance.n
+    INF = float("inf")
+    dist = [INF] * (n * width)
+    offset = k * (J + 1)
+    heap = []
+    for i, a in enumerate(instance.anchors):
+        for j in range(-J, J + 1):
+            val = i + k * j + offset
+            node = a * width + (j + J)
+            if val < dist[node]:
+                dist[node] = val
+                heap.append((val, node))
+    heapq.heapify(heap)
+    adj = [[] for _ in range(n)]
+    for u, v in instance.edges:
+        su = sign.get((u, v), 0)
+        length = 1 if (u, v) in host else l
+        adj[u].append((v, su, length))
+        adj[v].append((u, -su, length))
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        v, j = node // width, node % width - J
+        for w, s, length in adj[v]:
+            j2 = j + s
+            if j2 < -J or j2 > J:
+                continue
+            node2 = w * width + (j2 + J)
+            d2 = d + length
+            if d2 < dist[node2]:
+                dist[node2] = d2
+                heapq.heappush(heap, (d2, node2))
+    layer0 = dist[J::width]
+    if INF in layer0:
+        return None
+    assignment = [instance.anchors[(d - offset) % k] for d in layer0]
+    if any(assignment[a] != a for a in instance.anchors):
+        return None
+    ret = Retraction(tuple(assignment))
+    return ret if stretch(instance, ret).max_stretch <= l else None
+
+
+def full_stretch1(instance, embedding, l=1):
+    """Reference for `planar._stretch1_embedded`: the same face scan, with
+    `full_cover` on the part's full embedding."""
+    host = instance.host_edges()
+    size = {}
+    for f, walk in enumerate(embedding.faces):
+        if f != embedding.outer_face:
+            on_h = len(embedding.face_edge_sets[f] & host)
+            size[f] = on_h + l * (len(walk) - on_h)
+    faces = sorted((f for f in size if size[f] >= instance.k), key=size.get,
+                   reverse=True)
+    for f in faces:
+        ret = full_cover(instance, embedding, f, l)
+        if ret is not None:
+            return ret
+    return None
+
+
+def euclid_instance(ps):
+    """The planar instance `euclid.euclid_retract` solves for a point set of
+    k >= 10: the subdivided contracted spanner with its host cycle."""
+    from retract import euclid
+    k = ps.k
+    g2, group = euclid.contract_small_edges(euclid.delaunay_spanner(ps), k,
+                                            ps.n)
+    total, edges, _ = euclid.to_unweighted(g2, k, ps.n)
+    host = euclid.build_host_cycle(total, edges,
+                                   [group[a] for a in ps.anchor_indices])
+    return Instance(total, edges, tuple(host))
+
+
+def in_circle_4x4(pts, ia, ib, ic, idx):
+    """Reference for `euclid._in_circle`: the sign of the lifted 4x4
+    determinant, expanded along the lifted column, with co-circular ties
+    broken by the lifted-index perturbation."""
+    from retract.euclid import _det3
+    rows = []
+    for i in (ia, ib, ic, idx):
+        x, y = pts[i]
+        rows.append((x, y, x * x + y * y, 1, i))
+    d0 = 0
+    d1 = 0
+    for r in range(4):
+        sub = [rows[j][:2] + (rows[j][3],) for j in range(4) if j != r]
+        cof = (-1) ** (r + 2) * _det3(sub)
+        d0 += rows[r][2] * cof
+        d1 += rows[r][4] * cof
+    if d0 != 0:
+        return d0 > 0
+    if d1 != 0:
+        return d1 > 0
+    raise SolverError("degenerate in-circle test")
+
+
+def fraction_ratio_sq(points, assignment):
+    """Reference for `euclid._ratio_sq`: the worst squared ratio over every
+    pair with distinct images, as a max of Fractions."""
+    from retract.euclid import _sqdist
+    pts = points.points
+    worst = Fraction(0)
+    for u in range(points.n):
+        for v in range(u + 1, points.n):
+            num = _sqdist(pts[assignment[u]], pts[assignment[v]])
+            if num == 0:
+                continue
+            worst = max(worst, Fraction(num, _sqdist(pts[u], pts[v])))
+    return worst
 
 
 def cycle_score(embedding, cycle, retraction):

@@ -13,6 +13,8 @@ from retract.euclid import (PointSet, WeightedPlanarGraph, anchors_on_circle,
 from retract.oracle import brute_force_min_ratio
 from retract.planar import optimal_retract_planar
 
+from conftest import BENCH_SETS, fraction_ratio_sq, in_circle_4x4
+
 F = Fraction
 
 
@@ -146,12 +148,6 @@ def test_to_unweighted_rejects_small():
                                 (0, 2): F(1)}, pts)
     with pytest.raises(ValidationError):
         to_unweighted(g, 4, 8)
-
-
-# (k, interior points, seed) of the point sets of the euclid-points workload
-BENCH_SETS = ((10, 0, 9000), (11, 0, 0), (12, 0, 0), (13, 0, 9018),
-              (14, 0, 9009), (10, 1, 9010), (10, 1, 9100), (10, 1, 9102),
-              (10, 2, 9101))
 
 
 def _eager_positions(g, k, n):
@@ -317,3 +313,41 @@ def test_gen_random_planar_properties():
         assert nx.check_planarity(gx)[0]
         assert nx.is_connected(gx)
     assert gen_random_planar(6, 8, 3).edges == gen_random_planar(6, 8, 3).edges
+
+
+def _checked_sets():
+    """The 9 euclid-points sets and the 20 sets of criterion 8."""
+    sets = [gen_random_points(n_int, k, seed) for k, n_int, seed in BENCH_SETS]
+    return sets + [gen_random_points(i % 9, 10 + i % 5, 9000 + i)
+                   for i in range(20)]
+
+
+def test_in_circle_matches_lifted_4x4_reference(monkeypatch):
+    # the translated 3x3 determinant keeps every spanner edge of the 4x4
+    # route, the co-circular unit square's perturbed ties included
+    sets = _checked_sets()
+    sets += [gen_random_points(seed % 4, 3 + seed % 8, 500 + seed)
+             for seed in range(100)]
+    sets.append([(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))])
+    got = [delaunay_spanner(ps).sq_weights for ps in sets]
+    monkeypatch.setattr(euclid, "_in_circle", in_circle_4x4)
+    assert got == [delaunay_spanner(ps).sq_weights for ps in sets]
+
+
+def test_integer_ratio_matches_fraction_reference():
+    for ps in _checked_sets():
+        asg = euclid_retract(ps).assignment
+        assert euclid._ratio_sq(ps, asg) == fraction_ratio_sq(ps, asg)
+    # coincident images give numerator 0; with all of them the ratio is 0
+    ps = gen_random_points(3, 10, 105)
+    for asg in (tuple(range(10)) + (0, 0, 0), (0,) * 13):
+        assert euclid._ratio_sq(ps, asg) == fraction_ratio_sq(ps, asg)
+    assert euclid._ratio_sq(ps, (0,) * 13) == 0
+
+
+def test_bench_sets_reach_the_oracle_optimum():
+    # euclid-points' quality_gap of 1.0: each bench set (at most 2 interior
+    # points) is solved at the brute-force optimum ratio
+    for k, n_int, seed in BENCH_SETS:
+        ps = gen_random_points(n_int, k, seed)
+        assert euclid_retract(ps).ratio_sq == brute_force_min_ratio(ps)[1]

@@ -17,9 +17,10 @@ from retract.planar import (NotPlanarError, max_disjoint_paths,
                             reduce_two_connected, retraction_from_curves,
                             stretch1_retract, triangulate_for_face)
 
-from conftest import (all_pairs_distance_ratio, chain_piece, cycle_score,
-                      enclosed_faces, make_ck, make_w4, nx_reduce_two_connected,
-                      part_embeddings, pieces)
+from conftest import (BENCH_SETS, all_pairs_distance_ratio, chain_piece,
+                      cycle_score, enclosed_faces, euclid_instance, full_cover,
+                      full_stretch1, host_forward, make_ck, make_w4,
+                      nx_reduce_two_connected, part_embeddings, pieces)
 from frozen import (COLGRID_OPTIMAL, GRID3_OPTIMAL, GRID4_OPTIMAL,
                     GRID4_CENTER_FACE_MIN_CYCLE, W4_OPTIMAL)
 
@@ -390,24 +391,48 @@ def _face_family():
 
 def test_cover_decides_each_face_as_flow_does():
     # per face: the winding cover finds a stretch-1 map exactly when max
-    # flow finds k disjoint curves, on every bounded face of every part
+    # flow finds k disjoint curves, on every bounded face of every part; the
+    # core cover decides the same face, which has the same id in the core
     outcomes = set()
     deepest = 0
     for inst, l, limit in _face_family():
         for part, emb in part_embeddings(subdivide(inst, l)[0]):
+            core = planar.plane_core(part)
             faces = [f for f in range(len(emb.faces)) if f != emb.outer_face]
-            crossed = {f: len(planar._dual_crossing_signs(emb, f)) // 2
-                       for f in faces}
+            forward = host_forward(emb)
+            crossed = {f: len(planar._dual_crossing_signs(emb, f, forward))
+                       // 2 for f in faces}
             faces.sort(key=crossed.get, reverse=True)
             for f in faces[:limit]:
                 sg = triangulate_for_face(emb, f)
                 flow = len(max_disjoint_paths(sg, sg.s, sg.t).paths) == part.k
-                cover = planar._lipschitz_retract(part, emb, f) is not None
-                assert cover == flow, (inst.n, l, f)
+                cover = full_cover(part, emb, f)
+                assert (cover is not None) == flow, (inst.n, l, f)
+                assert planar._lipschitz_retract(core, f) == cover
                 outcomes.add(flow)
                 deepest = max(deepest, crossed[f])
     assert outcomes == {True, False}
     assert deepest >= 5
+
+
+def test_core_cover_matches_full_cover_on_every_face():
+    # the core cover returns the full-part cover's map, or None with it, on
+    # every bounded face at l = 1, 2 and 3, those shorter than k included
+    faces = accepted = 0
+    for seed in range(200):
+        inst = gen_random_planar(1 + seed % 6, 6 + seed % 11, seed)
+        for part, _ in plane_parts(reduce_two_connected(inst)[0])[0]:
+            core = planar.plane_core(part)
+            emb = plane_embed(part)
+            for f in range(len(emb.faces)):
+                if f == emb.outer_face:
+                    continue
+                for l in (1, 2, 3):
+                    ret = planar._lipschitz_retract(core, f, l)
+                    assert ret == full_cover(part, emb, f, l), (inst, f, l)
+                    faces += 1
+                    accepted += ret is not None
+    assert faces >= 1000 and 0 < accepted < faces
 
 
 def _ladder():
@@ -420,28 +445,33 @@ def _ladder():
 
 
 def test_length_l_cover_matches_subdivided_probe():
-    # every probe of every part, from l = 1 to the part's optimum: the cover
-    # with non-host edges of length l accepts exactly when the unit cover
-    # accepts on the explicitly l-subdivided part, and exactly from the
-    # part's optimum on, with a map of stretch at most l
+    # every probe of every part, from l = 1 to the part's optimum: the core
+    # cover, with a core edge of L edges of length L on H and L*l off it,
+    # accepts exactly when the full unit cover accepts on the explicitly
+    # l-subdivided part, and exactly from the part's optimum on; where it
+    # accepts, its map has stretch at most l and is the full-part cover's
     insts = _ladder() + [gen_grid(7)]
     insts += [gen_random_planar(nf, k, 1000 * k + nf)
               for k in range(3, 13) for nf in range(31)]
-    parts = probes = 0
+    insts += [euclid_instance(euclid.gen_random_points(n_int, k, seed))
+              for k, n_int, seed in BENCH_SETS]
+    parts = probes = euclid_parts = 0
     for inst in insts:
         for part, _ in plane_parts(reduce_two_connected(inst)[0])[0]:
             opt = planar._part_optimum(part)[0]
-            emb = plane_embed(part)
+            core = planar.plane_core(part)
             for l in range(1, opt + 1):
-                ret = planar._stretch1_embedded(part, emb, l)
+                ret = planar._stretch1_embedded(core, l)
                 sub = subdivide(part, l)[0]
-                ref = planar._stretch1_embedded(sub, plane_embed(sub))
+                ref = full_stretch1(sub, plane_embed(sub))
                 assert (ret is None) == (ref is None) == (l < opt), (inst, l)
                 if ret is not None:
                     assert stretch(part, ret).max_stretch <= l
+                    assert full_stretch1(part, plane_embed(part), l) == ret
                 probes += 1
             parts += 1
-    assert parts >= 600 and probes >= 1000
+            euclid_parts += len(core.vertices) < part.n // 10
+    assert parts >= 600 and probes >= 1000 and euclid_parts >= 7
 
 
 def test_start_lower_bound_is_the_distance_bound():
@@ -626,7 +656,7 @@ def _check_chain(inst, chain):
     assert stretch(piece, ret).max_stretch == l
     if l > 1:
         sub = subdivide(piece, l - 1)[0]
-        assert planar._stretch1_embedded(sub, plane_embed(sub)) is None
+        assert planar._stretch1_embedded(planar.plane_core(sub)) is None
     return l
 
 
