@@ -1,11 +1,12 @@
 """Euclidean point sets: snapping interior points onto anchor circles.
 
 Given points in the plane whose anchors lie evenly spaced on a circle, the
-pipeline builds a Delaunay-style spanner, contracts tiny edges, replaces each
-edge by a path whose length mimics its Euclidean length, routes a host cycle
-through the anchors, solves the graph problem exactly, and snaps every point
-to the anchor nearest its image. All geometry is exact: coordinates are
-dyadic rationals and every comparison is made on squared distances.
+pipeline builds a Delaunay-style spanner, contracts tiny edges, gives each
+edge an integer length that mimics its Euclidean length, routes a host cycle
+through the anchors by shortest paths on those lengths, solves the weighted
+graph problem exactly, and snaps every point to the anchor nearest its
+image. All geometry is exact: coordinates are dyadic rationals and every
+comparison is made on squared distances.
 """
 
 from retract.euclid import delaunay_spanner, euclid_retract, gen_random_points

@@ -1,24 +1,25 @@
 """Retraction of planar point sets onto a circle of anchors.
 
 Pipeline: exact Delaunay spanner over the points, contraction of tiny edges,
-conversion of weights to unit-length subdivision paths, construction of a host
-cycle hugging the anchor circle, an exact planar solve on that cycle, and a
-final snap of every image to its nearest anchor. All geometry is exact: points
-live on a dyadic grid, predicates are integer determinants, and the reported
-stretch ratio is returned as an exact rational square.
+an integer length for each edge in proportion to its Euclidean length, a
+host cycle hugging the anchor circle routed by Dijkstra on those lengths, an
+exact planar solve of that weighted graph on the cycle, and a final snap of
+every image to its nearest anchor. All geometry is exact: points live on a
+dyadic grid, predicates are integer determinants, and the reported stretch
+ratio is returned as an exact rational square.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .core import (Instance, Retraction, SolverError, ValidationError,
-                   _normalize_edge)
+from .core import SolverError, ValidationError, _is_int, _normalize_edge
 from . import planar as planar_mod
 
 _GRID = 1 << 24   # dyadic grid for rationalized coordinates
@@ -46,6 +47,10 @@ class PointSet:
         k = len(self.anchor_indices)
         if k < 3:
             raise ValidationError("need at least 3 anchors")
+        for i in self.anchor_indices:
+            if not _is_int(i) or not 0 <= i < len(pts):
+                raise ValidationError("anchor index %r is not an integer in "
+                                      "[0, %d)" % (i, len(pts)))
         if len(set(self.anchor_indices)) != k:
             raise ValidationError("anchor indices must be distinct")
         hi = (1 + Fraction(1, k * k)) ** 2
@@ -246,17 +251,13 @@ def _floor_sqrt_fraction(f):
     return isqrt(f.numerator * f.denominator) // f.denominator
 
 
-def to_unweighted(g, k, n):
-    """Replace each weighted edge by a unit-length path: ceil(k^2 n / 2)
-    edges for weights >= k, floor(k n w / 2) otherwise (>= 1 after
-    contraction). Returns (total vertices, edges, along) with original
-    vertex ids preserved; along[w - g.n] = (u, v, j, m) places subdivision
-    vertex w at j/m of the way from u to v (see `_position`)."""
+def subdivision_counts(g, k, n):
+    """The integer length m of each edge, keyed like g.sq_weights in sorted
+    order: ceil(k^2 n / 2) for weights >= k, floor(k n w / 2) otherwise
+    (>= 1 after contraction)."""
     thr = Fraction(4, (k * n) ** 2)
     long_count = (k * k * n + 1) // 2
-    total = g.n
-    edges = []
-    along = []
+    counts = {}
     for (u, v), sq in sorted(g.sq_weights.items()):
         if sq < thr:
             raise ValidationError("edge (%d,%d) below contraction threshold"
@@ -267,6 +268,20 @@ def to_unweighted(g, k, n):
             m = _floor_sqrt_fraction(sq * k * k * n * n / 4)
             if m < 1:
                 raise SolverError("subdivision count fell below 1")
+        counts[(u, v)] = m
+    return counts
+
+
+def to_unweighted(g, k, n):
+    """Replace each weighted edge by a unit-length path of its
+    `subdivision_counts` edges. Returns (total vertices, edges, along) with
+    original vertex ids preserved; along[w - g.n] = (u, v, j, m) places
+    subdivision vertex w at j/m of the way from u to v. The pipeline solves
+    the weighted graph itself; this is the unit graph it stands for."""
+    total = g.n
+    edges = []
+    along = []
+    for (u, v), m in subdivision_counts(g, k, n).items():
         path = [u] + list(range(total, total + m - 1)) + [v]
         total += m - 1
         along.extend((u, v, j, m) for j in range(1, m))
@@ -274,12 +289,13 @@ def to_unweighted(g, k, n):
     return total, edges, along
 
 
-def _position(g, along, w):
-    """Exact position of vertex w of to_unweighted(g, ...), whose third
-    value is `along`."""
-    if w < g.n:
-        return g.points[w]
-    u, v, j, m = along[w - g.n]
+def _position(g, u, v, j, m):
+    """Exact position of the point j/m of the way from u to v along the edge
+    (u, v) of g, interpolated from the edge's lesser end."""
+    if j == 0:
+        return g.points[u]
+    if u > v:
+        u, v, j = v, u, m - j
     pu, pv = g.points[u], g.points[v]
     return (pu[0] + Fraction(j, m) * (pv[0] - pu[0]),
             pu[1] + Fraction(j, m) * (pv[1] - pu[1]))
@@ -289,22 +305,43 @@ def _position(g, along, w):
 # host cycle construction
 
 
-def _bfs_parents(adj, src, banned=frozenset()):
+def _tree(adj, src, banned=frozenset(), cut=frozenset()):
+    """(dist, parent) of shortest paths from src, avoiding the banned
+    vertices and the cut edges, given as (u, v) pairs.
+
+    adj[u] lists (w, m) in the order of u's neighbours in the unit graph
+    (`to_unweighted`), whose ids are sorted: unit-length edges by w, then
+    the paths of longer edges in sorted edge order, which is again by w.
+    Ties are broken as BFS on the unit graph breaks them. BFS dequeues
+    vertices at equal distance in the preorder of its tree, and only
+    vertices of this graph branch, so a path's label is (length, the
+    positions in adj of its steps), least first. Two labels of equal length
+    keep their order when both are extended by one edge, since neither
+    position tuple is a prefix of the other, so Dijkstra's order is BFS's."""
     if src in banned:
         raise SolverError("path endpoint %d is blocked" % src)
+    label = {src: (0, ())}
     par = {src: None}
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for w in adj[u]:
-            if w not in par and w not in banned:
+    heap = [(0, (), src)]
+    done = set()
+    while heap:
+        d, key, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for rank, (w, m) in enumerate(adj[u]):
+            if w in done or w in banned or (u, w) in cut:
+                continue
+            lab = (d + m, key + (rank,))
+            if w not in label or lab < label[w]:
+                label[w] = lab
                 par[w] = u
-                q.append(w)
-    return par
+                heapq.heappush(heap, lab + (w,))
+    return {v: lab[0] for v, lab in label.items()}, par
 
 
-def _bfs_path(adj, src, dst, banned=frozenset()):
-    par = _bfs_parents(adj, src, banned)
+def _shortest_path(adj, src, dst, banned=frozenset(), cut=frozenset()):
+    par = _tree(adj, src, banned, cut)[1]
     if dst not in par:
         raise SolverError("no path between %d and %d avoiding earlier "
                           "pieces" % (src, dst))
@@ -319,25 +356,17 @@ def _grow_path(adj, path, targets, banned=frozenset()):
     """Incremental closest-vertex construction: for each target anchor in
     order, trim the path at its closest vertex and append a shortest path to
     the anchor. Appended branches avoid the kept portion (and `banned`), so
-    the result stays a simple path."""
+    the result stays a simple path. In the unit graph the closest vertex is
+    never inside an edge's path, being one step farther than a neighbour on
+    the path, so the trim is at a vertex here too."""
     for t in targets:
-        if t in banned:
-            raise SolverError("path endpoint %d is blocked" % t)
-        dist = {t: 0}
-        q = deque([t])
-        while q:
-            u = q.popleft()
-            for w in adj[u]:
-                if w not in dist and w not in banned:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
+        dist = _tree(adj, t, banned)[0]
         best_pos = min(range(len(path)),
                        key=lambda i: (dist.get(path[i], 1 << 60), i))
         if path[best_pos] not in dist:
             raise SolverError("anchor unreachable during path construction")
         kept = path[:best_pos + 1]
-        keep_set = set(kept)
-        par = _bfs_parents(adj, t, banned | (keep_set - {path[best_pos]}))
+        par = _tree(adj, t, banned | (set(kept) - {path[best_pos]}))[1]
         if path[best_pos] not in par:
             raise SolverError("anchor unreachable during path construction")
         branch = [path[best_pos]]
@@ -355,33 +384,37 @@ def _segment_between(path, x, y):
     return path[i:j + 1] if i <= j else path[j:i + 1][::-1]
 
 
-def build_host_cycle(n, edges, anchors):
-    """Simple host cycle through the subdivided graph, hugging the anchor
-    circle: two incrementally-built half paths joined by two trimmed shortest
-    paths. Raises SolverError if the pieces fail to form a simple cycle."""
+def build_host_cycle(n, lengths, anchors):
+    """Simple host cycle through the weighted graph (n vertices, edge (u, v)
+    of length lengths[(u, v)]), hugging the anchor circle: two
+    incrementally-built half paths joined by two trimmed shortest paths.
+    Returns the cycle's vertices. Paths are routed by Dijkstra, with ties
+    broken as BFS breaks them on the unit graph (`_tree`), so the cycle is
+    the one BFS routes there, whose turns are all at vertices of this
+    graph. Raises SolverError if the pieces fail to form a simple cycle."""
     k = len(anchors)
     if k < 10:
         raise ValidationError("host cycle construction needs k >= 10")
     adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    for (u, v), m in lengths.items():
+        adj[u].append((v, m))
+        adj[v].append((u, m))
     for a in adj:
-        a.sort()
+        a.sort(key=lambda wm: (wm[1] > 1, wm[0]))
     half = k // 2
-    h1 = _bfs_path(adj, anchors[2], anchors[3])
+    h1 = _shortest_path(adj, anchors[2], anchors[3])
     h1 = _grow_path(adj, h1, [anchors[i] for i in range(4, half - 1)])
     s1 = set(h1)
     # later pieces are routed around the earlier ones: with sparse interiors
     # the unrestricted shortest paths routinely share central vertices
-    h2 = _bfs_path(adj, anchors[k - 2], anchors[k - 3], banned=s1)
+    h2 = _shortest_path(adj, anchors[k - 2], anchors[k - 3], banned=s1)
     h2 = _grow_path(adj, h2,
                     [anchors[i] for i in range(k - 4, half + 1, -1)],
                     banned=s1)
     s2 = set(h2)
 
-    def connector(src, dst, banned):
-        p = _bfs_path(adj, src, dst, banned=banned)
+    def connector(src, dst, banned, cut=frozenset()):
+        p = _shortest_path(adj, src, dst, banned, cut)
         i1 = max(i for i, v in enumerate(p) if v in s1)
         later = [i for i, v in enumerate(p) if v in s2 and i > i1]
         if not later:
@@ -390,8 +423,15 @@ def build_host_cycle(n, edges, anchors):
         return p[i1:i2 + 1]
 
     p_ab = connector(anchors[2], anchors[k - 2], frozenset())  # a on h1
+    # the second connector avoids p_ab but its two ends, and the inside of
+    # each longer edge of p_ab, even one joining those two ends
+    ends = {anchors[half - 2], anchors[half + 2]}
+    cut = set()
+    for u, v in zip(p_ab, p_ab[1:]):
+        if lengths[_normalize_edge(u, v)] > 1:
+            cut.update(((u, v), (v, u)))
     p_cd = connector(anchors[half - 2], anchors[half + 2],
-                     frozenset(p_ab) - {anchors[half - 2], anchors[half + 2]})
+                     frozenset(p_ab) - ends, cut)
     a, b = p_ab[0], p_ab[-1]
     c, d = p_cd[0], p_cd[-1]
     cycle = (_segment_between(h1, a, c)
@@ -400,10 +440,9 @@ def build_host_cycle(n, edges, anchors):
              + p_ab[::-1][1:-1])
     if len(cycle) < 3 or len(set(cycle)) != len(cycle):
         raise SolverError("host cycle is not simple")
-    eset = {_normalize_edge(u, v) for u, v in edges}
     for i in range(len(cycle)):
         e = _normalize_edge(cycle[i], cycle[(i + 1) % len(cycle)])
-        if e not in eset:
+        if e not in lengths:
             raise SolverError("host cycle uses a missing edge")
     return cycle
 
@@ -443,9 +482,10 @@ def _ratio_sq(points, assignment):
 def euclid_retract(points):
     """Constant-factor retraction of the point set onto its anchors.
 
-    k >= 10 runs the full pipeline (spanner, contraction, subdivision, host
-    cycle, exact planar solve, nearest-anchor snap); smaller k brute-forces
-    the assignment directly. Anchors are always fixed.
+    k >= 10 runs the full pipeline: spanner, contraction, an integer length
+    per edge, host cycle, exact planar solve of the weighted graph, and
+    nearest-anchor snap. Smaller k brute-forces the assignment directly.
+    Anchors are always fixed.
     """
     k, n = points.k, points.n
     if k < 10:
@@ -458,10 +498,14 @@ def euclid_retract(points):
     if len(set(aidx)) != k:
         raise SolverError("contraction merged two anchors; anchor spacing "
                           "premise violated")
-    total, edges, along = to_unweighted(g2, k, n)
-    host = build_host_cycle(total, edges, aidx)
-    inst = Instance(n=total, edges=edges, anchors=tuple(host))
-    ret, _ = planar_mod.optimal_retract_planar(inst)
+    lengths = subdivision_counts(g2, k, n)
+    cycle = build_host_cycle(g2.n, lengths, aidx)
+    pos, _ = planar_mod.optimal_retract_weighted(g2.n, lengths, cycle)
+    # an image is a position on the cycle, read as (cycle edge, offset):
+    # starts[e] is the position of cycle[e]
+    starts = [0]
+    for c, d in zip(cycle, cycle[1:]):
+        starts.append(starts[-1] + lengths[_normalize_edge(c, d)])
     anchor_pts = [points.points[i] for i in points.anchor_indices]
     anchor_set = set(points.anchor_indices)
     assignment = []
@@ -469,9 +513,13 @@ def euclid_retract(points):
         if v in anchor_set:
             assignment.append(v)
             continue
-        p = _position(g2, along, ret.assignment[group[v]])
+        p = pos[group[v]]
+        e = bisect_right(starts, p) - 1
+        u, w = cycle[e], cycle[(e + 1) % len(cycle)]
+        pt = _position(g2, u, w, p - starts[e],
+                       lengths[_normalize_edge(u, w)])
         best = min(range(k),
-                   key=lambda i: (_sqdist(p, anchor_pts[i]), i))
+                   key=lambda i: (_sqdist(pt, anchor_pts[i]), i))
         assignment.append(points.anchor_indices[best])
     assignment = tuple(assignment)
     return EuclidResult(assignment, _ratio_sq(points, assignment))

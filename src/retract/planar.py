@@ -24,6 +24,10 @@ the least feasible l, scanned upward from the part's distance bound; the
 instance's optimum is the largest piece optimum. `plane_embed` splices the
 chains back into the core's embedding, for the curve certificate below.
 
+`optimal_retract_weighted` runs the same route on a graph whose edges stand
+for paths of given lengths, without building those paths: its chains are
+walked edge by edge, and images are given only to its own vertices.
+
 The paper's certificate, k vertex-disjoint curves from F to H found by max
 flow in a triangulated supergraph and the retraction read off the regions
 they cut out, is kept as `triangulate_for_face`, `max_disjoint_paths` and
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from math import ceil
 
 import networkx as nx
@@ -99,44 +104,70 @@ class PlaneCore:
     off it, since an inner vertex of H has no edge off H. `embedding` embeds
     the core alone, with H's face as outer face, and `forward` holds the
     host core edges directed in anchor order. For the cover, `vertices`
-    lists the core vertices, whose positions there are their dense ids;
+    lists the core vertices, whose positions there are their dense ids, and
+    `outs` the vertex each one's image is reported for (None for none);
     `seeds` pairs each core anchor's dense id with its anchor index; each
-    link (chain, x, y, on H) gives a core edge's chain, in anchor order on H,
-    and the dense ids x and y of its first and last vertex; and
-    face_lengths[f] is face f's length (on H, off H).
+    link (chain, x, y, on H, sites) gives a core edge's chain, in anchor
+    order on H, the dense ids x and y of its first and last vertex, and the
+    inner vertices (t, v) whose images are reported: v's is that of the
+    chain's vertex t; and face_lengths[f] is face f's length (on H, off H).
+    A map is a list of `size` anchor indices by reported vertex, or, when
+    the core is an Instance's (`instance`), a Retraction of it.
     """
 
-    __slots__ = ("instance", "embedding", "forward", "vertices", "seeds",
-                 "links", "face_lengths")
+    __slots__ = ("anchors", "instance", "size", "embedding", "forward",
+                 "vertices", "outs", "seeds", "links", "face_lengths")
 
-    def __init__(self, instance, embedding, forward, chains):
-        self.instance = instance
-        self.embedding = embedding
-        self.forward = forward
-        self.vertices = tuple(v for v in range(instance.n)
-                              if embedding.rotation[v])
-        index = {v: c for c, v in enumerate(self.vertices)}
-        self.seeds = tuple((index[a], i)
-                           for i, a in enumerate(instance.anchors)
-                           if a in index)
-        self.links = tuple((c, index[c[0]], index[c[-1]],
-                            (c[0], c[-1]) in forward) for c in chains)
-        span = {_normalize_edge(c[0], c[-1]): (len(c) - 1, on_h)
-                for c, _, _, on_h in self.links}
-        self.face_lengths = []
-        for fes in embedding.face_edge_sets:
-            on_h = off_h = 0
-            for e in fes:
-                L, h = span[e]
-                if h:
-                    on_h += L
-                else:
-                    off_h += L
-            self.face_lengths.append((on_h, off_h))
+    @property
+    def k(self):
+        return len(self.anchors)
 
 
 def plane_core(instance):
     """Planarity-test the instance and embed its core (see PlaneCore).
+
+    The chains are walked vertex by vertex; `_plane_core` embeds them.
+    """
+    n = instance.n
+    nbr = [instance.neighbors(v) for v in range(n)]
+    core = [v for v in range(n) if len(nbr[v]) != 2] or [0]  # or a bare cycle
+    is_core = set(core)
+    host = instance.host_edges()
+    units = [(e, e in host) for e in instance.edges
+             if e[0] in is_core and e[1] in is_core]
+
+    def walk(u, x):
+        chain = [u, x]
+        while chain[-1] not in is_core:
+            a, b = nbr[chain[-1]]
+            chain.append(b if a == chain[-2] else a)
+        return (tuple(chain), _normalize_edge(u, x) in host,
+                tuple(enumerate(chain[1:-1], 1)))
+
+    def stubs(u):
+        return [(x, partial(walk, u, x)) for x in nbr[u]]
+
+    return _plane_core(n, instance.anchors,
+                       lambda v: (instance.anchor_index(v)
+                                  if instance.is_anchor(v) else None),
+                       core, units, stubs, instance=instance)
+
+
+def _plane_core(n, anchors, anchor_index, core, units, stubs, out=None,
+                size=None, instance=None):
+    """Embed a part's core, given as its chains (see PlaneCore).
+
+    Vertex ids are below n, and `anchors` lists H's vertices in anchor
+    order; anchor_index(v) is v's anchor index, None off H. `core` lists the
+    vertices of degree other than 2 in increasing order, `units` the sorted
+    edges between two of them, each with whether it lies on H, and stubs(u)
+    u's neighbours in increasing order, each with a walk: a function that
+    returns the chain from u through that neighbour to the next core
+    vertex, whether it lies on H, and the inner vertices (t, v) whose images
+    are reported, as the vertices they are reported for. `out` maps each
+    reported core vertex to the vertex its image is reported for, and maps
+    have `size` entries; with `out` None every core vertex is reported as
+    itself, and maps have n entries.
 
     networkx embeds the core. The faces are walked on the core's rotation
     and listed in the order a walk of the whole graph would find them: by
@@ -144,50 +175,48 @@ def plane_core(instance):
     chain's inner vertex v ordering its two half-edges as v's sorted
     neighbors do, so `plane_embed`'s face ids are the core's.
     """
-    n = instance.n
-    nbr = [instance.neighbors(v) for v in range(n)]
-    core = [len(a) != 2 for a in nbr]
-    if not any(core):          # a bare cycle
-        core[0] = True
+    is_core = set(core)
     # path[(u, w)] is the chain that the core edge (u, w) stands for, walked
     # from u; `walked` holds both end half-edges of every chain taken
     path = {}
+    on_h = {}
+    sites = {}
     walked = set()
     core_edges = set()
 
-    def add_chain(chain):
+    def add_chain(chain, h, inner):
         u, v = chain[0], chain[-1]
-        core_edges.add(_normalize_edge(u, v))
+        e = _normalize_edge(u, v)
+        core_edges.add(e)
+        on_h[e] = h
+        sites[e] = (chain, inner)
         path[(u, v)] = chain
         path[(v, u)] = chain[::-1]
         walked.add((u, chain[1]))
         walked.add((v, chain[-2]))
 
-    for u, v in instance.edges:
-        if core[u] and core[v]:
-            add_chain((u, v))
-    for u in range(n):
-        if not core[u]:
-            continue
-        for x in nbr[u]:
+    for e, h in units:
+        add_chain(e, h, ())
+    for u in core:
+        for x, walk in stubs(u):
             if (u, x) in walked:
                 continue
-            chain = [u, x]
-            while not core[chain[-1]]:
-                a, b = nbr[chain[-1]]
-                chain.append(b if a == chain[-2] else a)
+            chain, h, inner = walk()
             v = chain[-1]
             i = 0
             # promote while the chain closes a loop or repeats a core edge
             while len(chain) - i > 2 and (
                     chain[i] == v
                     or _normalize_edge(chain[i], v) in core_edges):
-                core[chain[i + 1]] = True
-                add_chain(tuple(chain[i:i + 2]))
+                is_core.add(chain[i + 1])
+                add_chain(chain[i:i + 2], h, ())
                 i += 1
-            add_chain(tuple(chain[i:]))
+            if i:
+                inner = tuple((t - i, w) for t, w in inner if t > i)
+            add_chain(chain[i:], h, inner)
+    nodes = sorted(is_core)
     g = nx.Graph()
-    g.add_nodes_from(v for v in range(n) if core[v])
+    g.add_nodes_from(nodes)
     g.add_edges_from(core_edges)
     ok, emb = nx.check_planarity(g)
     if not ok:
@@ -198,18 +227,18 @@ def plane_core(instance):
 
     def first_half_edge(u, w):
         # the least (vertex, rotation position) of a half-edge on the chain
-        # walked from u to w
+        # walked from u to w; an inner vertex's neighbors are its two chain
+        # neighbors
         chain = path[(u, w)]
         key = (u, rotation[u].index(w))
         if len(chain) > 2:
-            m = min(chain[1:-1])
-            after = chain[chain.index(m) + 1]
-            key = min(key, (m, nbr[m].index(after)))
+            i = chain.index(min(chain[1:-1]))
+            key = min(key, (chain[i], int(chain[i + 1] > chain[i - 1])))
         return key
 
     found = []
     seen = set()
-    for v0 in range(n):
+    for v0 in nodes:
         for w0 in rotation[v0]:
             if (v0, w0) in seen:
                 continue
@@ -227,30 +256,64 @@ def plane_core(instance):
             found.append((key, walk))
     found.sort()
     embedding = PlaneEmbedding(n, rotation, [walk for _, walk in found], None,
-                               instance.anchors)
-    k = instance.k
-    host = instance.host_edges()
+                               anchors)
+    k = len(anchors)
     chains = []
     forward = set()
     host_core = set()
     for e in embedding.graph_edges:
         chain = path[e]
-        if _normalize_edge(chain[0], chain[1]) in host:
+        if on_h[e]:
             host_core.add(e)
-            i = instance.anchor_index(chain[0])
-            if instance.anchor_index(chain[1]) != (i + 1) % k:
+            i = anchor_index(chain[0])
+            if anchor_index(chain[1]) != (i + 1) % k:
                 chain = path[e[::-1]]
             forward.add((chain[0], chain[-1]))
         chains.append(chain)
     # H's face lies along one of the two sides of the host edge from anchor
     # 0 to anchor 1, on the chain whose L anchor steps pass anchor 0
     x, y = next((x, y) for x, y in forward
-                if -instance.anchor_index(x) % k < len(path[(x, y)]) - 1)
+                if -anchor_index(x) % k < len(path[(x, y)]) - 1)
     outer = embedding.half_face[(x, y)]
     if embedding.face_edge_sets[outer] != host_core:
         outer = embedding.half_face[(y, x)]
     embedding.outer_face = outer
-    return PlaneCore(instance, embedding, frozenset(forward), chains)
+
+    pc = PlaneCore()
+    pc.anchors = anchors
+    pc.instance = instance
+    pc.size = n if size is None else size
+    pc.embedding = embedding
+    pc.forward = frozenset(forward)
+    pc.vertices = tuple(nodes)
+    pc.outs = pc.vertices if out is None else tuple(map(out.get, nodes))
+    index = {v: c for c, v in enumerate(nodes)}
+    pc.seeds = tuple((c, i) for i, c in sorted(
+        (anchor_index(v), c) for c, v in enumerate(nodes)
+        if anchor_index(v) is not None))
+    links = []
+    span = {}
+    for chain in chains:
+        L = len(chain) - 1
+        e = _normalize_edge(chain[0], chain[-1])
+        walked_as, inner = sites[e]
+        if walked_as is not chain:
+            inner = tuple((L - t, w) for t, w in inner)
+        links.append((chain, index[chain[0]], index[chain[-1]],
+                      (chain[0], chain[-1]) in forward, inner))
+        span[e] = (L, on_h[e])
+    pc.links = tuple(links)
+    pc.face_lengths = []
+    for fes in embedding.face_edge_sets:
+        on, off = 0, 0
+        for e in fes:
+            L, h = span[e]
+            if h:
+                on += L
+            else:
+                off += L
+        pc.face_lengths.append((on, off))
+    return pc
 
 
 # ---------------------------------------------------------------------------
@@ -283,29 +346,48 @@ class ReduceMap:
 def reduce_two_connected(instance):
     """Collapse everything outside the block containing H onto its cut vertex.
 
-    Returns (reduced_instance, ReduceMap). The block is found by one
-    iterative lowpoint DFS over the instance's adjacency, rooted at an
-    anchor r. A tree child c of p whose subtree reaches no vertex above p
-    (low[c] >= disc[p]) is cut off by p; if that subtree holds no anchor it
-    hangs off p, and every vertex in it takes p's gateway, or p itself when
-    p is kept, so nested hangs collapse onto the outermost cut vertex. This
-    is exact: H is a 2-connected cycle through r, so a cut-off subtree
-    holding an anchor is a child subtree of r, and at most one of those
-    holds anchors. Any retraction of the block lifts by sending each
-    hanging vertex to its gateway's image. An instance with nothing hanging
-    is its own block: it is returned itself, with the identity map.
+    Returns (reduced_instance, ReduceMap); the block is found by
+    `_hanging`. Any retraction of the block lifts by sending each hanging
+    vertex to its gateway's image. An instance with nothing hanging is its
+    own block: it is returned itself, with the identity map.
     """
     n = instance.n
-    root = instance.anchors[0]
+    gateway = _hanging(n, instance.neighbors, instance.anchors)
+    if not gateway:
+        return instance, ReduceMap(n, tuple(range(n)), {})
+    old_of_new = tuple(v for v in range(n) if v not in gateway)
+    new_of_old = {old: new for new, old in enumerate(old_of_new)}
+    edges = [(new_of_old[u], new_of_old[v]) for u, v in instance.edges
+             if u in new_of_old and v in new_of_old]
+    anchors = tuple(new_of_old[a] for a in instance.anchors)
+    reduced = Instance(len(old_of_new), edges, anchors)
+    return reduced, ReduceMap(n, old_of_new, gateway)
+
+
+def _hanging(n, neighbors, anchors):
+    """{v: gateway} for every vertex v outside the block containing the
+    anchor cycle H, its gateway the block vertex that v's component of G
+    minus the block attaches at.
+
+    One iterative lowpoint DFS over neighbors(v), rooted at an anchor r. A
+    tree child c of p whose subtree reaches no vertex above p (low[c] >=
+    disc[p]) is cut off by p; if that subtree holds no anchor it hangs off
+    p, and every vertex in it takes p's gateway, or p itself when p is
+    kept, so nested hangs collapse onto the outermost cut vertex. This is
+    exact: H is a 2-connected cycle through r, so a cut-off subtree holding
+    an anchor is a child subtree of r, and at most one of those holds
+    anchors.
+    """
+    root = anchors[0]
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
     anchored = [False] * n      # the vertex's DFS subtree holds an anchor
-    for a in instance.anchors:
+    for a in anchors:
         anchored[a] = True
     disc[root] = 0
     order = [root]
-    stack = [(root, iter(instance.neighbors(root)))]
+    stack = [(root, iter(neighbors(root)))]
     while stack:
         v, it = stack[-1]
         for w in it:
@@ -313,7 +395,7 @@ def reduce_two_connected(instance):
                 disc[w] = low[w] = len(order)
                 parent[w] = v
                 order.append(w)
-                stack.append((w, iter(instance.neighbors(w))))
+                stack.append((w, iter(neighbors(w))))
                 break
             if disc[w] < low[v] and w != parent[v]:
                 low[v] = disc[w]
@@ -339,15 +421,7 @@ def reduce_two_connected(instance):
                 gateway[v] = p
     if anchored_cuts > 1:
         raise SolverError("anchor cycle does not lie in one block")
-    if not gateway:
-        return instance, ReduceMap(n, tuple(range(n)), {})
-    old_of_new = tuple(v for v in range(n) if v not in gateway)
-    new_of_old = {old: new for new, old in enumerate(old_of_new)}
-    edges = [(new_of_old[u], new_of_old[v]) for u, v in instance.edges
-             if u in new_of_old and v in new_of_old]
-    anchors = tuple(new_of_old[a] for a in instance.anchors)
-    reduced = Instance(len(old_of_new), edges, anchors)
-    return reduced, ReduceMap(n, old_of_new, gateway)
+    return gateway
 
 
 def plane_parts(instance):
@@ -427,7 +501,7 @@ def plane_embed(instance):
     core = plane_core(instance)
     emb = core.embedding
     path = {}
-    for chain, _, _, _ in core.links:
+    for chain, _, _, _, _ in core.links:
         path[(chain[0], chain[-1])] = chain
         path[(chain[-1], chain[0])] = chain[::-1]
     rotation = tuple(tuple(path[(v, w)][1] for w in emb.rotation[v])
@@ -820,10 +894,11 @@ def _lipschitz_retract(core, face, l=1):
     those labels fall by 1 as t rises, while the anchors rise by 1, so with
     k >= 3 only t = L - 1 may be, and it must be fixed; and on a crossed
     chain off H, its last edge is within l. The expanded map is then
-    checked with `stretch` as well.
+    checked with `stretch` as well when the core is an Instance's; the
+    weighted route checks its merged map in closed form instead
+    (`_check_weighted`).
     """
-    inst = core.instance
-    k = inst.k
+    k = core.k
     sign = _dual_crossing_signs(core.embedding, face, core.forward)
     J = len(sign) // 2
     width = 2 * J + 1
@@ -840,7 +915,7 @@ def _lipschitz_retract(core, face, l=1):
     heapq.heapify(heap)
     adj = [[] for _ in core.vertices]   # (neighbor, layer shift, length)
     shifts = []
-    for chain, x, y, on_h in core.links:
+    for chain, x, y, on_h, _ in core.links:
         s = sign.get((chain[0], chain[-1]), 0)
         shifts.append(s)
         length = len(chain) - 1 if on_h else (len(chain) - 1) * l
@@ -865,7 +940,7 @@ def _lipschitz_retract(core, face, l=1):
     lab = dist[J::width]
     if any(lab[c] % k != i for c, i in core.seeds):
         return None
-    for (chain, x, y, on_h), s in zip(core.links, shifts):
+    for (chain, x, y, on_h, _), s in zip(core.links, shifts):
         L = len(chain) - 1
         if on_h and L > 1:
             a, b = lab[x], dist[y * width + J + s]
@@ -878,19 +953,21 @@ def _lipschitz_retract(core, face, l=1):
             if cycle_dist(k, min(a + (L - 1) * l, b + l) % k,
                           lab[y] % k) > l:
                 return None
-    anchors = inst.anchors
-    asg = [None] * inst.n
-    for c, v in enumerate(core.vertices):
-        asg[v] = anchors[lab[c] % k]
-    for (chain, x, y, on_h), s in zip(core.links, shifts):
-        L = len(chain) - 1
-        if L > 1:
+    img = [None] * core.size
+    for c, v in enumerate(core.outs):
+        if v is not None:
+            img[v] = lab[c] % k
+    for (chain, x, y, on_h, sites), s in zip(core.links, shifts):
+        if sites:
+            L = len(chain) - 1
             w = 1 if on_h else l
             a, b = lab[x], dist[y * width + J + s]
-            for t in range(1, L):
-                asg[chain[t]] = anchors[min(a + t * w, b + (L - t) * w) % k]
-    ret = Retraction(tuple(asg))
-    if stretch(inst, ret).max_stretch > l:
+            for t, v in sites:
+                img[v] = min(a + t * w, b + (L - t) * w) % k
+    if core.instance is None:
+        return img
+    ret = Retraction(tuple(core.anchors[i] for i in img))
+    if stretch(core.instance, ret).max_stretch > l:
         raise SolverError("core cover map exceeds stretch %d" % l)
     return ret
 
@@ -907,7 +984,7 @@ def _stretch1_embedded(core, l=1):
     size = {f: on_h + l * off_h
             for f, (on_h, off_h) in enumerate(core.face_lengths)
             if f != core.embedding.outer_face}
-    faces = sorted((f for f in size if size[f] >= core.instance.k),
+    faces = sorted((f for f in size if size[f] >= core.k),
                    key=size.get, reverse=True)
     for f in faces:
         ret = _lipschitz_retract(core, f, l)
@@ -916,18 +993,24 @@ def _stretch1_embedded(core, l=1):
     return None
 
 
-def _chain_images(k, i, j, L, l):
-    """Anchor indices of the inner vertices of a chain of L edges from anchor
-    i to anchor j, at a stretch l with L*l >= d = d_H(i, j).
-
-    Inner vertex t goes min(t*l, d) steps from i along the shorter arc (the
-    increasing one on a tie), so consecutive images are at most l apart.
-    That suffices, and L*l >= d is also necessary: the images of the chain
-    form a walk of L steps from i to j, each of at most l. The map is
-    checked over the chain's L edges, as the cover checks each part map."""
+def _chain_at(k, i, j, l, t):
+    """Anchor index of vertex t of a chain from anchor i to anchor j at
+    stretch l: min(t*l, d) steps from i along the shorter arc (the
+    increasing one on a tie), d = d_H(i, j)."""
     d = cycle_dist(k, i, j)
     step = 1 if (j - i) % k == d else -1
-    idx = [(i + step * min(t * l, d)) % k for t in range(L)] + [j]
+    return (i + step * min(t * l, d)) % k
+
+
+def _chain_images(k, i, j, L, l):
+    """Anchor indices of the inner vertices of a chain of L edges from anchor
+    i to anchor j, at a stretch l with L*l >= d = d_H(i, j) (`_chain_at`).
+
+    Consecutive images are at most l apart. That suffices, and L*l >= d is
+    also necessary: the images of the chain form a walk of L steps from i
+    to j, each of at most l. The map is checked over the chain's L edges,
+    as the cover checks each part map."""
+    idx = [_chain_at(k, i, j, l, t) for t in range(L)] + [j]
     if any(cycle_dist(k, x, y) > l for x, y in zip(idx, idx[1:])):
         raise SolverError("chain map exceeds stretch %d" % l)
     return idx[1:-1]
@@ -946,13 +1029,18 @@ def _start_lower_bound(instance):
 
 def _part_optimum(part):
     """(l, map): the least l at which the part has a map of stretch l, and
-    that map. The part's core is embedded once, and each l is decided on it
-    by the face scan, with a core edge of L edges of length L on H and L*l
-    off it. Feasibility is monotone in l, and the scan starts at the part's
+    that map (see `_scan`)."""
+    return _scan(plane_core(part), _start_lower_bound(part))
+
+
+def _scan(core, start):
+    """(l, map) for the least l >= start at which the face scan finds a map
+    of the core. The core is embedded once, and each l is decided on it,
+    with a core edge of L edges of length L on H and L*l off it.
+    Feasibility is monotone in l, and the scan starts at the part's
     distance bound, at most its optimum."""
-    core = plane_core(part)
-    cap = max(1, part.k // 2)
-    for l in range(min(_start_lower_bound(part), cap), cap + 1):
+    cap = max(1, core.k // 2)
+    for l in range(min(start, cap), cap + 1):
         ret = _stretch1_embedded(core, l)
         if ret is not None:
             return l, ret
@@ -995,3 +1083,261 @@ def optimal_retract_planar(instance):
         raise SolverError("retraction has stretch %d, not its pieces' optimum "
                           "%d" % (rep.max_stretch, max(optima)))
     return ret, rep
+
+
+# ---------------------------------------------------------------------------
+# the weighted route: a graph whose edges stand for paths, never subdivided
+
+
+def _inner_ids(runs, first, edges, lengths):
+    """Number the inner vertices of each edge (u, v), u < v, from `first`,
+    edge by edge in sorted order, from u to v: runs[(u, v)] and
+    runs[(v, u)] become the ranges of those ids walked from u and from v.
+    Returns the next free id."""
+    for e in sorted(edges):
+        m = lengths[e]
+        runs[e] = range(first, first + m - 1)
+        runs[e[::-1]] = range(first + m - 2, first - 1, -1)
+        first += m - 1
+    return first
+
+
+def _distances(adj, lengths, src):
+    """Dijkstra distances from src over adj, an edge (u, v) of length
+    lengths[(u, v)], normalized."""
+    dist = {src: 0}
+    heap = [(0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for w in adj[u]:
+            d2 = d + lengths[_normalize_edge(u, w)]
+            if d2 < dist.get(w, d2 + 1):
+                dist[w] = d2
+                heapq.heappush(heap, (d2, w))
+    return dist
+
+
+def optimal_retract_weighted(n, lengths, cycle):
+    """Minimum-stretch retraction of a weighted planar graph onto a cycle,
+    decided without subdividing it.
+
+    `lengths` maps each edge (u, v), u < v, to its integer length m >= 1,
+    and `cycle` lists the host cycle's vertices in order. The instance
+    decided is the unit one in which each edge is a path of m edges, its
+    inner vertices numbered after the n vertices, edge by edge in sorted
+    order, from u to v, and whose anchors are the K = (sum of the cycle's
+    lengths) vertices of the cycle, anchor 0 at cycle[0]. Returns (pos, l):
+    l is the optimum and pos[v] the anchor index of v's image, which is
+    what `optimal_retract_planar` returns on that instance.
+
+    The route is `optimal_retract_planar`'s with every piece read off the
+    weighted graph. The block of H is found by `_hanging`. An edge off H
+    between two cycle vertices is a chain of m edges; a component of the
+    block minus the cycle whose vertices all have degree 2 is one chain
+    through them; both are decided in closed form (`_chain_at`), and only
+    the component's vertices get images. Every other component is a part,
+    whose core `_plane_core` takes straight from the weighted graph: its
+    chains are walked edge by edge, as ranges of the ids that the subdivided
+    part numbers its vertices with, since the part's face order, its
+    embedding and the orientation of a chain follow those ids. Its start
+    bound is a Dijkstra from its branch anchors, and `_scan` decides each
+    l on the core, with images only at the component's vertices. The merged
+    map is checked in closed form (`_check_weighted`).
+    """
+    r = len(cycle)
+    P = {}
+    host = set()
+    K = 0
+    for i, c in enumerate(cycle):
+        P[c] = K
+        e = _normalize_edge(c, cycle[(i + 1) % r])
+        host.add(e)
+        K += lengths[e]
+    adj = [[] for _ in range(n)]
+    for u, v in lengths:
+        adj[u].append(v)
+        adj[v].append(u)
+    for a in adj:
+        a.sort()
+    gateway = _hanging(n, adj.__getitem__, cycle)
+    bn = [[w for w in a if w not in gateway] for a in adj]
+    block_edges = [e for e in lengths
+                   if e[0] not in gateway and e[1] not in gateway]
+    pos = [None] * n
+    for c in cycle:
+        pos[c] = P[c]
+    optima = []
+    chords = [e for e in block_edges
+              if e not in host and e[0] in P and e[1] in P]
+    for u, v in chords:
+        optima.append(max(1, -(-cycle_dist(K, P[u], P[v]) // lengths[(u, v)])))
+    comps = []
+    chain_comps = []
+    seen = set(P) | set(gateway)
+    for s in range(n):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp = [s]
+        for v in comp:
+            for w in bn[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        if all(len(bn[v]) == 2 for v in comp):
+            chain_comps.append(comp)
+        else:
+            comps.append(sorted(comp))
+    if chain_comps:
+        runs = {}
+        _inner_ids(runs, n, lengths, lengths)
+    for comp in chain_comps:
+        seq, steps = _chain_path(comp, bn, P, lengths, runs)
+        L = sum(steps)
+        i, j = P[seq[0]], P[seq[-1]]
+        l = max(1, -(-cycle_dist(K, i, j) // L))
+        optima.append(l)
+        t = 0
+        for v, m in zip(seq[1:-1], steps):
+            t += m
+            pos[v] = _chain_at(K, i, j, l, t)
+    whole = not chords and not chain_comps and len(comps) == 1
+    for comp in comps:
+        l, img = _scan(*_weighted_part(K, P, cycle, host, lengths, bn,
+                                       block_edges, comp, whole))
+        optima.append(l)
+        for v in comp:
+            pos[v] = img[v]
+    for v, gate in gateway.items():
+        pos[v] = pos[gate]
+    optimum = max(optima, default=1)
+    _check_weighted(K, lengths, host, pos, optimum)
+    return pos, optimum
+
+
+def _chain_path(comp, bn, P, lengths, runs):
+    """(path, lengths of its edges) of a component whose vertices all have
+    degree 2: the path a, comp's vertices..., b between the cycle vertices
+    a and b, oriented as `plane_parts` walks the unit chain, whose ids runs
+    gives. That walk starts next to the first vertex a BFS from the chain's
+    least id s finds next to the cycle: so at the end nearer s; on a tie,
+    at the lesser end if s is next to both, else at the end on the side of
+    s's lesser neighbour."""
+    w0 = next(v for v in comp if any(x in P for x in bn[v]))
+    seq = [next(x for x in bn[w0] if x in P), w0]
+    while seq[-1] not in P:
+        x, y = bn[seq[-1]]
+        seq.append(y if x == seq[-2] else x)
+    steps = [lengths[_normalize_edge(u, v)] for u, v in zip(seq, seq[1:])]
+    q = seq.index(min(comp))
+    to_a, to_b = sum(steps[:q]), sum(steps[q:])
+    if to_a != to_b:
+        flip = to_b < to_a
+    elif to_a == 1:
+        flip = seq[-1] < seq[0]
+    else:
+        s = seq[q]
+        flip = ((runs[(s, seq[q + 1])] or [seq[q + 1]])[0]
+                < (runs[(s, seq[q - 1])] or [seq[q - 1]])[0])
+    if flip:
+        seq.reverse()
+        steps.reverse()
+    return seq, steps
+
+
+def _weighted_part(K, P, cycle, host, lengths, bn, block_edges, comp, whole):
+    """(core, start bound) of the part H plus the component `comp`, read
+    off the weighted graph.
+
+    The ids are those of the subdivided part: anchors 0..K-1 by position,
+    then comp's vertices, then the inner vertices of its edges, as
+    `plane_parts` numbers them; or, when the part is the whole block
+    (`whole`), the subdivided block's own ids, vertices before inner ones."""
+    cset = set(comp)
+    r = len(cycle)
+    pn = {c: [cycle[i - 1], cycle[(i + 1) % r]] for i, c in enumerate(cycle)}
+    for v in comp:
+        pn[v] = []
+    edges = sorted(e for e in block_edges
+                   if e not in host and (e[0] in cset or e[1] in cset))
+    for u, v in edges:
+        pn[u].append(v)
+        pn[v].append(u)
+    runs = {}
+    if whole:
+        verts = sorted(pn)
+        vid = {v: i for i, v in enumerate(verts)}
+        n = _inner_ids(runs, len(verts), edges + sorted(host), lengths)
+        anchors = []
+        for i, c in enumerate(cycle):
+            anchors.append(vid[c])
+            anchors.extend(runs[(c, cycle[(i + 1) % r])])
+        anchor_index = {a: i for i, a in enumerate(anchors)}.get
+    else:
+        vid = dict(P)
+        vid.update((v, K + i) for i, v in enumerate(comp))
+        n = _inner_ids(runs, K + len(comp), edges, lengths)
+        for i, c in enumerate(cycle):
+            d = cycle[(i + 1) % r]
+            m = lengths[_normalize_edge(c, d)]
+            runs[(c, d)] = range(P[c] + 1, P[c] + m)
+            runs[(d, c)] = range(P[c] + m - 1, P[c], -1)
+        anchors = range(K)
+        anchor_index = lambda v: v if v < K else None   # noqa: E731
+    core_set = {v for v in pn if len(pn[v]) != 2}
+    core_ids = sorted(vid[v] for v in core_set)
+    vertex = {vid[v]: v for v in pn}
+    units = sorted((_normalize_edge(vid[u], vid[v]), (u, v) in host)
+                   for u, v in edges + sorted(host)
+                   if lengths[(u, v)] == 1 and u in core_set
+                   and v in core_set)
+
+    def walk(u, w):
+        ids = [vid[u]]
+        sites = []
+        on_h = _normalize_edge(u, w) in host
+        while True:
+            ids.extend(runs[(u, w)])
+            ids.append(vid[w])
+            if w in core_set:
+                return tuple(ids), on_h, sites
+            if w in cset:
+                sites.append((len(ids) - 1, w))
+            a, b = pn[w]
+            u, w = w, (b if a == u else a)
+
+    def stubs(c):
+        u = vertex[c]
+        return sorted((((runs[(u, w)] or [vid[w]])[0], partial(walk, u, w))
+                       for w in pn[u]), key=lambda s: s[0])
+
+    core = _plane_core(n, anchors, anchor_index, core_ids, units, stubs,
+                       out={vid[v]: v for v in comp}, size=len(bn))
+    # the distance bound over the branch anchors (`distance_lower_bound`)
+    branch = [c for c in cycle if len(pn[c]) > 2]
+    num, den = 1, 1
+    for x, a in enumerate(branch):
+        dg = _distances(pn, lengths, a)
+        for b in branch[x + 1:]:
+            dh, d = cycle_dist(K, P[a], P[b]), dg[b]
+            if dh * den > num * d:
+                num, den = dh, d
+    return core, max(1, -(-num // den))
+
+
+def _check_weighted(K, lengths, host, pos, optimum):
+    """Raise SolverError unless the map pos (anchor indices on the K-cycle)
+    extends to the subdivided graph at stretch exactly `optimum`: an edge
+    (u, v) off H of length m takes its images d apart in m steps, so its
+    least stretch is ceil(d/m), which a walk along the shorter arc attains
+    (`_chain_images`), and host edges have stretch 1."""
+    worst = 1
+    for e, m in lengths.items():
+        if e not in host:
+            d = cycle_dist(K, pos[e[0]], pos[e[1]])
+            worst = max(worst, -(-d // m))
+    if worst != optimum:
+        raise SolverError("retraction has stretch %d, not its pieces' optimum "
+                          "%d" % (worst, optimum))

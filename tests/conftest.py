@@ -197,17 +197,180 @@ def full_stretch1(instance, embedding, l=1):
     return None
 
 
-def euclid_instance(ps):
-    """The planar instance `euclid.euclid_retract` solves for a point set of
-    k >= 10: the subdivided contracted spanner with its host cycle."""
+def _bfs_parents(adj, src, banned=frozenset()):
+    if src in banned:
+        raise SolverError("path endpoint %d is blocked" % src)
+    par = {src: None}
+    q = deque([src])
+    while q:
+        u = q.popleft()
+        for w in adj[u]:
+            if w not in par and w not in banned:
+                par[w] = u
+                q.append(w)
+    return par
+
+
+def _bfs_path(adj, src, dst, banned=frozenset()):
+    par = _bfs_parents(adj, src, banned)
+    if dst not in par:
+        raise SolverError("no path between %d and %d avoiding earlier "
+                          "pieces" % (src, dst))
+    path = [dst]
+    while path[-1] != src:
+        path.append(par[path[-1]])
+    path.reverse()
+    return path
+
+
+def _bfs_grow_path(adj, path, targets, banned=frozenset()):
+    for t in targets:
+        if t in banned:
+            raise SolverError("path endpoint %d is blocked" % t)
+        dist = {t: 0}
+        q = deque([t])
+        while q:
+            u = q.popleft()
+            for w in adj[u]:
+                if w not in dist and w not in banned:
+                    dist[w] = dist[u] + 1
+                    q.append(w)
+        best_pos = min(range(len(path)),
+                       key=lambda i: (dist.get(path[i], 1 << 60), i))
+        if path[best_pos] not in dist:
+            raise SolverError("anchor unreachable during path construction")
+        kept = path[:best_pos + 1]
+        keep_set = set(kept)
+        par = _bfs_parents(adj, t, banned | (keep_set - {path[best_pos]}))
+        if path[best_pos] not in par:
+            raise SolverError("anchor unreachable during path construction")
+        branch = [path[best_pos]]
+        while branch[-1] != t:
+            branch.append(par[branch[-1]])
+        path = kept + branch[1:]
+        if len(set(path)) != len(path):
+            raise SolverError("closest-vertex path construction "
+                              "self-intersected")
+    return path
+
+
+def bfs_host_cycle(n, edges, anchors):
+    """Reference for `euclid.build_host_cycle`: the same construction by BFS
+    on the unit graph (`euclid.to_unweighted`), returning its vertex ids."""
+    from retract.euclid import _segment_between
+    k = len(anchors)
+    if k < 10:
+        raise ValidationError("host cycle construction needs k >= 10")
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for a in adj:
+        a.sort()
+    half = k // 2
+    h1 = _bfs_path(adj, anchors[2], anchors[3])
+    h1 = _bfs_grow_path(adj, h1, [anchors[i] for i in range(4, half - 1)])
+    s1 = set(h1)
+    h2 = _bfs_path(adj, anchors[k - 2], anchors[k - 3], banned=s1)
+    h2 = _bfs_grow_path(adj, h2,
+                        [anchors[i] for i in range(k - 4, half + 1, -1)],
+                        banned=s1)
+    s2 = set(h2)
+
+    def connector(src, dst, banned):
+        p = _bfs_path(adj, src, dst, banned=banned)
+        i1 = max(i for i, v in enumerate(p) if v in s1)
+        later = [i for i, v in enumerate(p) if v in s2 and i > i1]
+        if not later:
+            raise SolverError("connector misses the second half cycle")
+        i2 = min(later)
+        return p[i1:i2 + 1]
+
+    p_ab = connector(anchors[2], anchors[k - 2], frozenset())
+    p_cd = connector(anchors[half - 2], anchors[half + 2],
+                     frozenset(p_ab) - {anchors[half - 2], anchors[half + 2]})
+    a, b = p_ab[0], p_ab[-1]
+    c, d = p_cd[0], p_cd[-1]
+    cycle = (_segment_between(h1, a, c)
+             + p_cd[1:]
+             + _segment_between(h2, d, b)[1:]
+             + p_ab[::-1][1:-1])
+    if len(cycle) < 3 or len(set(cycle)) != len(cycle):
+        raise SolverError("host cycle is not simple")
+    eset = {_normalize_edge(u, v) for u, v in edges}
+    for i in range(len(cycle)):
+        if _normalize_edge(cycle[i], cycle[(i + 1) % len(cycle)]) not in eset:
+            raise SolverError("host cycle uses a missing edge")
+    return cycle
+
+
+def unit_graph(n, lengths):
+    """(total, edges) of the weighted graph with each edge (u, v), u < v, a
+    path of lengths[(u, v)] unit edges, numbered as `euclid.to_unweighted`
+    numbers it: inner vertices after the n vertices, edge by edge in sorted
+    order, from u to v."""
+    total = n
+    edges = []
+    for (u, v), m in sorted(lengths.items()):
+        path = [u] + list(range(total, total + m - 1)) + [v]
+        total += m - 1
+        edges += list(zip(path, path[1:]))
+    return total, edges
+
+
+def expand_cycle(n, lengths, cycle):
+    """A cycle of the weighted graph as the vertex ids of `unit_graph`."""
+    first = {}
+    total = n
+    for e, m in sorted(lengths.items()):
+        first[e] = total
+        total += m - 1
+    out = []
+    for c, d in zip(cycle, cycle[1:] + cycle[:1]):
+        e = _normalize_edge(c, d)
+        inner = list(range(first[e], first[e] + lengths[e] - 1))
+        out += [c] + (inner if c < d else inner[::-1])
+    return out
+
+
+def _unit_pipeline(ps):
     from retract import euclid
     k = ps.k
     g2, group = euclid.contract_small_edges(euclid.delaunay_spanner(ps), k,
                                             ps.n)
-    total, edges, _ = euclid.to_unweighted(g2, k, ps.n)
-    host = euclid.build_host_cycle(total, edges,
-                                   [group[a] for a in ps.anchor_indices])
-    return Instance(total, edges, tuple(host))
+    total, edges, along = euclid.to_unweighted(g2, k, ps.n)
+    host = bfs_host_cycle(total, edges, [group[a] for a in ps.anchor_indices])
+    return g2, group, along, Instance(total, edges, tuple(host))
+
+
+def euclid_instance(ps):
+    """The unit instance whose answers `euclid.euclid_retract` reproduces
+    for a point set of k >= 10: the subdivided contracted spanner with the
+    host cycle that BFS routes on it."""
+    return _unit_pipeline(ps)[3]
+
+
+def unit_euclid_retract(ps):
+    """Reference for `euclid.euclid_retract` at k >= 10: the exact planar
+    solve of `euclid_instance`, each image snapped from its position on the
+    subdivided edge (`to_unweighted`'s `along`). Returns (assignment,
+    ratio_sq, the instance's host cycle)."""
+    from retract import euclid
+    g2, group, along, inst = _unit_pipeline(ps)
+    ret, _ = planar.optimal_retract_planar(inst)
+    anchors = set(ps.anchor_indices)
+    asg = []
+    for v in range(ps.n):
+        if v in anchors:
+            asg.append(v)
+            continue
+        w = ret.assignment[group[v]]
+        pt = (g2.points[w] if w < g2.n
+              else euclid._position(g2, *along[w - g2.n]))
+        best = min(range(ps.k), key=lambda i: (
+            euclid._sqdist(pt, ps.points[ps.anchor_indices[i]]), i))
+        asg.append(ps.anchor_indices[best])
+    return tuple(asg), euclid._ratio_sq(ps, tuple(asg)), list(inst.anchors)
 
 
 def in_circle_4x4(pts, ia, ib, ic, idx):

@@ -14,11 +14,10 @@ from retract.core import (Instance, Retraction, ValidationError,
                           gen_column_deleted_grid, parse_instance,
                           serialize_instance, host_from_cycle,
                           gen_random_planar)
-from retract.euclid import (build_host_cycle, contract_small_edges,
-                            delaunay_spanner, gen_random_points,
-                            to_unweighted)
+from retract.euclid import gen_random_points
 
-from conftest import all_pairs_distance_ratio, make_w4, make_ck
+from conftest import (all_pairs_distance_ratio, euclid_instance, make_w4,
+                      make_ck)
 import frozen
 
 
@@ -142,12 +141,7 @@ def _chords_and_pendants(seed):
 
 
 def _euclid_host(n_int, k, seed):
-    ps = gen_random_points(n_int, k, seed)
-    g2, group = contract_small_edges(delaunay_spanner(ps), k, ps.n)
-    total, edges, _ = to_unweighted(g2, k, ps.n)
-    host = build_host_cycle(total, edges,
-                            [group[a] for a in ps.anchor_indices])
-    return Instance(total, edges, tuple(host))
+    return euclid_instance(gen_random_points(n_int, k, seed))
 
 
 def test_distance_bound_equals_all_pairs_reference():

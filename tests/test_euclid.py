@@ -1,19 +1,24 @@
 import math
+import random
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 
-from retract import euclid
-from retract.core import Instance, ValidationError, gen_random_planar
+from retract import core, euclid, planar
+from retract.core import (Instance, SolverError, ValidationError, cycle_dist,
+                          gen_random_planar)
 from retract.euclid import (PointSet, WeightedPlanarGraph, anchors_on_circle,
                             build_host_cycle, contract_small_edges,
                             delaunay_spanner, euclid_retract,
-                            gen_random_points, to_unweighted)
+                            gen_random_points, subdivision_counts,
+                            to_unweighted)
 from retract.oracle import brute_force_min_ratio
-from retract.planar import optimal_retract_planar
+from retract.planar import optimal_retract_planar, optimal_retract_weighted
 
-from conftest import BENCH_SETS, fraction_ratio_sq, in_circle_4x4
+from conftest import (BENCH_SETS, bfs_host_cycle, expand_cycle,
+                      fraction_ratio_sq, in_circle_4x4, unit_euclid_retract,
+                      unit_graph)
 
 F = Fraction
 
@@ -165,40 +170,53 @@ def _eager_positions(g, k, n):
     return pos
 
 
+def _weighted_pipeline(ps):
+    """(g2, group, lengths, anchors in g2, host cycle) of euclid_retract."""
+    g2, group = contract_small_edges(delaunay_spanner(ps), ps.k, ps.n)
+    lengths = subdivision_counts(g2, ps.k, ps.n)
+    aidx = [group[a] for a in ps.anchor_indices]
+    return g2, group, lengths, aidx, build_host_cycle(g2.n, lengths, aidx)
+
+
 def test_lazy_positions_match_eager_interpolation():
+    # an image is read as (cycle edge, offset); its point is that of the
+    # unit graph's vertex there, interpolated eagerly
     snapped = 0
     for k, n_int, seed in BENCH_SETS:
         ps = gen_random_points(n_int, k, seed)
-        g2, group = contract_small_edges(delaunay_spanner(ps), k, ps.n)
-        total, edges, along = to_unweighted(g2, k, ps.n)
+        g2, group, lengths, _, cyc = _weighted_pipeline(ps)
+        total, _, _ = to_unweighted(g2, k, ps.n)
         eager = _eager_positions(g2, k, ps.n)
         assert len(eager) == total
-        host = build_host_cycle(total, edges,
-                                [group[a] for a in ps.anchor_indices])
-        ret, _ = optimal_retract_planar(Instance(total, edges, tuple(host)))
+        unit_cycle = expand_cycle(g2.n, lengths, cyc)
+        pos, _ = optimal_retract_weighted(g2.n, lengths, cyc)
+        starts = [unit_cycle.index(c) for c in cyc]
         want = list(range(k))
         for v in range(k, ps.n):
-            img = ret.assignment[group[v]]
-            assert euclid._position(g2, along, img) == eager[img]
-            snapped += img >= g2.n
+            p = pos[group[v]]
+            e = max(e for e, s in enumerate(starts) if s <= p)
+            u, w = cyc[e], cyc[(e + 1) % len(cyc)]
+            m = lengths[tuple(sorted((u, w)))]
+            pt = euclid._position(g2, u, w, p - starts[e], m)
+            assert pt == eager[unit_cycle[p]]
+            snapped += unit_cycle[p] >= g2.n
             want.append(min(range(k), key=lambda i: (
-                euclid._sqdist(eager[img], ps.points[i]), i)))
+                euclid._sqdist(pt, ps.points[i]), i)))
         assert euclid_retract(ps).assignment == tuple(want)
     assert snapped >= 1
 
 
 def _pipeline_graph(ps):
-    g = delaunay_spanner(ps)
-    g2, group = contract_small_edges(g, ps.k, ps.n)
-    total, edges, pos = to_unweighted(g2, ps.k, ps.n)
-    aidx = [group[i] for i in ps.anchor_indices]
-    return total, edges, pos, aidx
+    """(total, edges, host cycle, anchors) of the unit graph, the cycle
+    being the weighted route's, in the unit graph's ids."""
+    g2, _, lengths, aidx, cyc = _weighted_pipeline(ps)
+    total, edges = unit_graph(g2.n, lengths)
+    return total, edges, expand_cycle(g2.n, lengths, cyc), aidx
 
 
 def test_host_cycle_anchors_only():
     ps = gen_random_points(0, 12, 0)
-    total, edges, pos, aidx = _pipeline_graph(ps)
-    cyc = build_host_cycle(total, edges, aidx)
+    total, edges, cyc, aidx = _pipeline_graph(ps)
     assert len(set(cyc)) == len(cyc) >= 3
     scale = ps.k * ps.n // 2
     _check_proximity(total, edges, cyc, aidx, scale)
@@ -207,8 +225,7 @@ def test_host_cycle_anchors_only():
 def test_host_cycle_with_interior():
     for n_int, k, seed in ((1, 12, 5), (3, 10, 9)):
         ps = gen_random_points(n_int, k, seed)
-        total, edges, pos, aidx = _pipeline_graph(ps)
-        cyc = build_host_cycle(total, edges, aidx)
+        total, edges, cyc, aidx = _pipeline_graph(ps)
         assert len(set(cyc)) == len(cyc)
         _check_proximity(total, edges, cyc, aidx, ps.k * ps.n // 2 + 1)
 
@@ -248,9 +265,9 @@ def _check_proximity(n, edges, cycle, anchors, scale):
 
 def test_host_cycle_needs_k10():
     ps = gen_random_points(0, 12, 0)
-    total, edges, pos, aidx = _pipeline_graph(ps)
+    g2, _, lengths, aidx, _ = _weighted_pipeline(ps)
     with pytest.raises(ValidationError):
-        build_host_cycle(total, edges, aidx[:8])
+        build_host_cycle(g2.n, lengths, aidx[:8])
 
 
 def test_brute_force_anchors_only_is_identity():
@@ -351,3 +368,104 @@ def test_bench_sets_reach_the_oracle_optimum():
     for k, n_int, seed in BENCH_SETS:
         ps = gen_random_points(n_int, k, seed)
         assert euclid_retract(ps).ratio_sq == brute_force_min_ratio(ps)[1]
+
+
+@pytest.mark.parametrize("index", [-1, 99, 2.0])
+def test_pointset_rejects_bad_anchor_index(index):
+    # -1 would wrap around to the last point, 99 would index past the end,
+    # and 2.0 is no index
+    ps = gen_random_points(2, 10, 1)
+    pts = ps.points[:9] + ps.points[10:] + ps.points[9:10]
+    PointSet(pts, tuple(range(9)) + (11,))      # the anchor moved to the end
+    with pytest.raises(ValidationError):
+        PointSet(pts, tuple(range(9)) + (index,))
+
+
+def test_weighted_route_matches_unit_route():
+    # the Dijkstra host cycle, in the unit graph's ids, is the BFS cycle,
+    # and the assignment and ratio are those of the planar solve of the unit
+    # instance, on the 9 bench sets, the 20 criterion-8 sets and 200 seeded
+    # sets, 40 of them anchors only (where the shortest-path ties are)
+    sets = _checked_sets()
+    sets += [gen_random_points(i % 6, 10 + i % 5, 5000 + i)
+             for i in range(200)]
+    assert sum(ps.n == ps.k for ps in sets) >= 40
+    for ps in sets:
+        g2, _, lengths, _, cyc = _weighted_pipeline(ps)
+        asg, ratio_sq, unit_cycle = unit_euclid_retract(ps)
+        assert expand_cycle(g2.n, lengths, cyc) == unit_cycle, ps
+        res = euclid_retract(ps)
+        assert (res.assignment, res.ratio_sq) == (asg, ratio_sq), ps
+
+
+def test_host_cycle_matches_bfs_on_random_lengths():
+    # 600 random planar graphs with k = 10 to 12 anchors and edges of length
+    # 1 to 3: the Dijkstra cycle, in unit ids, is the BFS cycle of the unit
+    # graph, or both constructions fail; unit-length edges, whose unit
+    # neighbours come first in BFS order, and a second connector whose two
+    # ends p_ab joins by a longer edge both occur here
+    built = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        inst = gen_random_planar(seed % 5, 10 + seed % 3, seed)
+        lengths = {e: rng.randint(1, 3) for e in inst.edges}
+        anchors = list(inst.anchors)
+        total, edges = unit_graph(inst.n, lengths)
+        try:
+            want = bfs_host_cycle(total, edges, anchors)
+        except SolverError:
+            want = None
+        try:
+            got = expand_cycle(inst.n, lengths,
+                               build_host_cycle(inst.n, lengths, anchors))
+        except SolverError:
+            got = None
+        assert got == want, seed
+        built += want is not None
+    assert built >= 400
+
+
+def test_euclid_retract_builds_no_unit_graph(monkeypatch):
+    # k >= 10 builds no Instance and calls neither to_unweighted nor the
+    # unit planar solver
+    calls = []
+    init = core.Instance.__init__
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(core.Instance, "__init__", counted("Instance", init))
+    monkeypatch.setattr(euclid, "to_unweighted",
+                        counted("to_unweighted", to_unweighted))
+    monkeypatch.setattr(planar, "optimal_retract_planar",
+                        counted("planar", optimal_retract_planar))
+    for k, n_int, seed in BENCH_SETS:
+        euclid_retract(gen_random_points(n_int, k, seed))
+    assert calls == []
+    Instance(3, [(0, 1), (1, 2), (2, 0)], (0, 1, 2))
+    assert calls == ["Instance"]
+
+
+def test_closed_form_check_rejects_a_moved_image():
+    # the merged map passes; moving one image so that an edge off H needs
+    # more than m*l* steps, or claiming another optimum, raises
+    ps = gen_random_points(2, 10, 9101)
+    g2, _, lengths, _, cyc = _weighted_pipeline(ps)
+    pos, opt = optimal_retract_weighted(g2.n, lengths, cyc)
+    K = sum(lengths[tuple(sorted(e))] for e in zip(cyc, cyc[1:] + cyc[:1]))
+    host = {tuple(sorted(e)) for e in zip(cyc, cyc[1:] + cyc[:1])}
+    planar._check_weighted(K, lengths, host, pos, opt)
+    for bad in (opt - 1, opt + 1):
+        with pytest.raises(SolverError):
+            planar._check_weighted(K, lengths, host, pos, bad)
+    (u, v), m = next(((u, v), m) for (u, v), m in lengths.items()
+                     if (u, v) not in host and u not in cyc
+                     and m * opt < K // 2)
+    moved = list(pos)
+    moved[u] = (pos[v] + K // 2) % K
+    assert cycle_dist(K, moved[u], moved[v]) > m * opt
+    with pytest.raises(SolverError):
+        planar._check_weighted(K, lengths, host, moved, opt)

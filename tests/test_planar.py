@@ -13,14 +13,16 @@ from retract.core import (Instance, Retraction, ValidationError, cycle_dist,
                           stretch, subdivide)
 from retract.oracle import brute_force_optimal, enumerate_min_surrounding_cycle
 from retract.planar import (NotPlanarError, max_disjoint_paths,
-                            optimal_retract_planar, plane_embed, plane_parts,
-                            reduce_two_connected, retraction_from_curves,
-                            stretch1_retract, triangulate_for_face)
+                            optimal_retract_planar, optimal_retract_weighted,
+                            plane_embed, plane_parts, reduce_two_connected,
+                            retraction_from_curves, stretch1_retract,
+                            triangulate_for_face)
 
 from conftest import (BENCH_SETS, all_pairs_distance_ratio, chain_piece,
-                      cycle_score, enclosed_faces, euclid_instance, full_cover,
-                      full_stretch1, host_forward, make_ck, make_w4,
-                      nx_reduce_two_connected, part_embeddings, pieces)
+                      cycle_score, enclosed_faces, euclid_instance,
+                      expand_cycle, full_cover, full_stretch1, host_forward,
+                      make_ck, make_w4, nx_reduce_two_connected,
+                      part_embeddings, pieces, unit_graph)
 from frozen import (COLGRID_OPTIMAL, GRID3_OPTIMAL, GRID4_OPTIMAL,
                     GRID4_CENTER_FACE_MIN_CYCLE, W4_OPTIMAL)
 
@@ -64,14 +66,8 @@ def test_reduce_two_grids_sharing_cut_vertex():
 
 
 def _euclid_instance(k, n_interior, seed):
-    """The subdivided instance `euclid_retract` solves for a point set."""
-    points = euclid.gen_random_points(n_interior, k, seed)
-    g, group = euclid.contract_small_edges(euclid.delaunay_spanner(points),
-                                           k, points.n)
-    total, edges, _ = euclid.to_unweighted(g, k, points.n)
-    aidx = [group[points.anchor_indices[i]] for i in range(k)]
-    host = euclid.build_host_cycle(total, edges, aidx)
-    return Instance(total, edges, tuple(host))
+    """The unit instance whose answers `euclid_retract` reproduces."""
+    return euclid_instance(euclid.gen_random_points(n_interior, k, seed))
 
 
 def _hanging_cases():
@@ -691,3 +687,54 @@ def test_chain_pieces_of_ladder_and_random_instances():
             chords += len(chain) == 2
             inner += len(chain) > 2
     assert chords >= 20 and inner >= 20
+
+
+# ---------------------------------------------------------------------------
+# the weighted route: each edge a path of m unit edges, never built
+
+
+def _unit_answer(n, lengths, cycle):
+    """(pos, optimum) of optimal_retract_planar on the unit graph of the
+    weighted one, pos[v] the anchor index of v's image."""
+    total, edges = unit_graph(n, lengths)
+    inst = Instance(total, edges, expand_cycle(n, lengths, cycle))
+    ret, rep = optimal_retract_planar(inst)
+    return [inst.anchor_index(ret.assignment[v]) for v in range(n)], \
+        rep.max_stretch
+
+
+def test_weighted_route_matches_unit_route_on_random_lengths():
+    # random planar instances with every edge of length 1 to 4, H the anchor
+    # cycle: chords, degree-2 components, single whole parts and hanging
+    # pieces all occur, and each answer is the unit route's
+    rng = random.Random(7)
+    seen = set()
+    for seed in range(400):
+        inst = gen_random_planar(seed % 9, 3 + seed % 10, seed)
+        lengths = {e: rng.randint(1, 1 + seed % 4) for e in inst.edges}
+        cycle = list(inst.anchors)
+        got = optimal_retract_weighted(inst.n, lengths, cycle)
+        assert got == _unit_answer(inst.n, lengths, cycle), seed
+        red, rmap = reduce_two_connected(inst)
+        parts, chains = plane_parts(red)
+        seen.add("hanging" if rmap.gateway else "block")
+        seen.add("whole" if parts and parts[0][0] is red else "split")
+        seen.update("chord" if len(c) == 2 else "path" for c in chains)
+    assert seen == {"hanging", "block", "whole", "split", "chord", "path"}
+
+
+def test_weighted_route_hangs_a_pendant_on_its_gateway():
+    # C6 of lengths 1..6, a hub joined to anchors 0, 2 and 4, a pendant path
+    # off the hub and a pendant vertex off anchor 3: each hanging vertex takes
+    # its gateway's image, as reduce_two_connected lifts it
+    lengths = {(0, 1): 1, (1, 2): 2, (2, 3): 3, (3, 4): 4, (4, 5): 5,
+               (0, 5): 6, (0, 6): 2, (2, 6): 3, (4, 6): 1, (6, 7): 2,
+               (7, 8): 1, (3, 9): 4}
+    cycle = [0, 1, 2, 3, 4, 5]
+    pos, opt = optimal_retract_weighted(10, lengths, cycle)
+    assert (pos, opt) == _unit_answer(10, lengths, cycle)
+    assert pos[7] == pos[8] == pos[6] and pos[9] == pos[3]
+    total, edges = unit_graph(10, lengths)
+    inst = Instance(total, edges, expand_cycle(10, lengths, cycle))
+    gateway = reduce_two_connected(inst)[1].gateway
+    assert gateway[7] == gateway[8] == 6 and gateway[9] == 3
