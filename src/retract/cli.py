@@ -139,8 +139,8 @@ def _gen(args):
 
 
 def _points_instance(ps):
-    """Wrap a PointSet as an Instance carrying coordinates: vertices with the
-    anchor polygon as edges (the euclid solver rebuilds its own graph)."""
+    """Wrap a PointSet as an Instance carrying coordinates, with the edges of
+    its Delaunay spanner (the euclid solver rebuilds its own graph)."""
     from .euclid import delaunay_spanner
     g = delaunay_spanner(ps)
     return Instance(ps.n, g.edges, ps.anchor_indices, points=ps.points)

@@ -105,8 +105,8 @@ def gen_random_points(n_interior, k, seed):
 
 
 # ---------------------------------------------------------------------------
-# Delaunay spanner (exact, brute force over triples, lifted-weight
-# perturbation for co-circular ties)
+# Delaunay spanner (exact: a sweep triangulation made Delaunay by Lawson
+# flips, lifted-index perturbation for co-circular ties)
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,10 @@ def _in_circle(pts, ia, ib, ic, idx):
     3x3 determinant of the rows (x, y, x^2 + y^2) of a, b and c taken
     relative to d. Co-circular ties are broken by perturbing the lift of
     point i upward by eps*i (a regular-triangulation perturbation):
-    larger-index co-circular points count as outside."""
+    larger-index co-circular points count as outside. When the opposite
+    indices of the four points have equal sums that term is 0, and a second,
+    smaller perturbation of the largest index alone decides. Both are one
+    fixed lift of every point, so the predicate never ties."""
     dx, dy = pts[idx]
     ax, ay = pts[ia][0] - dx, pts[ia][1] - dy
     bx, by = pts[ib][0] - dx, pts[ib][1] - dy
@@ -152,57 +155,112 @@ def _in_circle(pts, ia, ib, ic, idx):
         return d0 > 0
     # the perturbation's coefficient: the 4x4 determinant with the point
     # indices in place of the lift, expanded along that column
-    rows = [pts[i] + (1, i) for i in (ia, ib, ic, idx)]
-    d1 = 0
-    for r in range(4):
-        sub = [rows[j][:3] for j in range(4) if j != r]
-        d1 += rows[r][3] * (-1) ** r * _det3(sub)
+    ids = (ia, ib, ic, idx)
+    rows = [pts[i] + (1,) for i in ids]
+    cof = [(-1) ** r * _det3([rows[j] for j in range(4) if j != r])
+           for r in range(4)]
+    d1 = sum(i * c for i, c in zip(ids, cof))
     if d1 != 0:
         return d1 > 0
-    raise SolverError("degenerate in-circle test (coincident or collinear "
-                      "input); cannot perturb consistently")
+    # the largest index's own cofactor: the orientation of three distinct
+    # points on one circle, never 0
+    return cof[ids.index(max(ids))] > 0
 
 
 def _integer_points(pts):
-    """The rational points scaled by the lcm of their denominators, as
-    integer pairs; ratios of squared distances are unchanged."""
+    """(points, scale): the rational points times the lcm of their
+    denominators, as integer pairs, and that lcm. Ratios of squared
+    distances are unchanged."""
     den = 1
     for x, y in pts:
         den = den * x.denominator // math.gcd(den, x.denominator)
         den = den * y.denominator // math.gcd(den, y.denominator)
     return [(x.numerator * (den // x.denominator),
-             y.numerator * (den // y.denominator)) for x, y in pts]
+             y.numerator * (den // y.denominator)) for x, y in pts], den
+
+
+def _sweep_triangles(ipts):
+    """CCW triangles covering the hull of the integer points, every point a
+    vertex, or None if all points are collinear. Points are taken in
+    lexicographic order: a fan joins the first collinear run to the first
+    point off its line, and each later point, lying outside the hull so far,
+    is joined to every hull edge it strictly sees."""
+    order = sorted(range(len(ipts)), key=ipts.__getitem__)
+    a, b = ipts[order[0]], ipts[order[1]]
+    m = 2
+    while m < len(order) and _orient(a, b, ipts[order[m]]) == 0:
+        m += 1
+    if m == len(order):
+        return None
+    run, apex = order[:m], order[m]
+    if _orient(a, b, ipts[apex]) < 0:
+        run.reverse()
+    tris = [(u, v, apex) for u, v in zip(run, run[1:])]
+    hull = run + [apex]  # counter-clockwise
+    for q in order[m + 1:]:
+        h = len(hull)
+        sees = [_orient(ipts[hull[i - 1]], ipts[hull[i]], ipts[q]) < 0
+                for i in range(h)]
+        # the seen edges are one cyclic run; rotate it to the front
+        s = next(i for i in range(h) if sees[i] and not sees[i - 1])
+        c = sees.count(True)
+        hull = hull[s - 1:] + hull[:s - 1]
+        tris += [(hull[j + 1], hull[j], q) for j in range(c)]
+        hull = [hull[0], q] + hull[c:]
+    return tris
+
+
+def _lawson_flips(ipts, tris):
+    """Flip edges of the triangulation until each is locally Delaunay under
+    `_in_circle`. Returns opp: opp[(u, v)] = w for each CCW triangle
+    (u, v, w) of the result."""
+    opp = {}
+    for a, b, c in tris:
+        opp[a, b], opp[b, c], opp[c, a] = c, a, b
+    stack = list(opp)
+    while stack:
+        u, v = stack.pop()
+        w, x = opp.get((u, v)), opp.get((v, u))
+        if w is None or x is None or not _in_circle(ipts, u, v, w, x):
+            continue
+        # the quadrilateral u, x, v, w is convex: its diagonal uv becomes wx
+        del opp[u, v], opp[v, u]
+        opp[u, x], opp[x, w], opp[w, u] = w, u, x
+        opp[x, v], opp[v, w], opp[w, x] = w, x, v
+        stack += ((u, x), (x, v), (v, w), (w, u))
+    return opp
 
 
 def delaunay_spanner(points):
     """Delaunay triangulation edges with exact squared Euclidean lengths.
 
-    Brute force: a non-degenerate triple is a Delaunay triangle iff no other
-    point is inside its (perturbed) circumcircle. Small inputs only.
+    A sweep triangulation of the integer-scaled points is made Delaunay by
+    Lawson flips (Lawson 1977). `_in_circle` is the sign of one fixed lift
+    of the points onto the paraboloid, each lift raised by an infinitesimal
+    ordered by index, so no four lifted points are coplanar and the
+    Delaunay triangulation is unique (simulation of simplicity, Edelsbrunner
+    and Muecke 1990): it is the projected lower hull of the lifts. An edge
+    that fails the test always has a convex quadrilateral, so every such
+    edge can be flipped; each flip lowers the lifted surface, so the flips
+    end, and a triangulation of the hull that is locally convex at every
+    edge is the lower hull. Its triangles are therefore exactly the triples
+    whose perturbed circumcircle holds no other point, the brute force's
+    answer, found with O(n^2) in-circle tests at worst instead of O(n^4).
+    Each squared length is one Fraction over the squared common scale.
     """
     pts = points.points if isinstance(points, PointSet) else tuple(points)
     n = len(pts)
     if n < 3:
         raise ValidationError("need at least 3 points")
-    ipts = _integer_points(pts)   # integers for fast predicates
-    edges = set()
-    found_triangle = False
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                o = _orient(ipts[a], ipts[b], ipts[c])
-                if o == 0:
-                    continue
-                tri = (a, b, c) if o > 0 else (a, c, b)
-                if any(_in_circle(ipts, *tri, d)
-                       for d in range(n) if d not in tri):
-                    continue
-                found_triangle = True
-                edges.update((_normalize_edge(a, b), _normalize_edge(b, c),
-                              _normalize_edge(a, c)))
-    if not found_triangle:
+    ipts, den = _integer_points(pts)   # integers for fast predicates
+    if len(set(ipts)) != n:
+        raise ValidationError("points must be distinct")
+    tris = _sweep_triangles(ipts)
+    if tris is None:
         raise ValidationError("all points are collinear")
-    sq = {e: _sqdist(pts[e[0]], pts[e[1]]) for e in sorted(edges)}
+    edges = {_normalize_edge(u, v) for u, v in _lawson_flips(ipts, tris)}
+    sq = {(u, v): Fraction(_sqdist(ipts[u], ipts[v]), den * den)
+          for u, v in sorted(edges)}
     return WeightedPlanarGraph(n, sq, tuple(pts))
 
 
@@ -246,26 +304,24 @@ def contract_small_edges(g, k, n):
     return WeightedPlanarGraph(len(reps), merged, pts), group
 
 
-def _floor_sqrt_fraction(f):
-    """floor(sqrt(f)) for a nonnegative Fraction."""
-    return isqrt(f.numerator * f.denominator) // f.denominator
-
-
 def subdivision_counts(g, k, n):
     """The integer length m of each edge, keyed like g.sq_weights in sorted
     order: ceil(k^2 n / 2) for weights >= k, floor(k n w / 2) otherwise
-    (>= 1 after contraction)."""
-    thr = Fraction(4, (k * n) ** 2)
+    (>= 1 after contraction). With w^2 = p/q, k n w / 2 is
+    sqrt(p q (k n)^2) / (2 q), and floor(sqrt(x) / c) = floor(isqrt(x) / c)
+    for an integer c > 0, so each count is one integer square root."""
+    kn2 = (k * n) ** 2
     long_count = (k * k * n + 1) // 2
     counts = {}
     for (u, v), sq in sorted(g.sq_weights.items()):
-        if sq < thr:
+        p, q = sq.numerator, sq.denominator
+        if p * kn2 < 4 * q:     # below (2 / (k n))^2
             raise ValidationError("edge (%d,%d) below contraction threshold"
                                   % (u, v))
-        if sq >= k * k:
+        if p >= k * k * q:
             m = long_count
         else:
-            m = _floor_sqrt_fraction(sq * k * k * n * n / 4)
+            m = isqrt(p * q * kn2) // (2 * q)
             if m < 1:
                 raise SolverError("subdivision count fell below 1")
         counts[(u, v)] = m
@@ -467,7 +523,7 @@ def _ratio_sq(points, assignment):
     """The worst squared ratio |f(u) f(v)|^2 / |u v|^2 over pairs of points,
     on the points scaled to integers: pairs are compared by
     cross-multiplying, and one Fraction is built at the end."""
-    pts = _integer_points(points.points)
+    pts = _integer_points(points.points)[0]
     num, den = 0, 1
     for u in range(points.n):
         pu, fu = pts[u], pts[assignment[u]]

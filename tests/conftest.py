@@ -376,7 +376,10 @@ def unit_euclid_retract(ps):
 def in_circle_4x4(pts, ia, ib, ic, idx):
     """Reference for `euclid._in_circle`: the sign of the lifted 4x4
     determinant, expanded along the lifted column, with co-circular ties
-    broken by the lifted-index perturbation."""
+    broken by the lifted-index perturbation. Raising row r's lift by delta
+    adds delta times its cofactor, so when the index-weighted cofactors sum
+    to 0 the next perturbation, that of the largest index alone, leaves the
+    sign of that row's cofactor."""
     from retract.euclid import _det3
     rows = []
     for i in (ia, ib, ic, idx):
@@ -384,16 +387,66 @@ def in_circle_4x4(pts, ia, ib, ic, idx):
         rows.append((x, y, x * x + y * y, 1, i))
     d0 = 0
     d1 = 0
+    cofs = []
     for r in range(4):
         sub = [rows[j][:2] + (rows[j][3],) for j in range(4) if j != r]
         cof = (-1) ** (r + 2) * _det3(sub)
+        cofs.append(cof)
         d0 += rows[r][2] * cof
         d1 += rows[r][4] * cof
     if d0 != 0:
         return d0 > 0
     if d1 != 0:
         return d1 > 0
+    top = cofs[max(range(4), key=lambda r: rows[r][4])]
+    if top != 0:
+        return top > 0
     raise SolverError("degenerate in-circle test")
+
+
+def interior_square(side):
+    """anchors_on_circle(10) and the corners of an axis-aligned square of
+    the given side at the origin, numbered so that the two ends of each
+    diagonal have the same index sum (10 + 13 = 11 + 12): the four corners
+    are co-circular, and the lifted-index tie-break alone cannot order
+    them."""
+    from retract import euclid
+    zero = Fraction(0)
+    corners = ((zero, zero), (side, zero), (zero, side), (side, side))
+    return euclid.PointSet(euclid.anchors_on_circle(10) + corners,
+                           tuple(range(10)))
+
+
+def brute_delaunay_spanner(points):
+    """Reference for `euclid.delaunay_spanner`: a non-degenerate triple is a
+    Delaunay triangle iff no other point is inside its (perturbed)
+    circumcircle, tested over every triple."""
+    from retract import euclid
+    pts = points.points if isinstance(points, euclid.PointSet) \
+        else tuple(points)
+    n = len(pts)
+    if n < 3:
+        raise ValidationError("need at least 3 points")
+    ipts = euclid._integer_points(pts)[0]
+    edges = set()
+    found_triangle = False
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                o = euclid._orient(ipts[a], ipts[b], ipts[c])
+                if o == 0:
+                    continue
+                tri = (a, b, c) if o > 0 else (a, c, b)
+                if any(euclid._in_circle(ipts, *tri, d)
+                       for d in range(n) if d not in tri):
+                    continue
+                found_triangle = True
+                edges.update((_normalize_edge(a, b), _normalize_edge(b, c),
+                              _normalize_edge(a, c)))
+    if not found_triangle:
+        raise ValidationError("all points are collinear")
+    sq = {e: euclid._sqdist(pts[e[0]], pts[e[1]]) for e in sorted(edges)}
+    return euclid.WeightedPlanarGraph(n, sq, tuple(pts))
 
 
 def fraction_ratio_sq(points, assignment):

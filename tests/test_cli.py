@@ -9,11 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from retract import oracle
+from retract import euclid, oracle
 from retract.cli import run
-from retract.core import gen_grid, parse_instance, parse_retraction
+from retract.core import (Instance, gen_grid, parse_instance,
+                          parse_retraction, serialize_instance)
 
 import frozen
+from conftest import interior_square
 
 
 def _gen(tmp_path, *args):
@@ -216,6 +218,35 @@ def test_gen_random_points_has_coordinates(tmp_path):
                      "--seed", "1")
     inst = parse_instance(inst_path.read_text())
     assert inst.points is not None and inst.n == 12
+
+
+def test_gen_and_solve_euclid_matches_api(tmp_path):
+    # gen random-points builds the spanner for its edges, and solve --algo
+    # euclid gives euclid_retract's assignment on the same PointSet
+    inst_path = _gen(tmp_path, "random-points", "--n", "4", "--k", "12",
+                     "--seed", "3")
+    out = tmp_path / "ret.json"
+    assert run(["solve", "--algo", "euclid", "-i", str(inst_path),
+                "-o", str(out)]) == 0
+    ret, _ = parse_retraction(out.read_text())
+    ps = euclid.gen_random_points(4, 12, 3)
+    assert ret.assignment == euclid.euclid_retract(ps).assignment
+
+
+def test_solve_euclid_interior_square_exits_0(tmp_path):
+    # four co-circular interior points whose diagonals have equal index
+    # sums are valid input: exit 0, not the solver-error code 3
+    ps = interior_square(Fraction(1, 3))
+    edges = [(i, (i + 1) % 10) for i in range(10)]
+    edges += [(0, 10), (10, 11), (11, 13), (13, 12)]
+    inst_path = tmp_path / "square.json"
+    inst_path.write_text(serialize_instance(
+        Instance(ps.n, edges, ps.anchor_indices, points=ps.points)))
+    out = tmp_path / "ret.json"
+    assert run(["solve", "--algo", "euclid", "-i", str(inst_path),
+                "-o", str(out)]) == 0
+    ret, _ = parse_retraction(out.read_text())
+    assert ret.assignment == euclid.euclid_retract(ps).assignment
 
 
 def test_exit_codes(tmp_path):

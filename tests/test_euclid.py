@@ -16,9 +16,9 @@ from retract.euclid import (PointSet, WeightedPlanarGraph, anchors_on_circle,
 from retract.oracle import brute_force_min_ratio
 from retract.planar import optimal_retract_planar, optimal_retract_weighted
 
-from conftest import (BENCH_SETS, bfs_host_cycle, expand_cycle,
-                      fraction_ratio_sq, in_circle_4x4, unit_euclid_retract,
-                      unit_graph)
+from conftest import (BENCH_SETS, bfs_host_cycle, brute_delaunay_spanner,
+                      expand_cycle, fraction_ratio_sq, in_circle_4x4,
+                      interior_square, unit_euclid_retract, unit_graph)
 
 F = Fraction
 
@@ -51,9 +51,26 @@ def test_delaunay_unit_square():
     assert nx.check_planarity(gx)[0]
 
 
+def test_delaunay_square_with_tied_diagonal_sums():
+    # 0 + 3 = 1 + 2 on the two diagonals zeroes the lifted-index term; the
+    # largest index then decides, with the brute force's answer
+    sq = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
+    g = delaunay_spanner(sq)
+    assert g.edges == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+    assert g.sq_weights == brute_delaunay_spanner(sq).sq_weights
+
+
 def test_delaunay_collinear_rejected():
     with pytest.raises(ValidationError):
         delaunay_spanner([(F(0), F(0)), (F(1), F(0)), (F(2), F(0))])
+
+
+def test_delaunay_repeated_point_rejected():
+    # a repeated point is on the hull the sweep has built, which it needs
+    # each new point to lie outside
+    with pytest.raises(ValidationError, match="distinct"):
+        delaunay_spanner([(F(0), F(0)), (F(2), F(0)), (F(1), F(2)),
+                          (F(2), F(0))])
 
 
 def _spanner_ratio(g):
@@ -346,9 +363,57 @@ def test_in_circle_matches_lifted_4x4_reference(monkeypatch):
     sets += [gen_random_points(seed % 4, 3 + seed % 8, 500 + seed)
              for seed in range(100)]
     sets.append([(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))])
+    sets.append([(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))])
     got = [delaunay_spanner(ps).sq_weights for ps in sets]
     monkeypatch.setattr(euclid, "_in_circle", in_circle_4x4)
     assert got == [delaunay_spanner(ps).sq_weights for ps in sets]
+
+
+def _hand_built_sets():
+    """Collinear runs on the hull, first in the sweep and inside the hull,
+    and co-circular sets: the unit square in both index orders, a regular
+    octagon on the dyadic grid, and the twelve lattice points of the circle
+    of radius 5, in both orders."""
+    def pts(coords):
+        return [(F(x), F(y)) for x, y in coords]
+    lattice = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3), (-5, 0),
+               (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
+    return [pts([(0, 0), (1, 0), (2, 0), (3, 0), (1, 2)]),
+            pts([(0, 0), (0, 1), (0, 2), (0, 3), (2, 1), (-1, 5)]),
+            pts([(0, 0), (4, 0), (2, 1), (2, 2), (2, 3), (0, 5), (4, 5)]),
+            list(anchors_on_circle(10))
+            + [(F(i, 5), F(i, 10)) for i in range(-2, 3)],
+            pts([(0, 0), (1, 0), (1, 1), (0, 1)]),
+            pts([(0, 0), (1, 0), (0, 1), (1, 1)]),
+            list(anchors_on_circle(8)),
+            pts(lattice), pts(lattice[::-1])]
+
+
+def test_spanner_matches_brute_force():
+    # the sweep and Lawson flips keep the edges and exact squared lengths
+    # of the test over every triple: on the 29 checked sets, 200 seeded
+    # sets, 20 larger ones (5 to 20 interior points, k 10 to 20) and the
+    # hand-built collinear and co-circular sets
+    sets = _checked_sets()
+    sets += [gen_random_points(i % 6, 10 + i % 5, 5000 + i)
+             for i in range(200)]
+    sets += [gen_random_points(5 + i % 16, 10 + i % 11, 7000 + i)
+             for i in range(20)]
+    sets += _hand_built_sets()
+    for ps in sets:
+        got = delaunay_spanner(ps).sq_weights
+        assert got == brute_delaunay_spanner(ps).sq_weights, ps
+
+
+@pytest.mark.parametrize("side", [F(1, 4), F(1, 3), F(2, 5)])
+def test_euclid_retract_interior_square(side):
+    # four co-circular interior points whose diagonals have equal index
+    # sums solve within the n k / 2 bound
+    ps = interior_square(side)
+    res = euclid_retract(ps)
+    assert res.assignment[:10] == tuple(range(10))
+    nk2 = F(ps.n * ps.k, 2)
+    assert res.ratio_sq <= nk2 * nk2
 
 
 def test_integer_ratio_matches_fraction_reference():
