@@ -12,17 +12,19 @@ subdivision, embedding or cover. Every other piece is a part: H with the
 piece attached. A part has one piece, so H bounds a face of every embedding
 of it. Each part is taken to its weighted core once (`plane_core`): the
 vertices of degree other than 2, each chain of degree-2 vertices between
-them one core edge that carries its length L, and networkx embeds only
-that core. Each stretch l of a part is decided on the core by scanning its
-bounded faces F with a winding cover: core vertices are copied into layers
-that shift where a core edge crosses a dual path from F to the outer face,
-and labels are shortest-path values from the core anchor copies, with a
-core edge of length L on H and L*l off it. The map is verified per chain
-from the labels, and only the accepted map gives images to the inner chain
-vertices. The scan is exact (see `_lipschitz_retract`). A part's optimum is
-the least feasible l, scanned upward from the part's distance bound; the
-instance's optimum is the largest piece optimum. `plane_embed` splices the
-chains back into the core's embedding, for the curve certificate below.
+them one core edge that carries its length L, and only that core is
+planarity-tested and embedded, by the left-right test (`_lr_rotation`,
+linear time and iterative). Each stretch l of a part is decided on the core
+by scanning its bounded faces F with a winding cover: core vertices are
+copied into layers that shift where a core edge crosses a dual path from F
+to the outer face, and labels are shortest-path values from the core
+anchor copies, with a core edge of length L on H and L*l off it. The map is
+verified per chain from the labels, and only the accepted map gives images
+to the inner chain vertices. The scan is exact (see `_lipschitz_retract`).
+A part's optimum is the least feasible l, scanned upward from the part's
+distance bound; the instance's optimum is the largest piece optimum.
+`plane_embed` splices the chains back into the core's embedding, for the
+curve certificate below.
 
 `optimal_retract_weighted` runs the same route on a graph whose edges stand
 for paths of given lengths, without building those paths: its chains are
@@ -40,8 +42,6 @@ import heapq
 from dataclasses import dataclass
 from functools import partial
 from math import ceil
-
-import networkx as nx
 
 from .core import (Instance, Retraction, SolverError, ValidationError,
                    _normalize_edge, cycle_dist, distance_lower_bound, stretch)
@@ -169,7 +169,8 @@ def _plane_core(n, anchors, anchor_index, core, units, stubs, out=None,
     have `size` entries; with `out` None every core vertex is reported as
     itself, and maps have n entries.
 
-    networkx embeds the core. The faces are walked on the core's rotation
+    `_lr_rotation` embeds the core, which raises NotPlanarError if the
+    part is not planar. The faces are walked on the core's rotation
     and listed in the order a walk of the whole graph would find them: by
     the least (vertex, rotation position) of any half-edge on the face, a
     chain's inner vertex v ordering its two half-edges as v's sorted
@@ -215,15 +216,7 @@ def _plane_core(n, anchors, anchor_index, core, units, stubs, out=None,
                 inner = tuple((t - i, w) for t, w in inner if t > i)
             add_chain(chain[i:], h, inner)
     nodes = sorted(is_core)
-    g = nx.Graph()
-    g.add_nodes_from(nodes)
-    g.add_edges_from(core_edges)
-    ok, emb = nx.check_planarity(g)
-    if not ok:
-        raise NotPlanarError("guest graph is not planar")
-    rotation = [()] * n
-    for v in g:
-        rotation[v] = tuple(emb.neighbors_cw_order(v))
+    rotation = _lr_rotation(n, nodes, sorted(core_edges))
 
     def first_half_edge(u, w):
         # the least (vertex, rotation position) of a half-edge on the chain
@@ -314,6 +307,298 @@ def _plane_core(n, anchors, anchor_index, core, units, stubs, out=None,
                 off += L
         pc.face_lengths.append((on, off))
     return pc
+
+
+# ---------------------------------------------------------------------------
+# the left-right planarity test
+
+
+def _lr_rotation(n, nodes, edges):
+    """Clockwise rotation of every vertex of a planar graph.
+
+    `nodes` lists the vertices, ids below n, and `edges` each edge (u, v)
+    once, with no loops; the searches take the roots in the order of `nodes`
+    and each vertex's neighbours in the order of `edges`. Returns a list of n
+    tuples, rotation[v] v's neighbours in clockwise order, empty off `nodes`;
+    raises NotPlanarError if the graph is not planar.
+
+    This is the left-right planarity test of de Fraysseix and Rosenstiehl as
+    formulated by U. Brandes, "The Left-Right Planarity Test" (2009), ported
+    from the iterative orientation, testing, sign and embedding phases of
+    `LRPlanarity` in networkx 3.6.1 (networkx/algorithms/planarity.py;
+    3-clause BSD license, Copyright (c) 2004-2025, NetworkX Developers). No
+    phase recurses, and each is linear but for the sorts by nesting depth. A
+    conflict pair is a list [left low, left high, right low, right high] of
+    return edges (None for none), one interval empty when both its ends are
+    None. The embedding is kept as clockwise and counterclockwise links
+    between the neighbours of each vertex, keyed by half-edge, plus the
+    vertex's leftmost neighbour, where its rotation starts.
+    """
+    if len(nodes) > 2 and len(edges) > 3 * len(nodes) - 6:
+        raise NotPlanarError("guest graph is not planar")
+    adj = {v: [] for v in nodes}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    # orientation: a DFS directs each tree edge away from its root and each
+    # back edge to an ancestor, and finds lowpoints and nesting depths
+    height = {}
+    parent = {}         # the tree edge into each vertex, None at a root
+    lowpt = {}
+    lowpt2 = {}
+    depth = {}
+    out = {v: [] for v in nodes}    # each vertex's edges, as oriented
+    roots = []
+    at = dict.fromkeys(nodes, 0)
+    for root in nodes:
+        if root in height:
+            continue
+        roots.append(root)
+        height[root] = 0
+        parent[root] = None
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent[v]
+            hv = height[v]
+            nbrs = adj[v]
+            i = at[v]
+            while i < len(nbrs):
+                w = nbrs[i]
+                vw = (v, w)
+                if vw not in lowpt:     # else back from the tree edge vw
+                    if (w, v) in lowpt:
+                        i += 1
+                        continue
+                    out[v].append(w)
+                    lowpt[vw] = lowpt2[vw] = hv
+                    if w not in height:
+                        parent[w] = vw
+                        height[w] = hv + 1
+                        at[v] = i
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt[vw] = height[w]
+                depth[vw] = 2 * lowpt[vw] + (lowpt2[vw] < hv)
+                if e is not None:
+                    lo, lo2 = lowpt[vw], lowpt2[vw]
+                    if lo < lowpt[e]:
+                        lowpt2[e] = min(lowpt[e], lo2)
+                        lowpt[e] = lo
+                    elif lo > lowpt[e]:
+                        lowpt2[e] = min(lowpt2[e], lo)
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lo2)
+                i += 1
+
+    # testing: a second DFS, children by nesting depth, keeps a stack S of
+    # conflict pairs and fails when an edge must lie on both sides
+    ordered = {v: sorted(out[v], key=lambda w: depth[(v, w)]) for v in nodes}
+    ref = {}
+    side = {}
+    S = []
+    bottom = {}
+    lowpt_edge = {}
+
+    def add_constraints(ei, e):
+        P = [None, None, None, None]
+        # merge the return edges of ei into P's right interval
+        while True:
+            Q = S.pop()
+            if Q[0] is not None or Q[1] is not None:
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+            if Q[0] is not None or Q[1] is not None:
+                return False
+            if lowpt[Q[2]] > lowpt[e]:
+                if P[2] is None and P[3] is None:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom[ei]:
+                break
+        # merge the return edges of ei's earlier siblings that conflict with
+        # ei into P's left interval
+        lo = lowpt[ei]
+        while S and ((S[-1][1] is not None and lowpt[S[-1][1]] > lo)
+                     or (S[-1][3] is not None and lowpt[S[-1][3]] > lo)):
+            Q = S.pop()
+            if Q[3] is not None and lowpt[Q[3]] > lo:
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+            if Q[3] is not None and lowpt[Q[3]] > lo:
+                return False
+            ref[P[2]] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[0] is None and P[1] is None:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P != [None, None, None, None]:
+            S.append(P)
+        return True
+
+    def lowest(P):
+        if P[0] is None and P[1] is None:
+            return lowpt[P[2]]
+        if P[2] is None and P[3] is None:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
+
+    def remove_back_edges(e):
+        u = e[0]
+        hu = height[u]
+        while S and lowest(S[-1]) == hu:
+            P = S.pop()
+            if P[0] is not None:
+                side[P[0]] = -1
+        if S:
+            # trim the back edges ending at u from the top pair's intervals
+            P = S[-1]
+            while P[1] is not None and P[1][1] == u:
+                P[1] = ref.get(P[1])
+            if P[1] is None and P[0] is not None:
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = None
+            while P[3] is not None and P[3][1] == u:
+                P[3] = ref.get(P[3])
+            if P[3] is None and P[2] is not None:
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = None
+        if lowpt[e] < hu:
+            # e lies on the side of a highest return edge
+            hl, hr = S[-1][1], S[-1][3]
+            if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
+
+    at = dict.fromkeys(nodes, 0)
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent[v]
+            hv = height[v]
+            nbrs = ordered[v]
+            i = at[v]
+            while i < len(nbrs):
+                w = nbrs[i]
+                ei = (v, w)
+                if ei not in bottom:    # else back from the tree edge ei
+                    bottom[ei] = S[-1] if S else None
+                    if parent[w] == ei:
+                        at[v] = i
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt_edge[ei] = ei
+                    S.append([None, None, ei, ei])
+                if lowpt[ei] < hv:
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        raise NotPlanarError("guest graph is not planar")
+                i += 1
+            else:
+                if e is not None:
+                    remove_back_edges(e)
+
+    # sign: resolve each edge's side, relative to its ref edge, to absolute
+    def sign(e):
+        stack = [e]
+        old = {}
+        while stack:
+            x = stack.pop()
+            r = ref.get(x)
+            if r is not None:
+                stack.append(x)
+                stack.append(r)
+                old[x] = r
+                ref[x] = None
+            else:
+                side[x] = side.get(x, 1) * side.get(old.get(x), 1)
+        return side[e]
+
+    for v in nodes:
+        for w in out[v]:
+            depth[(v, w)] *= sign((v, w))
+
+    # embedding: each vertex's outgoing edges by signed nesting depth, then
+    # a third DFS places the incoming tree edge and back edges
+    cw = {}
+    ccw = {}
+    leftmost = {}
+
+    def after(v, w, x):     # w just clockwise of x around v
+        y = cw[(v, x)]
+        cw[(v, x)] = ccw[(v, y)] = w
+        ccw[(v, w)] = x
+        cw[(v, w)] = y
+
+    def before(v, w, x):    # w just counterclockwise of x around v
+        y = ccw[(v, x)]
+        ccw[(v, x)] = cw[(v, y)] = w
+        cw[(v, w)] = x
+        ccw[(v, w)] = y
+        if leftmost[v] == x:
+            leftmost[v] = w
+
+    for v in nodes:
+        nbrs = ordered[v] = sorted(out[v], key=lambda w: depth[(v, w)])
+        if nbrs:
+            x = leftmost[v] = nbrs[0]
+            cw[(v, x)] = ccw[(v, x)] = x
+            for w in nbrs[1:]:
+                after(v, w, x)
+                x = w
+    left_ref = {}
+    right_ref = {}
+    at = dict.fromkeys(nodes, 0)
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            nbrs = ordered[v]
+            i = at[v]
+            while i < len(nbrs):
+                w = nbrs[i]
+                i += 1
+                ei = (v, w)
+                if parent[w] == ei:
+                    # v becomes w's leftmost neighbour
+                    if w in leftmost:
+                        before(w, v, leftmost[w])
+                    else:
+                        leftmost[w] = v
+                        cw[(w, v)] = ccw[(w, v)] = v
+                    left_ref[v] = right_ref[v] = w
+                    at[v] = i
+                    stack.append(v)
+                    stack.append(w)
+                    break
+                if side[ei] == 1:
+                    after(w, v, right_ref[w])
+                else:
+                    before(w, v, left_ref[w])
+                    left_ref[w] = v
+
+    rotation = [()] * n
+    for v, start in leftmost.items():
+        rot = [start]
+        x = cw[(v, start)]
+        while x != start:
+            rot.append(x)
+            x = cw[(v, x)]
+        rotation[v] = tuple(rot)
+    return rotation
 
 
 # ---------------------------------------------------------------------------

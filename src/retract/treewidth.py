@@ -17,9 +17,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
-from networkx.algorithms import approximation as nx_approx
-
 from .core import (Instance, ResourceError, Retraction, SolverError,
                    StretchReport, SubgraphHost, ValidationError,
                    _normalize_edge, host_from_cycle)
@@ -47,7 +44,12 @@ class NiceTreeDecomposition:
 
 
 def _raw_decompose(n, edges):
-    """Heuristic (min-fill) tree decomposition: (bags, tree adjacency)."""
+    """Heuristic (min-fill) tree decomposition: (bags, tree adjacency).
+
+    networkx is imported here, on first use, so that importing the
+    package and running its other solvers do not load it."""
+    import networkx as nx
+    from networkx.algorithms import approximation as nx_approx
     g = nx.Graph()
     g.add_nodes_from(range(n))
     g.add_edges_from(edges)

@@ -107,6 +107,43 @@ def nx_reduce_two_connected(instance):
     return reduced, planar.ReduceMap(instance.n, old_of_new, gateway)
 
 
+def nx_rotation(n, nodes, edges):
+    """Reference for `planar._lr_rotation`: networkx's planarity test, and
+    the clockwise rotation of each vertex of its embedding (empty off
+    `nodes`), or NotPlanarError."""
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(edges)
+    ok, emb = nx.check_planarity(g)
+    if not ok:
+        raise planar.NotPlanarError("guest graph is not planar")
+    rotation = [()] * n
+    for v in g:
+        rotation[v] = tuple(emb.neighbors_cw_order(v))
+    return rotation
+
+
+def rotation_faces(rotation, nodes):
+    """The face walks of a rotation system, each half-edge (v, w) followed
+    by (w, the neighbour before v in w's clockwise rotation), as
+    `planar._plane_core` walks them."""
+    faces = []
+    seen = set()
+    for v0 in nodes:
+        for w0 in rotation[v0]:
+            if (v0, w0) in seen:
+                continue
+            v, w = v0, w0
+            walk = []
+            while (v, w) not in seen:
+                seen.add((v, w))
+                walk.append(v)
+                rot = rotation[w]
+                v, w = w, rot[rot.index(v) - 1]
+            faces.append(walk)
+    return faces
+
+
 def part_embeddings(inst):
     """(piece, embedding) for each piece of the 2-connected reduction of
     inst, chains included."""

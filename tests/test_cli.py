@@ -249,6 +249,27 @@ def test_solve_euclid_interior_square_exits_0(tmp_path):
     assert ret.assignment == euclid.euclid_retract(ps).assignment
 
 
+@pytest.mark.parametrize("inst", [
+    # K3,3 on {0, 1, 2} x {3, 4, 5}, H its 4-cycle (0, 3, 1, 4)
+    Instance(6, [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)],
+             (0, 3, 1, 4)),
+    # C5 and a K5 on 5 interior vertices, each joined to its own anchor
+    Instance(10, [(i, (i + 1) % 5) for i in range(5)]
+             + [(i, 5 + i) for i in range(5)]
+             + [(u, v) for u in range(5, 10) for v in range(u + 1, 10)],
+             range(5)),
+], ids=["k33", "k5-in-c5"])
+def test_solve_planar_nonplanar_part_exits_2(tmp_path, inst):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(serialize_instance(inst))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        rc = run(["solve", "--algo", "planar", "-i", str(inst_path)])
+    assert rc == 2
+    assert err.getvalue().startswith("validation error: ")
+    assert "Traceback" not in err.getvalue()
+
+
 def test_exit_codes(tmp_path):
     assert run(["solve", "--algo", "bogus", "-i", "x"]) == 1   # usage
     missing = tmp_path / "missing.json"

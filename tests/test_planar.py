@@ -1,8 +1,12 @@
 """Planar exact solver: reduction, embedding, triangulation, disjoint paths,
 curve regions, the stretch-1 decision, the optimizer, and cycle scores."""
 
+import os
 import random
+import subprocess
+import sys
 from math import ceil
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -21,10 +25,12 @@ from retract.planar import (NotPlanarError, max_disjoint_paths,
 from conftest import (BENCH_SETS, all_pairs_distance_ratio, chain_piece,
                       cycle_score, enclosed_faces, euclid_instance,
                       expand_cycle, full_cover, full_stretch1, host_forward,
-                      make_ck, make_w4, nx_reduce_two_connected,
-                      part_embeddings, pieces, unit_graph)
+                      make_ck, make_w4, nx_reduce_two_connected, nx_rotation,
+                      part_embeddings, pieces, rotation_faces, unit_graph)
 from frozen import (COLGRID_OPTIMAL, GRID3_OPTIMAL, GRID4_OPTIMAL,
                     GRID4_CENTER_FACE_MIN_CYCLE, W4_OPTIMAL)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def cycle_with_pendant():
@@ -738,3 +744,184 @@ def test_weighted_route_hangs_a_pendant_on_its_gateway():
     inst = Instance(total, edges, expand_cycle(10, lengths, cycle))
     gateway = reduce_two_connected(inst)[1].gateway
     assert gateway[7] == gateway[8] == 6 and gateway[9] == 3
+
+
+# ---------------------------------------------------------------------------
+# the left-right embedder
+
+
+def _random_graph(rng, n):
+    """(ids, edges) of a seeded connected graph on n vertices: a planar
+    instance's edges with a few random edges added, or a random tree with
+    up to 2n random edges added. The vertices get distinct random ids below
+    n + 5, and the edges come in random order."""
+    if rng.random() < 0.4:
+        k = rng.randint(3, n)
+        edges = set(gen_random_planar(n - k, k, rng.randrange(1 << 30)).edges)
+        extra = rng.choice((0, 0, 1, 2))
+    else:
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        extra = rng.randint(0, 2 * n)
+    for _ in range(extra):
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    ids = rng.sample(range(n + 5), n)
+    edges = [(ids[u], ids[v]) for u, v in edges]
+    rng.shuffle(edges)
+    return sorted(ids), edges
+
+
+def _check_rotation(rotation, nodes, edges):
+    """Each rotation lists every neighbour exactly once, and its faces
+    satisfy Euler's formula V - E + F = 2."""
+    nbrs = {v: [] for v in nodes}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for v in nodes:
+        assert sorted(rotation[v]) == sorted(nbrs[v])
+    assert all(rotation[v] == () for v in range(len(rotation))
+               if v not in nbrs)
+    faces = rotation_faces(rotation, nodes)
+    assert len(nodes) - len(edges) + len(faces) == 2
+
+
+def test_lr_rotation_matches_networkx_verdict():
+    # 1200 seeded connected graphs of 3 to 25 vertices, planar and not
+    rng = random.Random(17)
+    verdicts = {True: 0, False: 0}
+    for i in range(1200):
+        n = 3 + i % 23
+        nodes, edges = _random_graph(rng, n)
+        try:
+            nx_rotation(n + 5, nodes, edges)
+            want = True
+        except NotPlanarError:
+            want = False
+        try:
+            rotation = planar._lr_rotation(n + 5, nodes, edges)
+            got = True
+        except NotPlanarError:
+            got = False
+        assert got == want, i
+        verdicts[got] += 1
+        if got:
+            _check_rotation(rotation, nodes, edges)
+    assert min(verdicts.values()) >= 300, verdicts
+
+
+def test_lr_rotation_of_a_large_graph_needs_no_recursion():
+    # a 2 x 1600 ladder: its depth-first searches run 3,200 vertices deep
+    m = 1600
+    edges = [(i, i + 1) for i in range(m - 1)]
+    edges += [(m + i, m + i + 1) for i in range(m - 1)]
+    edges += [(i, m + i) for i in range(m)]
+    nodes = list(range(2 * m))
+    _check_rotation(planar._lr_rotation(2 * m, nodes, edges), nodes, edges)
+    with pytest.raises(NotPlanarError):
+        # both diagonals between the ladder's corners: each must run outside
+        # the ladder, where their ends alternate, so they cross
+        planar._lr_rotation(2 * m, nodes, edges + [(0, 2 * m - 1),
+                                                   (m, m - 1)])
+
+
+def _k33_on_c4():
+    # K3,3 on {0, 1, 2} x {3, 4, 5}, H its 4-cycle (0, 3, 1, 4)
+    edges = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]
+    return Instance(6, edges, (0, 3, 1, 4))
+
+
+def _k5_inside_c5():
+    # C5, a K5 on 5 interior vertices, each joined to its own anchor
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, 5 + i) for i in range(5)]
+    edges += [(u, v) for u in range(5, 10) for v in range(u + 1, 10)]
+    return Instance(10, edges, range(5))
+
+
+def _with_gadget(inst, rng):
+    """inst plus a K5 or K3,3, whole or less one edge, on new vertices, each
+    of its edges subdivided up to twice, and 2 to 4 of its branch vertices
+    joined to as many distinct anchors."""
+    if rng.random() < 0.5:
+        branch = 5
+        gadget = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    else:
+        branch = 6
+        gadget = [(u, v) for u in range(3) for v in range(3, 6)]
+    if rng.random() < 0.5:
+        gadget.pop(rng.randrange(len(gadget)))
+    base = n = inst.n
+    n += branch
+    edges = list(inst.edges)
+    for u, v in gadget:
+        path = [base + u] + list(range(n, n + rng.randint(0, 2))) + [base + v]
+        n += len(path) - 2
+        edges += zip(path, path[1:])
+    t = rng.randint(2, 4)
+    edges += zip(rng.sample(range(base, base + branch), t),
+                 rng.sample(inst.anchors, t))
+    return Instance(n, edges, inst.anchors)
+
+
+def _part_rejected(inst):
+    """Whether networkx finds some part of inst not planar."""
+    parts, _ = plane_parts(reduce_two_connected(inst)[0])
+    return any(not nx.check_planarity(nx.Graph(sub.edges))[0]
+               for sub, _ in parts)
+
+
+def _assert_routes_agree_on_planarity(inst):
+    """Both solve routes raise NotPlanarError exactly when networkx rejects
+    a part; otherwise the weighted route with unit lengths returns the unit
+    route's answer. Returns whether a part was rejected."""
+    lengths = dict.fromkeys(inst.edges, 1)
+    cycle = list(inst.anchors)
+    if _part_rejected(inst):
+        with pytest.raises(NotPlanarError):
+            optimal_retract_planar(inst)
+        with pytest.raises(NotPlanarError):
+            optimal_retract_weighted(inst.n, lengths, cycle)
+        return True
+    assert (optimal_retract_weighted(inst.n, lengths, cycle)
+            == _unit_answer(inst.n, lengths, cycle))
+    return False
+
+
+def test_nonplanar_parts_raise_on_both_routes():
+    assert _assert_routes_agree_on_planarity(_k33_on_c4())
+    assert _assert_routes_agree_on_planarity(_k5_inside_c5())
+    rng = random.Random(31)
+    rejected = 0
+    for seed in range(120):
+        k = 4 + seed % 6
+        base = gen_random_planar(seed % 7, k, 9000 + seed)
+        rejected += _assert_routes_agree_on_planarity(_with_gadget(base, rng))
+    assert 30 <= rejected <= 90, rejected
+
+
+def test_k5_on_the_anchors_of_c5_is_solved():
+    # K5's chords of C5 are five separate chain pieces, not a part
+    inst = Instance(5, [(u, v) for u in range(5) for v in range(u + 1, 5)],
+                    range(5))
+    _, rep = optimal_retract_planar(inst)
+    assert rep.max_stretch == brute_force_optimal(inst)[1].max_stretch == 2
+    assert optimal_retract_weighted(5, dict.fromkeys(inst.edges, 1),
+                                    list(range(5)))[1] == 2
+
+
+def test_planar_and_euclid_solves_do_not_load_networkx():
+    code = "\n".join([
+        "import sys",
+        "from retract import (euclid_retract, gen_grid, gen_random_points,",
+        "                     optimal_retract_planar, optimal_retract_tw)",
+        "optimal_retract_planar(gen_grid(5))",
+        "euclid_retract(gen_random_points(1, 10, 9010))",
+        "assert 'networkx' not in sys.modules",
+        "optimal_retract_tw(gen_grid(3))",
+        "assert 'networkx' in sys.modules",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
