@@ -1,16 +1,23 @@
 """Exact minimum-stretch retraction for planar guests.
 
-Route: reduce to the 2-connected block containing the anchor cycle H, found
-by one lowpoint DFS over the instance's adjacency (an instance with nothing
-hanging off that block is its own block and is not copied), then split on
-the pieces of G - V(H) (`plane_parts`): each component of G - V(H)
-with H attached, and each chord of H, is solved independently and merged.
-A chain, a chord or a component whose vertices all have degree 2, is a path
-of L edges between anchors a and b; it has a map of stretch l exactly when
-L*l >= d_H(a, b), so it is decided in closed form with no sub-instance,
-subdivision, embedding or cover. Every other piece is a part: H with the
+One route decides every planar instance: `optimal_retract_weighted` solves
+a graph whose edges stand for paths of given integer lengths, without
+building those paths, and `optimal_retract_planar` solves an instance as
+that graph with every length 1.
+
+Route: reduce to the 2-connected block containing the host cycle H, found
+by one lowpoint DFS (`_hanging`); a vertex outside the block takes the
+image of the block vertex its component hangs off, which adds no stretch.
+Then split on the pieces of the block minus H's vertices: each chord of H,
+and each component with its edges to H, is solved independently at its own
+optimum. Every non-anchor vertex and every edge off H lies in one piece,
+piece maps fix the anchors and host edges have stretch 1, so the optimum is
+the largest piece optimum. A chain, a chord or a component whose vertices
+all have degree 2, is a path of length L between anchors a and b; it has a
+map of stretch l exactly when L*l >= d_H(a, b), so it is decided in closed
+form (`_chain_at`) with no embedding. Every other piece is a part: H with the
 piece attached. A part has one piece, so H bounds a face of every embedding
-of it. Each part is taken to its weighted core once (`plane_core`): the
+of it. Each part is taken to its weighted core once (`_weighted_part`): the
 vertices of degree other than 2, each chain of degree-2 vertices between
 them one core edge that carries its length L, and only that core is
 planarity-tested and embedded, by the left-right test (`_lr_rotation`,
@@ -22,13 +29,15 @@ anchor copies, with a core edge of length L on H and L*l off it. The map is
 verified per chain from the labels, and only the accepted map gives images
 to the inner chain vertices. The scan is exact (see `_lipschitz_retract`).
 A part's optimum is the least feasible l, scanned upward from the part's
-distance bound; the instance's optimum is the largest piece optimum.
-`plane_embed` splices the chains back into the core's embedding, for the
-curve certificate below.
+distance bound (a BFS from each branch anchor when every length of the part
+is 1, else Dijkstra). The merged map is checked in closed form
+(`_check_weighted`).
 
-`optimal_retract_weighted` runs the same route on a graph whose edges stand
-for paths of given lengths, without building those paths: its chains are
-walked edge by edge, and images are given only to its own vertices.
+`reduce_two_connected`, `plane_parts` and `plane_core` take the same block,
+pieces and core of an `Instance`, vertex by vertex; no solve calls them.
+`plane_embed` embeds a one-piece instance through the last two, with the
+chains spliced back into the core's embedding, for the curve certificate
+below.
 
 The paper's certificate, k vertex-disjoint curves from F to H found by max
 flow in a triangulated supergraph and the retraction read off the regions
@@ -111,11 +120,10 @@ class PlaneCore:
     order on H, the dense ids x and y of its first and last vertex, and the
     inner vertices (t, v) whose images are reported: v's is that of the
     chain's vertex t; and face_lengths[f] is face f's length (on H, off H).
-    A map is a list of `size` anchor indices by reported vertex, or, when
-    the core is an Instance's (`instance`), a Retraction of it.
+    A map is a list of `size` anchor indices by reported vertex.
     """
 
-    __slots__ = ("anchors", "instance", "size", "embedding", "forward",
+    __slots__ = ("anchors", "size", "embedding", "forward",
                  "vertices", "outs", "seeds", "links", "face_lengths")
 
     @property
@@ -150,11 +158,11 @@ def plane_core(instance):
     return _plane_core(n, instance.anchors,
                        lambda v: (instance.anchor_index(v)
                                   if instance.is_anchor(v) else None),
-                       core, units, stubs, instance=instance)
+                       core, units, stubs)
 
 
 def _plane_core(n, anchors, anchor_index, core, units, stubs, out=None,
-                size=None, instance=None):
+                size=None):
     """Embed a part's core, given as its chains (see PlaneCore).
 
     Vertex ids are below n, and `anchors` lists H's vertices in anchor
@@ -274,7 +282,6 @@ def _plane_core(n, anchors, anchor_index, core, units, stubs, out=None,
 
     pc = PlaneCore()
     pc.anchors = anchors
-    pc.instance = instance
     pc.size = n if size is None else size
     pc.embedding = embedding
     pc.forward = frozenset(forward)
@@ -716,7 +723,7 @@ def plane_parts(instance):
     anchors together with its edges to H. Returns (parts, chains). A chain
     is a chord or a component whose vertices all have degree 2: the path
     (a, inner vertices..., b) between two anchors, decided in closed form
-    with no sub-instance (see `_chain_images`). Every other piece is a part
+    with no sub-instance (see `_chain_at`). Every other piece is a part
     (sub_instance, old_of_new): H with that piece attached; an instance with
     no chain and at most one piece is its own single part, with the
     identity map. A part of a 2-connected instance is 2-connected, since
@@ -1249,12 +1256,7 @@ def _lipschitz_retract(core, face, l=1):
             a, b = lab[x], dist[y * width + J + s]
             for t, v in sites:
                 img[v] = min(a + t * w, b + (L - t) * w) % k
-    if core.instance is None:
-        return img
-    ret = Retraction(tuple(core.anchors[i] for i in img))
-    if stretch(core.instance, ret).max_stretch > l:
-        raise SolverError("core cover map exceeds stretch %d" % l)
-    return ret
+    return img
 
 
 # ---------------------------------------------------------------------------
@@ -1281,24 +1283,14 @@ def _stretch1_embedded(core, l=1):
 def _chain_at(k, i, j, l, t):
     """Anchor index of vertex t of a chain from anchor i to anchor j at
     stretch l: min(t*l, d) steps from i along the shorter arc (the
-    increasing one on a tie), d = d_H(i, j)."""
+    increasing one on a tie), d = d_H(i, j).
+
+    A chain of L edges needs L*l >= d, as the images of its vertices form a
+    walk of L steps from i to j, each of at most l; and L*l >= d suffices,
+    as these images step at most l apart."""
     d = cycle_dist(k, i, j)
     step = 1 if (j - i) % k == d else -1
     return (i + step * min(t * l, d)) % k
-
-
-def _chain_images(k, i, j, L, l):
-    """Anchor indices of the inner vertices of a chain of L edges from anchor
-    i to anchor j, at a stretch l with L*l >= d = d_H(i, j) (`_chain_at`).
-
-    Consecutive images are at most l apart. That suffices, and L*l >= d is
-    also necessary: the images of the chain form a walk of L steps from i
-    to j, each of at most l. The map is checked over the chain's L edges,
-    as the cover checks each part map."""
-    idx = [_chain_at(k, i, j, l, t) for t in range(L)] + [j]
-    if any(cycle_dist(k, x, y) > l for x, y in zip(idx, idx[1:])):
-        raise SolverError("chain map exceeds stretch %d" % l)
-    return idx[1:-1]
 
 
 def stretch1_retract(instance):
@@ -1308,14 +1300,9 @@ def stretch1_retract(instance):
 
 
 def _start_lower_bound(instance):
-    """The distance lower bound rounded up: where the search over l starts."""
+    """The distance lower bound rounded up: the bound the scan over l starts
+    from, which the solve takes off the weighted part (`_weighted_part`)."""
     return max(1, ceil(distance_lower_bound(instance)))
-
-
-def _part_optimum(part):
-    """(l, map): the least l at which the part has a map of stretch l, and
-    that map (see `_scan`)."""
-    return _scan(plane_core(part), _start_lower_bound(part))
 
 
 def _scan(core, start):
@@ -1334,39 +1321,17 @@ def _scan(core, start):
 
 
 def optimal_retract_planar(instance):
-    """Minimum-stretch retraction of a planar instance.
-
-    The instance is reduced to the block of H and split into pieces once.
-    Each piece is solved at its own optimum OPT_p: a part by the scan of
-    `_part_optimum`, a chain of L edges between anchors d apart on H at
-    max(1, ceil(d/L)) (see `_chain_images`). Every non-anchor vertex and
-    every non-host edge of the block lies in one piece, piece maps fix the
-    anchors and host edges have stretch 1, so a merged map's stretch is its
-    largest piece stretch and OPT(block) = max OPT_p. The lift sends each
-    hanging component to its gateway's image, so it adds no stretch.
-    """
-    reduced, rmap = reduce_two_connected(instance)
-    parts, chains = plane_parts(reduced)
-    asg = list(range(reduced.n))
-    optima = []
-    for sub, old_of_new in parts:
-        l, part = _part_optimum(sub)
-        optima.append(l)
-        for new_id, old_id in enumerate(old_of_new):
-            asg[old_id] = old_of_new[part.assignment[new_id]]
-    k = reduced.k
-    for chain in chains:
-        i, j = reduced.anchor_index(chain[0]), reduced.anchor_index(chain[-1])
-        L = len(chain) - 1
-        l = max(1, -(-cycle_dist(k, i, j) // L))
-        optima.append(l)
-        for v, t in zip(chain[1:-1], _chain_images(k, i, j, L, l)):
-            asg[v] = reduced.anchors[t]
-    ret = rmap.lift(Retraction(tuple(asg)))
+    """Minimum-stretch retraction of a planar instance: the weighted route
+    with every edge of length 1, whose positions are then anchor indices.
+    Returns (retraction, its stretch report), and raises SolverError unless
+    the map's stretch is the route's optimum."""
+    pos, optimum = optimal_retract_weighted(
+        instance.n, dict.fromkeys(instance.edges, 1), instance.anchors)
+    ret = Retraction(tuple(instance.anchors[p] for p in pos))
     rep = stretch(instance, ret)
-    if rep.max_stretch != max(optima):
+    if rep.max_stretch != optimum:
         raise SolverError("retraction has stretch %d, not its pieces' optimum "
-                          "%d" % (rep.max_stretch, max(optima)))
+                          "%d" % (rep.max_stretch, optimum))
     return ret, rep
 
 
@@ -1388,9 +1353,19 @@ def _inner_ids(runs, first, edges, lengths):
 
 
 def _distances(adj, lengths, src):
-    """Dijkstra distances from src over adj, an edge (u, v) of length
-    lengths[(u, v)], normalized."""
+    """Shortest-path distances from src over adj. With `lengths` None every
+    edge has length 1 and a BFS finds them; else Dijkstra does, an edge
+    (u, v) having length lengths[(u, v)], normalized."""
     dist = {src: 0}
+    if lengths is None:
+        queue = [src]
+        for u in queue:
+            d = dist[u] + 1
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = d
+                    queue.append(w)
+        return dist
     heap = [(0, src)]
     while heap:
         d, u = heapq.heappop(heap)
@@ -1414,22 +1389,21 @@ def optimal_retract_weighted(n, lengths, cycle):
     inner vertices numbered after the n vertices, edge by edge in sorted
     order, from u to v, and whose anchors are the K = (sum of the cycle's
     lengths) vertices of the cycle, anchor 0 at cycle[0]. Returns (pos, l):
-    l is the optimum and pos[v] the anchor index of v's image, which is
-    what `optimal_retract_planar` returns on that instance.
+    l is the optimum and pos[v] the anchor index of v's image.
 
-    The route is `optimal_retract_planar`'s with every piece read off the
-    weighted graph. The block of H is found by `_hanging`. An edge off H
-    between two cycle vertices is a chain of m edges; a component of the
-    block minus the cycle whose vertices all have degree 2 is one chain
+    The route is the module's (see its docstring), with every piece read
+    off the weighted graph. The block of H is found by `_hanging`. An edge
+    off H between two cycle vertices is a chain of m edges; a component of
+    the block minus the cycle whose vertices all have degree 2 is one chain
     through them; both are decided in closed form (`_chain_at`), and only
     the component's vertices get images. Every other component is a part,
     whose core `_plane_core` takes straight from the weighted graph: its
     chains are walked edge by edge, as ranges of the ids that the subdivided
     part numbers its vertices with, since the part's face order, its
     embedding and the orientation of a chain follow those ids. Its start
-    bound is a Dijkstra from its branch anchors, and `_scan` decides each
-    l on the core, with images only at the component's vertices. The merged
-    map is checked in closed form (`_check_weighted`).
+    bound is a shortest-path search from each of its branch anchors, and
+    `_scan` decides each l on the core, with images only at the component's
+    vertices. The merged map is checked in closed form (`_check_weighted`).
     """
     r = len(cycle)
     P = {}
@@ -1600,11 +1574,13 @@ def _weighted_part(K, P, cycle, host, lengths, bn, block_edges, comp, whole):
 
     core = _plane_core(n, anchors, anchor_index, core_ids, units, stubs,
                        out={vid[v]: v for v in comp}, size=len(bn))
-    # the distance bound over the branch anchors (`distance_lower_bound`)
+    # the distance bound over the branch anchors (`distance_lower_bound`),
+    # by BFS when every length of the part is 1
+    unit = K == r and all(lengths[e] == 1 for e in edges)
     branch = [c for c in cycle if len(pn[c]) > 2]
     num, den = 1, 1
     for x, a in enumerate(branch):
-        dg = _distances(pn, lengths, a)
+        dg = _distances(pn, None if unit else lengths, a)
         for b in branch[x + 1:]:
             dh, d = cycle_dist(K, P[a], P[b]), dg[b]
             if dh * den > num * d:
@@ -1617,7 +1593,7 @@ def _check_weighted(K, lengths, host, pos, optimum):
     extends to the subdivided graph at stretch exactly `optimum`: an edge
     (u, v) off H of length m takes its images d apart in m steps, so its
     least stretch is ceil(d/m), which a walk along the shorter arc attains
-    (`_chain_images`), and host edges have stretch 1."""
+    (`_chain_at`), and host edges have stretch 1."""
     worst = 1
     for e, m in lengths.items():
         if e not in host:

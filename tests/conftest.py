@@ -71,6 +71,70 @@ def pieces(inst):
     return parts + [chain_piece(inst, chain) for chain in chains]
 
 
+def as_retraction(instance, img):
+    """The Retraction of a core map, a list of anchor indices by vertex of
+    the instance; None stays None."""
+    if img is None:
+        return None
+    return Retraction(tuple(instance.anchors[i] for i in img))
+
+
+def chain_images(k, i, j, L, l):
+    """Anchor indices of the inner vertices of a chain of L edges from anchor
+    i to anchor j, at a stretch l with L*l >= d_H(i, j), as
+    `planar._chain_at` places them; the map is checked over the chain's L
+    edges."""
+    idx = [planar._chain_at(k, i, j, l, t) for t in range(L)] + [j]
+    if any(cycle_dist(k, x, y) > l for x, y in zip(idx, idx[1:])):
+        raise SolverError("chain map exceeds stretch %d" % l)
+    return idx[1:-1]
+
+
+def part_optimum(part):
+    """(l, map) of one part of `plane_parts`: the face scan of its core
+    (`planar.plane_core`) from its distance bound, the map a list of anchor
+    indices by vertex, checked to have stretch at most l."""
+    l, img = planar._scan(planar.plane_core(part),
+                          planar._start_lower_bound(part))
+    if stretch(part, as_retraction(part, img)).max_stretch > l:
+        raise SolverError("core cover map exceeds stretch %d" % l)
+    return l, img
+
+
+def unit_route_reference(instance):
+    """Reference for `planar.optimal_retract_planar`: the route on the
+    instance itself, vertex by vertex. It reduces to the block of H
+    (`reduce_two_connected`), splits the block into pieces
+    (`plane_parts`), solves each part at its own optimum by the face scan
+    (`part_optimum`) and each chain of L edges between anchors d apart at
+    max(1, ceil(d/L)) (`chain_images`), merges the piece maps, lifts the
+    merged map and checks that its stretch is the largest piece optimum.
+    Returns (retraction, stretch report)."""
+    reduced, rmap = planar.reduce_two_connected(instance)
+    parts, chains = planar.plane_parts(reduced)
+    asg = list(range(reduced.n))
+    optima = []
+    for sub, old_of_new in parts:
+        l, img = part_optimum(sub)
+        optima.append(l)
+        for new_id, old_id in enumerate(old_of_new):
+            asg[old_id] = old_of_new[sub.anchors[img[new_id]]]
+    k = reduced.k
+    for chain in chains:
+        i, j = reduced.anchor_index(chain[0]), reduced.anchor_index(chain[-1])
+        L = len(chain) - 1
+        l = max(1, -(-cycle_dist(k, i, j) // L))
+        optima.append(l)
+        for v, t in zip(chain[1:-1], chain_images(k, i, j, L, l)):
+            asg[v] = reduced.anchors[t]
+    ret = rmap.lift(Retraction(tuple(asg)))
+    rep = stretch(instance, ret)
+    if rep.max_stretch != max(optima):
+        raise SolverError("retraction has stretch %d, not its pieces' optimum "
+                          "%d" % (rep.max_stretch, max(optima)))
+    return ret, rep
+
+
 def nx_reduce_two_connected(instance):
     """Reference for `planar.reduce_two_connected`: the block of H from
     networkx's biconnected components, each component of G minus the block
@@ -388,13 +452,13 @@ def euclid_instance(ps):
 
 
 def unit_euclid_retract(ps):
-    """Reference for `euclid.euclid_retract` at k >= 10: the exact planar
-    solve of `euclid_instance`, each image snapped from its position on the
-    subdivided edge (`to_unweighted`'s `along`). Returns (assignment,
-    ratio_sq, the instance's host cycle)."""
+    """Reference for `euclid.euclid_retract` at k >= 10: the unit route's
+    solve of `euclid_instance` (`unit_route_reference`), each image snapped
+    from its position on the subdivided edge (`to_unweighted`'s `along`).
+    Returns (assignment, ratio_sq, the instance's host cycle)."""
     from retract import euclid
     g2, group, along, inst = _unit_pipeline(ps)
-    ret, _ = planar.optimal_retract_planar(inst)
+    ret, _ = unit_route_reference(inst)
     anchors = set(ps.anchor_indices)
     asg = []
     for v in range(ps.n):

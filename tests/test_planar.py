@@ -22,11 +22,12 @@ from retract.planar import (NotPlanarError, max_disjoint_paths,
                             retraction_from_curves, stretch1_retract,
                             triangulate_for_face)
 
-from conftest import (BENCH_SETS, all_pairs_distance_ratio, chain_piece,
-                      cycle_score, enclosed_faces, euclid_instance,
-                      expand_cycle, full_cover, full_stretch1, host_forward,
-                      make_ck, make_w4, nx_reduce_two_connected, nx_rotation,
-                      part_embeddings, pieces, rotation_faces, unit_graph)
+from conftest import (BENCH_SETS, all_pairs_distance_ratio, as_retraction,
+                      chain_images, chain_piece, cycle_score, enclosed_faces,
+                      euclid_instance, expand_cycle, full_cover, full_stretch1,
+                      host_forward, make_ck, make_w4, nx_reduce_two_connected,
+                      nx_rotation, part_embeddings, part_optimum, pieces,
+                      rotation_faces, unit_graph, unit_route_reference)
 from frozen import (COLGRID_OPTIMAL, GRID3_OPTIMAL, GRID4_OPTIMAL,
                     GRID4_CENTER_FACE_MIN_CYCLE, W4_OPTIMAL)
 
@@ -410,7 +411,8 @@ def test_cover_decides_each_face_as_flow_does():
                 flow = len(max_disjoint_paths(sg, sg.s, sg.t).paths) == part.k
                 cover = full_cover(part, emb, f)
                 assert (cover is not None) == flow, (inst.n, l, f)
-                assert planar._lipschitz_retract(core, f) == cover
+                assert as_retraction(
+                    part, planar._lipschitz_retract(core, f)) == cover
                 outcomes.add(flow)
                 deepest = max(deepest, crossed[f])
     assert outcomes == {True, False}
@@ -430,8 +432,10 @@ def test_core_cover_matches_full_cover_on_every_face():
                 if f == emb.outer_face:
                     continue
                 for l in (1, 2, 3):
-                    ret = planar._lipschitz_retract(core, f, l)
+                    ret = as_retraction(
+                        part, planar._lipschitz_retract(core, f, l))
                     assert ret == full_cover(part, emb, f, l), (inst, f, l)
+                    assert ret is None or stretch(part, ret).max_stretch <= l
                     faces += 1
                     accepted += ret is not None
     assert faces >= 1000 and 0 < accepted < faces
@@ -451,7 +455,8 @@ def test_length_l_cover_matches_subdivided_probe():
     # cover, with a core edge of L edges of length L on H and L*l off it,
     # accepts exactly when the full unit cover accepts on the explicitly
     # l-subdivided part, and exactly from the part's optimum on; where it
-    # accepts, its map has stretch at most l and is the full-part cover's
+    # accepts, its map has stretch at most l and is the full-part cover's.
+    # The solver's answer, by the weighted route, is the unit route's
     insts = _ladder() + [gen_grid(7)]
     insts += [gen_random_planar(nf, k, 1000 * k + nf)
               for k in range(3, 13) for nf in range(31)]
@@ -459,11 +464,12 @@ def test_length_l_cover_matches_subdivided_probe():
               for k, n_int, seed in BENCH_SETS]
     parts = probes = euclid_parts = 0
     for inst in insts:
+        assert optimal_retract_planar(inst) == unit_route_reference(inst), inst
         for part, _ in plane_parts(reduce_two_connected(inst)[0])[0]:
-            opt = planar._part_optimum(part)[0]
+            opt = part_optimum(part)[0]
             core = planar.plane_core(part)
             for l in range(1, opt + 1):
-                ret = planar._stretch1_embedded(core, l)
+                ret = as_retraction(part, planar._stretch1_embedded(core, l))
                 sub = subdivide(part, l)[0]
                 ref = full_stretch1(sub, plane_embed(sub))
                 assert (ret is None) == (ref is None) == (l < opt), (inst, l)
@@ -484,6 +490,63 @@ def test_start_lower_bound_is_the_distance_bound():
     for inst in [hub] + _ladder():
         assert planar._start_lower_bound(inst) == ceil(
             all_pairs_distance_ratio(inst))
+
+
+def test_weighted_start_bound_is_the_distance_bound(monkeypatch):
+    # the start bound of the solve: on every part of the ladder and of the
+    # 310 random instances, all of unit length, the search runs as BFS, which
+    # agrees with Dijkstra, and the bound `_weighted_part` hands to the scan
+    # is the part's all-pairs distance bound; edges longer than 1 run Dijkstra
+    searches = []
+    starts = []
+    distances, scan = planar._distances, planar._scan
+
+    def traced_distances(adj, lengths, src):
+        searches.append(lengths is None)
+        return distances(adj, lengths, src)
+
+    def traced_scan(core, start):
+        starts.append(start)
+        return scan(core, start)
+
+    monkeypatch.setattr(planar, "_distances", traced_distances)
+    monkeypatch.setattr(planar, "_scan", traced_scan)
+    # C_256 plus a hub on anchors 1 and 129 is a chain, decided at
+    # ceil(128 / 2) = 64; a third spoke, to anchor 2, makes the hub a part
+    # with the same bound
+    spokes = [(i, (i + 1) % 256) for i in range(256)] + [(1, 256), (129, 256)]
+    hub = Instance(257, spokes, tuple(range(256)))
+    assert optimal_retract_planar(hub)[1].max_stretch == 64 and starts == []
+    hub = Instance(257, spokes + [(2, 256)], tuple(range(256)))
+    optimal_retract_planar(hub)
+    assert starts == [64]
+    insts = [hub] + _ladder()
+    insts += [gen_random_planar(nf, k, 1000 * k + nf)
+              for k in range(3, 13) for nf in range(31)]
+    parts = 0
+    for inst in insts:
+        starts.clear()
+        optimal_retract_planar(inst)
+        want = []
+        for part, _ in plane_parts(reduce_two_connected(inst)[0])[0]:
+            if part.n == part.k:
+                continue        # H alone: no scan, the optimum is 1
+            want.append(ceil(all_pairs_distance_ratio(part)))
+            adj = [part.neighbors(v) for v in range(part.n)]
+            lengths = dict.fromkeys(part.edges, 1)
+            for a in part.anchors:
+                if len(adj[a]) > 2:
+                    assert (distances(adj, None, a)
+                            == distances(adj, lengths, a)), inst
+        assert starts == want, inst
+        parts += len(want)
+    assert all(searches) and parts >= 300
+    # the same C_256 with lengths: the hub's spokes of length 2 and 3
+    lengths = dict.fromkeys(hub.edges, 1)
+    lengths.update({(1, 256): 2, (2, 256): 3})
+    searches.clear()
+    optimal_retract_weighted(257, lengths, list(range(256)))
+    assert searches and not any(searches)
 
 
 def test_cycle_score_host_is_k():
@@ -651,9 +714,9 @@ def _check_chain(inst, chain):
     ret, rep = optimal_retract_planar(piece)
     l = rep.max_stretch
     assert l == max(1, ceil(cycle_dist(k, i, j) / L))
-    assert planar._part_optimum(piece)[0] == l
+    assert part_optimum(piece)[0] == l
     assert brute_force_optimal(piece)[1].max_stretch == l
-    images = planar._chain_images(k, i, j, L, l)
+    images = chain_images(k, i, j, L, l)
     assert ret.assignment == tuple(range(k)) + tuple(images)
     assert stretch(piece, ret).max_stretch == l
     if l > 1:
@@ -700,11 +763,11 @@ def test_chain_pieces_of_ladder_and_random_instances():
 
 
 def _unit_answer(n, lengths, cycle):
-    """(pos, optimum) of optimal_retract_planar on the unit graph of the
-    weighted one, pos[v] the anchor index of v's image."""
+    """(pos, optimum) of the unit route (`unit_route_reference`) on the unit
+    graph of the weighted one, pos[v] the anchor index of v's image."""
     total, edges = unit_graph(n, lengths)
     inst = Instance(total, edges, expand_cycle(n, lengths, cycle))
-    ret, rep = optimal_retract_planar(inst)
+    ret, rep = unit_route_reference(inst)
     return [inst.anchor_index(ret.assignment[v]) for v in range(n)], \
         rep.max_stretch
 
@@ -872,12 +935,15 @@ def _part_rejected(inst):
 
 
 def _assert_routes_agree_on_planarity(inst):
-    """Both solve routes raise NotPlanarError exactly when networkx rejects
-    a part; otherwise the weighted route with unit lengths returns the unit
-    route's answer. Returns whether a part was rejected."""
+    """The unit route (`unit_route_reference`), the weighted route and
+    `optimal_retract_planar` raise NotPlanarError exactly when networkx
+    rejects a part; otherwise the weighted route with unit lengths returns
+    the unit route's answer. Returns whether a part was rejected."""
     lengths = dict.fromkeys(inst.edges, 1)
     cycle = list(inst.anchors)
     if _part_rejected(inst):
+        with pytest.raises(NotPlanarError):
+            unit_route_reference(inst)
         with pytest.raises(NotPlanarError):
             optimal_retract_planar(inst)
         with pytest.raises(NotPlanarError):
