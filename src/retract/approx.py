@@ -3,26 +3,44 @@ isometric on the boundary, find a large empty axis-aligned hole near the
 center, and project every vertex radially from the hole center back onto the
 anchor cycle.
 
-All geometry is exact, with no floats anywhere: the embedding and the
-projection use rational arithmetic (Fraction), and the hole search runs on
-integers, every coordinate scaled by a common denominator.
+All geometry is exact, with no floats anywhere, and runs on one integer grid.
+With l = p/q the distance lower bound and m the number of non-anchor
+vertices, every coordinate the embedding builds is a multiple of 1/(4q 2^m):
+anchors sit at multiples of 1/4, every ball radius l*d is a multiple of 1/q,
+and each placed vertex is the midpoint of bounds taken from earlier ones, so
+each placement adds at most one factor of 2. `grid_embed` places on integers
+over that scale, then shrinks it to the least one on which the coordinates
+and the hole search's center window are integers, doubled so that half of
+any difference is one too. The hole search and the projection run on those
+same integers; only the returned `Hole` and the `side` and `placement` views
+are Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add, sub
 
-from .core import (Retraction, StretchReport, SolverError, cycle_dist,
-                   distance_lower_bound, stretch)
+from .core import Retraction, SolverError, distance_lower_bound, stretch
 
 
 @dataclass(frozen=True)
 class GridEmbedding:
-    side: Fraction                     # M = [0,side] x [0,side], side = k/4
-    placement: tuple                   # vertex id -> (Fraction x, Fraction y)
-    anchor_boundary_position: tuple    # anchor index -> boundary point
+    scale: int       # coordinates are integers over this denominator
+    width: int       # M = [0,width] x [0,width] on the scale, side k/4
+    coords: tuple    # vertex id -> (int x, int y) on the scale
+
+    @property
+    def side(self):
+        return Fraction(self.width, self.scale)
+
+    @property
+    def placement(self):
+        """vertex id -> (Fraction x, Fraction y)"""
+        s = self.scale
+        return tuple((Fraction(x, s), Fraction(y, s)) for x, y in self.coords)
 
 
 @dataclass(frozen=True)
@@ -39,26 +57,12 @@ def _boundary_point(side, s):
     """
     s = s % (4 * side)
     if s <= side:
-        return (s, Fraction(0))
+        return (s, 0)
     if s <= 2 * side:
         return (side, s - side)
     if s <= 3 * side:
         return (3 * side - s, side)
-    return (Fraction(0), 4 * side - s)
-
-
-def _boundary_param(side, p):
-    """Inverse of _boundary_point for points on the boundary."""
-    x, y = p
-    if y == 0:
-        return x
-    if x == side:
-        return side + y
-    if y == side:
-        return 3 * side - x
-    if x == 0:
-        return 4 * side - y
-    raise SolverError("point %r is not on the boundary" % (p,))
+    return (0, 4 * side - s)
 
 
 def grid_embed(instance):
@@ -66,25 +70,18 @@ def grid_embed(instance):
 
     Anchors go on the boundary at unit arc spacing (isometric to the cycle
     metric); every other vertex is placed, in BFS order from the anchor set,
-    at a point of the intersection of the L-inf balls B(g(u), l*d_G(u,v))
+    at the center of the intersection of the L-inf balls B(g(u), l*d_G(u,v))
     over all already placed u. The intersection of axis-aligned squares is a
     rectangle and is nonempty here (squares have Helly number 2, and the
     balls intersect pairwise by the triangle inequality), so placement never
     fails on a valid instance.
+
+    Placement runs on integers over S = 4q 2^m (module docstring): the
+    bounds of the j-th placed vertex are multiples of 2^(m-j+1) on it, so
+    their sum halves exactly.
     """
     k = instance.k
-    side = Fraction(k, 4)
     ell = distance_lower_bound(instance)
-    placement = [None] * instance.n
-    anchor_pos = []
-    for i, a in enumerate(instance.anchors):
-        p = _boundary_point(side, Fraction(i))
-        placement[a] = p
-        anchor_pos.append(p)
-
-    # distances to every placed-or-future vertex, per source, on demand
-    dists = {a: instance.distances_from(a) for a in instance.anchors}
-
     # BFS order over the remaining vertices, from the anchor set
     order = []
     seen = set(instance.anchors)
@@ -99,26 +96,39 @@ def grid_embed(instance):
                     nxt.append(w)
         frontier = nxt
 
+    S = 4 * ell.denominator << len(order)
+    W = k * S // 4
+    R = ell.numerator * (S // ell.denominator)    # l on the scale
+    coords = [None] * instance.n
+    for i, a in enumerate(instance.anchors):
+        coords[a] = _boundary_point(W, i * S)
     placed = list(instance.anchors)
+    px = [coords[a][0] for a in placed]
+    py = [coords[a][1] for a in placed]
     for v in order:
-        lo_x, hi_x = Fraction(0), side
-        lo_y, hi_y = Fraction(0), side
-        for u in placed:
-            if u not in dists:
-                dists[u] = instance.distances_from(u)
-            r = ell * dists[u][v]
-            ux, uy = placement[u]
-            lo_x = max(lo_x, ux - r)
-            hi_x = min(hi_x, ux + r)
-            lo_y = max(lo_y, uy - r)
-            hi_y = min(hi_y, uy + r)
+        dv = instance.distances_from(v)
+        rs = [R * dv[u] for u in placed]
+        lo_x = max(0, max(map(sub, px, rs)))
+        hi_x = min(W, min(map(add, px, rs)))
+        lo_y = max(0, max(map(sub, py, rs)))
+        hi_y = min(W, min(map(add, py, rs)))
         if lo_x > hi_x or lo_y > hi_y:
             raise SolverError("empty placement rectangle for vertex %d "
                               "(violates the Helly argument)" % v)
-        placement[v] = ((lo_x + hi_x) / 2, (lo_y + hi_y) / 2)
+        x, y = (lo_x + hi_x) >> 1, (lo_y + hi_y) >> 1
+        coords[v] = (x, y)
         placed.append(v)
+        px.append(x)
+        py.append(y)
 
-    return GridEmbedding(side, tuple(placement), tuple(anchor_pos))
+    # the least scale of the coordinates, then of the center window k/16
+    # and 3k/16 too, doubled
+    g = gcd(S, *px, *py)
+    least = S // g
+    scale = 2 * lcm(least, 16 // gcd(k, 16))
+    f = scale // least
+    return GridEmbedding(scale, k * scale // 4,
+                         tuple((x // g * f, y // g * f) for x, y in coords))
 
 
 def _hole_feasible(points, cx_range, cy_range, t):
@@ -161,19 +171,15 @@ def find_largest_hole(embedding, k):
     |xi - bound|, |yi - bound|, center-range half-extents}; binary search over
     that set with an exact feasibility sweep.
 
-    The search runs on integers: every coordinate and range bound is scaled
-    by den = 2 * lcm(their denominators), which makes each critical value an
-    integer. A positive scale keeps every comparison and sort order, so only
-    the returned Hole is converted back to Fraction.
+    The search runs on the embedding's integers: its scale makes the center
+    window k/16 .. 3k/16 integral and every coordinate even, so each critical
+    value is an integer, and the witness center is one too. A positive scale
+    keeps every comparison and sort order, so only the returned Hole is
+    converted back to Fraction.
     """
-    side = embedding.side
-    half = side / 2
-    off = Fraction(k, 16)
-    lo_c, hi_c = half - off, half + off
-    den = 2 * lcm(lo_c.denominator, hi_c.denominator,
-                  *(c.denominator for p in embedding.placement for c in p))
-    pts = [(int(x * den), int(y * den)) for x, y in embedding.placement]
-    cx_range = cy_range = (int(lo_c * den), int(hi_c * den))
+    scale = embedding.scale
+    pts = embedding.coords
+    cx_range = cy_range = (k * scale // 16, 3 * k * scale // 16)
     # every allowed center is at least half - off = k/16 from M's sides
     t_cap = cx_range[0]
 
@@ -205,61 +211,59 @@ def find_largest_hole(embedding, k):
             hi = mid - 1
     if best_t is None:
         raise SolverError("no empty hole found (contradicts the averaging bound)")
-    return Hole((Fraction(best_c[0], den), Fraction(best_c[1], den)),
-                Fraction(best_t, den))
-
-
-def _ray_to_boundary(side, center, p):
-    """Intersection of the ray center->p with M's boundary, exact."""
-    cx, cy = center
-    dx, dy = p[0] - cx, p[1] - cy
-    if dx == 0 and dy == 0:
-        raise SolverError("ray through the hole center is undefined")
-    best = None
-    # candidate parameters s > 0 with center + s*d on each of the 4 sides
-    cands = []
-    if dx != 0:
-        for wall in (Fraction(0), side):
-            s = (wall - cx) / dx
-            if s > 0:
-                y = cy + s * dy
-                if 0 <= y <= side:
-                    cands.append((s, (wall, y)))
-    if dy != 0:
-        for wall in (Fraction(0), side):
-            s = (wall - cy) / dy
-            if s > 0:
-                x = cx + s * dx
-                if 0 <= x <= side:
-                    cands.append((s, (x, wall)))
-    for s, q in cands:
-        if s >= 1 and (best is None or s < best[0]):
-            best = (s, q)
-    if best is None:
-        # p lies past the boundary only if p is outside M; cannot happen
-        raise SolverError("ray does not meet the boundary")
-    return best[1]
+    return Hole((Fraction(best_c[0], scale), Fraction(best_c[1], scale)),
+                Fraction(best_t, scale))
 
 
 def project_to_cycle(embedding, hole, instance):
     """Radial projection from the hole center, snapping clockwise to an anchor.
 
-    Boundary arc parameter increases counterclockwise and anchors sit at
-    integer parameters, so the nearest anchor in the clockwise direction from
-    a boundary point at parameter s is floor(s). Points already at an anchor
+    The ray from the center c through g(v) leaves M where it first meets a
+    side: at c + s*(g(v) - c), s the least exit parameter over the sides it
+    heads for, and s >= 1 as g(v) lies in M. Boundary arc parameter
+    increases counterclockwise from (0,0) and anchors sit at integer
+    parameters, so the nearest anchor in the clockwise direction from a
+    boundary point at parameter t is floor(t). Points already at an anchor
     snap to it (floor of an integer is itself).
+
+    All of it runs on the embedding's integers (times f, when the hole's
+    center is finer than their scale, which `find_largest_hole` never
+    returns): s = num/den with den > 0 is compared by cross-multiplying, and
+    floor(t) is one integer division.
     """
-    side = embedding.side
+    cx, cy = hole.center
+    scale = lcm(embedding.scale, cx.denominator, cy.denominator)
+    f = scale // embedding.scale
+    W = embedding.width * f
+    cx, cy = int(cx * scale), int(cy * scale)
     k = instance.k
     assignment = [None] * instance.n
     for v in range(instance.n):
         if instance.is_anchor(v):
             assignment[v] = v
             continue
-        q = _ray_to_boundary(side, hole.center, embedding.placement[v])
-        s = _boundary_param(side, q)
-        idx = int(s) % k    # floor: nearest anchor clockwise
-        assignment[v] = instance.anchors[idx]
+        x, y = embedding.coords[v]
+        dx, dy = x * f - cx, y * f - cy
+        if dx == 0 and dy == 0:
+            raise SolverError("ray through the hole center is undefined")
+        # exit parameters (wall - c)/d over the sides the ray heads for
+        sx = (W - cx, dx) if dx > 0 else (cx, -dx) if dx < 0 else None
+        sy = (W - cy, dy) if dy > 0 else (cy, -dy) if dy < 0 else None
+        if sy is None or sx is not None and sx[0] * sy[1] <= sy[0] * sx[1]:
+            num, den = sx
+            if num < den:
+                raise SolverError("ray does not meet the boundary")
+            # hit (wall, cy + num*dy/den); arc W + y on x = W, 4W - y on x = 0
+            hy = cy * den + num * dy
+            t = W * den + hy if dx > 0 else 4 * W * den - hy
+        else:
+            num, den = sy
+            if num < den:
+                raise SolverError("ray does not meet the boundary")
+            # hit (cx + num*dx/den, wall); arc x on y = 0, 3W - x on y = W
+            hx = cx * den + num * dx
+            t = 3 * W * den - hx if dy > 0 else hx
+        assignment[v] = instance.anchors[t // (den * scale) % k]
     return Retraction(tuple(assignment))
 
 

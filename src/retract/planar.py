@@ -1343,8 +1343,9 @@ def _inner_ids(runs, first, edges, lengths):
     """Number the inner vertices of each edge (u, v), u < v, from `first`,
     edge by edge in sorted order, from u to v: runs[(u, v)] and
     runs[(v, u)] become the ranges of those ids walked from u and from v.
-    Returns the next free id."""
-    for e in sorted(edges):
+    An edge of length 1 has none and gets no entry; readers take a missing
+    run as empty. Returns the next free id."""
+    for e in sorted(e for e in edges if lengths[e] > 1):
         m = lengths[e]
         runs[e] = range(first, first + m - 1)
         runs[e[::-1]] = range(first + m - 2, first - 1, -1)
@@ -1498,8 +1499,8 @@ def _chain_path(comp, bn, P, lengths, runs):
         flip = seq[-1] < seq[0]
     else:
         s = seq[q]
-        flip = ((runs[(s, seq[q + 1])] or [seq[q + 1]])[0]
-                < (runs[(s, seq[q - 1])] or [seq[q - 1]])[0])
+        flip = ((runs.get((s, seq[q + 1])) or [seq[q + 1]])[0]
+                < (runs.get((s, seq[q - 1])) or [seq[q - 1]])[0])
     if flip:
         seq.reverse()
         steps.reverse()
@@ -1532,7 +1533,7 @@ def _weighted_part(K, P, cycle, host, lengths, bn, block_edges, comp, whole):
         anchors = []
         for i, c in enumerate(cycle):
             anchors.append(vid[c])
-            anchors.extend(runs[(c, cycle[(i + 1) % r])])
+            anchors.extend(runs.get((c, cycle[(i + 1) % r]), ()))
         anchor_index = {a: i for i, a in enumerate(anchors)}.get
     else:
         vid = dict(P)
@@ -1558,7 +1559,7 @@ def _weighted_part(K, P, cycle, host, lengths, bn, block_edges, comp, whole):
         sites = []
         on_h = _normalize_edge(u, w) in host
         while True:
-            ids.extend(runs[(u, w)])
+            ids.extend(runs.get((u, w), ()))
             ids.append(vid[w])
             if w in core_set:
                 return tuple(ids), on_h, sites
@@ -1569,7 +1570,7 @@ def _weighted_part(K, P, cycle, host, lengths, bn, block_edges, comp, whole):
 
     def stubs(c):
         u = vertex[c]
-        return sorted((((runs[(u, w)] or [vid[w]])[0], partial(walk, u, w))
+        return sorted((((runs.get((u, w)) or [vid[w]])[0], partial(walk, u, w))
                        for w in pn[u]), key=lambda s: s[0])
 
     core = _plane_core(n, anchors, anchor_index, core_ids, units, stubs,

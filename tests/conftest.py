@@ -1,6 +1,7 @@
 import heapq
+import random
 import sys
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,9 +10,10 @@ import networkx as nx
 sys.path.insert(0, str(Path(__file__).parent))
 
 from retract import planar
-from retract.approx import Hole
+from retract.approx import Hole, _boundary_point
 from retract.core import (Instance, Retraction, SolverError, ValidationError,
-                          _normalize_edge, cycle_dist, stretch)
+                          _normalize_edge, cycle_dist, distance_lower_bound,
+                          gen_random_planar, stretch)
 
 # (k, interior points, seed) of the point sets of the euclid-points workload
 BENCH_SETS = ((10, 0, 9000), (11, 0, 0), (12, 0, 0), (13, 0, 9018),
@@ -51,6 +53,18 @@ def all_pairs_distance_ratio(inst):
             best = max(best, Fraction(cycle_dist(k, i, j),
                                       dist[inst.anchors[j]]))
     return best
+
+
+def random_planar_family(count, max_free, max_k, seed0):
+    """`count` seeded `gen_random_planar` instances, k in 4..max_k and
+    1..max_free free vertices."""
+    out = []
+    rng = random.Random(seed0)
+    for i in range(count):
+        k = rng.randint(4, max_k)
+        n_free = rng.randint(1, max_free)
+        out.append(gen_random_planar(n_free, k, seed0 + i))
+    return out
 
 
 def chain_piece(inst, chain):
@@ -669,3 +683,109 @@ def fraction_largest_hole(embedding, k):
         else:
             hi = mid - 1
     return best
+
+
+FractionEmbedding = namedtuple("FractionEmbedding", "side placement")
+
+
+def boundary_param(side, p):
+    """Inverse of `approx._boundary_point` for points on the boundary."""
+    x, y = p
+    if y == 0:
+        return x
+    if x == side:
+        return side + y
+    if y == side:
+        return 3 * side - x
+    if x == 0:
+        return 4 * side - y
+    raise SolverError("point %r is not on the boundary" % (p,))
+
+
+def fraction_grid_embed(instance):
+    """Reference for `approx.grid_embed`: the same BFS-order placement at
+    the center of the intersected L-inf balls, on Fraction coordinates."""
+    k = instance.k
+    side = Fraction(k, 4)
+    ell = distance_lower_bound(instance)
+    placement = [None] * instance.n
+    for i, a in enumerate(instance.anchors):
+        placement[a] = _boundary_point(side, Fraction(i))
+    dists = {a: instance.distances_from(a) for a in instance.anchors}
+    order = []
+    seen = set(instance.anchors)
+    frontier = list(instance.anchors)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in instance.neighbors(u):
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+                    nxt.append(w)
+        frontier = nxt
+    placed = list(instance.anchors)
+    for v in order:
+        lo_x, hi_x = Fraction(0), side
+        lo_y, hi_y = Fraction(0), side
+        for u in placed:
+            if u not in dists:
+                dists[u] = instance.distances_from(u)
+            r = ell * dists[u][v]
+            ux, uy = placement[u]
+            lo_x = max(lo_x, ux - r)
+            hi_x = min(hi_x, ux + r)
+            lo_y = max(lo_y, uy - r)
+            hi_y = min(hi_y, uy + r)
+        if lo_x > hi_x or lo_y > hi_y:
+            raise SolverError("empty placement rectangle for vertex %d "
+                              "(violates the Helly argument)" % v)
+        placement[v] = ((lo_x + hi_x) / 2, (lo_y + hi_y) / 2)
+        placed.append(v)
+    return FractionEmbedding(side, tuple(placement))
+
+
+def _fraction_ray_to_boundary(side, center, p):
+    """Intersection of the ray center->p with M's boundary: the least
+    parameter s >= 1 over the sides it meets, on Fractions."""
+    cx, cy = center
+    dx, dy = p[0] - cx, p[1] - cy
+    if dx == 0 and dy == 0:
+        raise SolverError("ray through the hole center is undefined")
+    cands = []
+    if dx != 0:
+        for wall in (Fraction(0), side):
+            s = (wall - cx) / dx
+            if s > 0:
+                y = cy + s * dy
+                if 0 <= y <= side:
+                    cands.append((s, (wall, y)))
+    if dy != 0:
+        for wall in (Fraction(0), side):
+            s = (wall - cy) / dy
+            if s > 0:
+                x = cx + s * dx
+                if 0 <= x <= side:
+                    cands.append((s, (x, wall)))
+    best = None
+    for s, q in cands:
+        if s >= 1 and (best is None or s < best[0]):
+            best = (s, q)
+    if best is None:
+        raise SolverError("ray does not meet the boundary")
+    return best[1]
+
+
+def fraction_project_to_cycle(embedding, hole, instance):
+    """Reference for `approx.project_to_cycle`: the ray's boundary point and
+    its arc parameter on Fractions, snapped to anchor floor(s) mod k."""
+    assignment = [None] * instance.n
+    for v in range(instance.n):
+        if instance.is_anchor(v):
+            assignment[v] = v
+            continue
+        q = _fraction_ray_to_boundary(embedding.side, hole.center,
+                                      embedding.placement[v])
+        s = boundary_param(embedding.side, q)
+        assignment[v] = instance.anchors[int(s) % instance.k]
+    return Retraction(tuple(assignment))

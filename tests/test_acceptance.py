@@ -17,9 +17,9 @@ import pytest
 from retract import approx, bounds, oracle, planar, treewidth
 from retract.core import (Instance, Retraction, SubgraphHost,
                           distance_lower_bound, gen_column_deleted_grid,
-                          gen_grid, gen_random_planar, stretch, subdivide)
+                          gen_grid, stretch, subdivide)
 
-from conftest import cycle_score, part_embeddings
+from conftest import cycle_score, part_embeddings, random_planar_family
 
 # (instance, max_stretch) for every solver-produced retraction in criteria 1-5
 _SOLVED = []
@@ -62,19 +62,9 @@ def _budget(num, t0, limit_s):
     return took
 
 
-def _random_planar_family(count, max_free, max_k, seed0):
-    out = []
-    rng = random.Random(seed0)
-    for i in range(count):
-        k = rng.randint(4, max_k)
-        n_free = rng.randint(1, max_free)
-        out.append(gen_random_planar(n_free, k, seed0 + i))
-    return out
-
-
 def test_criterion_1_planar_exactness():
     t0 = time.monotonic()
-    insts = [gen_grid(3), gen_grid(4)] + _random_planar_family(50, 10, 8, 11)
+    insts = [gen_grid(3), gen_grid(4)] + random_planar_family(50, 10, 8, 11)
     for inst in insts:
         ret, rep = planar.optimal_retract_planar(inst)
         _, orep = oracle.brute_force_optimal(inst)
@@ -143,7 +133,7 @@ def test_criterion_5_approx_guarantee():
     t0 = time.monotonic()
     insts = [gen_grid(m) for m in (3, 4, 5, 6, 7)]
     insts += [gen_column_deleted_grid(m) for m in (5, 6, 7)]
-    insts += _random_planar_family(92, 20, 24, 500)
+    insts += random_planar_family(92, 20, 24, 500)
     assert len(insts) == 100
     for inst in insts:
         assert inst.n <= 100 and inst.k <= 24

@@ -7,13 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from retract.approx import (approx_retract, find_largest_hole, grid_embed,
-                            project_to_cycle, _boundary_param, _boundary_point)
+from retract.approx import (Hole, approx_retract, find_largest_hole,
+                            grid_embed, project_to_cycle, _boundary_point)
 from retract.core import (Instance, check_retraction, cycle_dist,
                           distance_lower_bound, gen_column_deleted_grid,
                           gen_grid, gen_random_planar, stretch)
 
-from conftest import fraction_largest_hole
+from conftest import (boundary_param, fraction_grid_embed,
+                      fraction_largest_hole, fraction_project_to_cycle,
+                      random_planar_family)
 
 
 def random_cycle_instance(n, k, rng, extra=2.0):
@@ -37,7 +39,7 @@ def test_boundary_param_roundtrip():
     for num in range(0, 4 * 7):
         s = Fraction(num, 2)
         p = _boundary_point(side, s)
-        assert _boundary_param(side, p) == s % (4 * side)
+        assert boundary_param(side, p) == s % (4 * side)
 
 
 @pytest.mark.parametrize("inst", [gen_grid(3), gen_grid(4), gen_grid(5),
@@ -161,13 +163,32 @@ def _hole_cases():
     return insts
 
 
-def test_integer_hole_search_matches_fraction_reference():
-    for inst in _hole_cases():
+def test_integer_embedding_matches_fraction_reference():
+    """Placement, hole and projection on the one integer scale equal the
+    Fraction references, on the hole cases, criterion 5's 100 instances and
+    two instances placed on scales above 2^26."""
+    insts = _hole_cases()
+    insts += [gen_grid(m) for m in (3, 4, 5, 6, 7)]
+    insts += [gen_column_deleted_grid(m) for m in (5, 6, 7)]
+    insts += random_planar_family(92, 20, 24, 500)
+    insts += [gen_grid(12), gen_random_planar(200, 20, 5)]
+    for inst in insts:
         emb = grid_embed(inst)
+        ref = fraction_grid_embed(inst)
+        assert emb.side == ref.side
+        assert emb.placement == ref.placement
         hole = find_largest_hole(emb, inst.k)
-        want = fraction_largest_hole(emb, inst.k)
+        want = fraction_largest_hole(ref, inst.k)
         assert hole == want
         assert all(isinstance(c, Fraction)
                    for c in hole.center + (hole.half_side,))
         assert project_to_cycle(emb, hole, inst).assignment == \
-            project_to_cycle(emb, want, inst).assignment
+            fraction_project_to_cycle(ref, want, inst).assignment
+        # a center off the embedding's grid is projected on a finer one
+        off = Hole((want.center[0] + Fraction(1, 3 * emb.scale),
+                    want.center[1]), want.half_side)
+        assert project_to_cycle(emb, off, inst).assignment == \
+            fraction_project_to_cycle(ref, off, inst).assignment
+    # grid 12 keeps a scale above 2^26; the drawn one is placed on 4q 2^200
+    # (200 non-anchor vertices) before its scale shrinks to 2^3
+    assert grid_embed(insts[-2]).scale > 1 << 26
