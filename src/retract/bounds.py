@@ -6,11 +6,21 @@ is infeasible exactly when the host cycle lies in the rational span of the
 cycles shorter than l, and Horton's candidate cycles (Horton 1987, "A
 polynomial-time algorithm to find the shortest cycle basis of a graph") span
 those, so its least infeasible l is a cycle-span threshold found by one exact
-elimination over the candidates in order of length. The exact-rational
-separation oracle stays as the independent check of a feasible solution.
-Everything runs in exact arithmetic; certificates are explicit (a
-trichromatic triangle, or short cycles with rational coefficients whose
-directed edges sum to the host cycle).
+elimination over the candidates in order of length.
+
+The candidates come from one BFS tree per vertex that keeps each vertex's
+root-path edge bitmask. A non-tree edge's cycle is the XOR of its two ends'
+masks plus its own bit, which cancels the shared stem with no path walk; its
+bit count is its length, and the mask itself drops duplicates. A
+candidate's vertex tuple is built only when the elimination reads it, so
+candidates past the threshold are never built. The elimination keeps rows,
+host sums and combinations in Python ints while every pivot is +-1 and
+brings in Fraction only at a pivot of another value; certificate
+coefficients are always Fractions. The exact-rational separation oracle
+stays as the independent check of a feasible solution. Everything runs in
+exact arithmetic; certificates are explicit (a trichromatic triangle, or
+short cycles with rational coefficients whose directed edges sum to the host
+cycle).
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .core import (SolverError, ValidationError, _normalize_edge,
+from .core import (SolverError, ValidationError, _is_int, _normalize_edge,
                    distance_lower_bound, gen_grid)
 
 
@@ -228,48 +238,63 @@ def separation_oracle(instance, x, l):
 def _horton_candidates(instance, l):
     """Horton's candidate cycles with fewer than l edges, shortest first.
 
-    For each vertex x take one BFS tree T; each non-tree edge uv closes the
-    walk T(x->u) + uv + T(v->x). The two tree paths share a stem from x to
-    their last common vertex w; stripping it leaves the simple cycle
-    T(w->u) + uv + T(v->w), at most as long as the walk and with the same
-    edge vector. (Neither of u, v is the other's tree ancestor, or uv would
-    be a BFS tree edge, so the cycle has at least three edges.) A simple
-    cycle's edge set fixes its vector up to sign, so one cycle is kept per
-    edge set. Each cycle is a vertex tuple read as a closed directed walk.
+    For each vertex x take one BFS tree T and give every vertex the bitmask
+    of the edges on its tree path from x: mask[child] = mask[parent] | bit
+    of the tree edge, with bit i standing for instance.edges[i]. A non-tree
+    edge uv closes the walk T(x->u) + uv + T(v->x). The two tree paths share
+    a stem from x to their last common vertex w, and the XOR cancels it:
+    mask[u] ^ mask[v] | bit(uv) is the edge set of the simple cycle
+    T(w->u) + uv + T(v->w), found with no path walk, and its bit count is
+    the cycle's length. (Neither of u, v is the other's tree ancestor, or uv
+    would be a BFS tree edge, so the cycle has at least three edges; a tree
+    edge gives its own bit alone and is passed over.) A simple cycle's edge
+    set fixes its vector up to sign, so the mask itself drops duplicates;
+    the first root and edge to give it keep it.
+
+    Candidates come in order of length, ties in order of first appearance,
+    each as the vertex tuple (w..u, v..) read as a closed directed walk.
+    The generator builds a tuple from its root's parent array only when the
+    caller asks for it, so candidates past the caller's stopping point are
+    never built.
     """
-    seen = set()
-    out = []
-    for x in range(instance.n):
-        parent = {x: None}
-        depth = {x: 0}
+    n = instance.n
+    ends = [(u, v, 1 << i) for i, (u, v) in enumerate(instance.edges)]
+    inc = [[] for _ in range(n)]   # (neighbour, edge bit); instance.edges
+    for u, v, b in ends:           # is sorted, so neighbours come in order
+        inc[u].append((v, b))
+        inc[v].append((u, b))
+    trees = []
+    first = {}                 # mask -> (length, order, root, u, v)
+    for x in range(n):
+        parent = [-1] * n
+        mask = [0] * n
+        parent[x] = x
         order = [x]
         for w in order:
-            for nb in instance.neighbors(w):
-                if nb not in parent:
+            mw = mask[w]
+            for nb, b in inc[w]:
+                if parent[nb] < 0:
                     parent[nb] = w
-                    depth[nb] = depth[w] + 1
+                    mask[nb] = mw | b
                     order.append(nb)
-        for u, v in instance.edges:
-            if parent[u] == v or parent[v] == u:
-                continue
-            up, vp = [u], [v]          # tree paths u->w and v->w
-            while depth[up[-1]] > depth[vp[-1]]:
-                up.append(parent[up[-1]])
-            while depth[vp[-1]] > depth[up[-1]]:
-                vp.append(parent[vp[-1]])
-            while up[-1] != vp[-1]:
-                up.append(parent[up[-1]])
-                vp.append(parent[vp[-1]])
-            if len(up) + len(vp) - 1 >= l:
-                continue
-            cyc = tuple(reversed(up)) + tuple(vp[:-1])    # w..u, v..
-            key = frozenset(_normalize_edge(cyc[i - 1], cyc[i])
-                            for i in range(len(cyc)))
-            if key not in seen:
-                seen.add(key)
-                out.append(cyc)
-    out.sort(key=len)
-    return out
+        trees.append((parent, mask))
+        for u, v, b in ends:
+            c = mask[u] ^ mask[v] | b
+            if c not in first:
+                length = c.bit_count()
+                if 2 < length < l:
+                    first[c] = (length, len(first), x, u, v)
+    for _, _, x, u, v in sorted(first.values()):
+        parent, mask = trees[x]
+        up, vp = [u], [v]    # tree paths u->w and v->w; depth = bit count
+        while mask[up[-1]].bit_count() > mask[vp[-1]].bit_count():
+            up.append(parent[up[-1]])
+        while mask[vp[-1]].bit_count() > mask[up[-1]].bit_count():
+            vp.append(parent[vp[-1]])
+        while up[-1] != vp[-1]:
+            up.append(parent[up[-1]])
+            vp.append(parent[vp[-1]])
+        yield tuple(reversed(up)) + tuple(vp[:-1])
 
 
 def _span_elimination(instance, l):
@@ -277,30 +302,48 @@ def _span_elimination(instance, l):
     simple cycles with fewer than l edges.
 
     Each Horton candidate, shortest first, becomes a row over the free edges
-    (+1 along the edge's normalized direction, -1 against it) and carries
-    its host sum h (host edges count +1 in anchor order, -1 against it) and
-    the combination of candidates it stands for. Rows are reduced in exact
-    rational arithmetic against an echelon basis, pivot = least free edge.
+    (keyed by index in instance.edges; +1 along the edge's normalized
+    direction, -1 against it) and carries its host sum h (host edges count
+    +1 in anchor order, -1 against it, read from a table of directed host
+    edges) and the combination of candidates it stands for. Rows are
+    reduced in exact arithmetic against an echelon basis, pivot = least
+    free edge. Entries, h and combination coefficients stay Python ints
+    while every pivot is +-1, which normalises a row by multiplying; only a
+    pivot of another value brings in Fraction. Candidates are read one at a
+    time, so no tuple past the deciding one is built.
 
     Returns (combination, None) at the first candidate that reduces to a
     zero row with h != 0. Such a combination vanishes on every free edge, so
     it is a cycle-space vector on H alone, i.e. (h/k)*H; its coefficients
-    are rescaled so that it sums to exactly H. Otherwise returns
-    (None, basis) with basis = {pivot: (row, h, combination)}, row[pivot] = 1
-    and every other edge of row after the pivot.
+    are rescaled by Fraction(k) / h, so they are Fractions that sum to
+    exactly H. Otherwise returns (None, basis) with basis = {pivot: (row, h,
+    combination)}, row[pivot] = 1 and every other edge of row after the
+    pivot.
     """
-    zero = EdgeAssignment(instance)     # host edges +1, free edges 0
-    cands = _horton_candidates(instance, l)
+    k, anchors = instance.k, instance.anchors
+    host = {}
+    for i in range(k):
+        a, b = anchors[i], anchors[(i + 1) % k]
+        host[a, b] = 1
+        host[b, a] = -1
+    eid = {e: i for i, e in enumerate(instance.edges)}
+    cands = []
     basis = {}
-    for idx, cyc in enumerate(cands):
-        h = _cycle_sum(zero, cyc)
+    for idx, cyc in enumerate(_horton_candidates(instance, l)):
+        cands.append(cyc)
+        h = 0
         row = {}
-        for i in range(len(cyc)):
-            u, v = cyc[i - 1], cyc[i]
-            e = _normalize_edge(u, v)
-            if e in zero.values:
-                row[e] = Fraction(1 if (u, v) == e else -1)
-        comb = {idx: Fraction(1)}
+        u = cyc[-1]
+        for v in cyc:
+            sign = host.get((u, v))
+            if sign is not None:
+                h += sign
+            elif u < v:
+                row[eid[u, v]] = 1
+            else:
+                row[eid[v, u]] = -1
+            u = v
+        comb = {idx: 1}
         while row:
             piv = min(row)
             if piv not in basis:
@@ -318,12 +361,16 @@ def _span_elimination(instance, l):
         if not row:
             if h == 0:
                 continue
-            scale = instance.k / h
+            scale = Fraction(k) / h
             return [(cands[i], a * scale)
                     for i, a in sorted(comb.items())], None
-        inv = 1 / row[piv]
-        basis[piv] = ({c: a * inv for c, a in row.items()}, h * inv,
-                      {i: a * inv for i, a in comb.items()})
+        f = row[piv]
+        if f != 1:
+            inv = -1 if f == -1 else 1 / Fraction(f)
+            row = {c: a * inv for c, a in row.items()}
+            comb = {i: a * inv for i, a in comb.items()}
+            h *= inv
+        basis[piv] = (row, h, comb)
     return None, basis
 
 
@@ -339,8 +386,11 @@ def lp_feasible(instance, l):
     elimination over the candidates decides it. Returns (False, combination),
     a list of (cycle, coefficient) pairs of simple cycles shorter than l
     whose weighted directed edge sum is exactly H, or (True, EdgeAssignment)
-    read off the echelon basis and checked once by separation_oracle.
+    read off the echelon basis and checked once by separation_oracle. l must
+    be an int >= 2.
     """
+    if not _is_int(l) or l < 2:
+        raise ValidationError("l must be an integer >= 2, got %r" % (l,))
     combination, basis = _span_elimination(instance, l)
     if combination is not None:
         return False, combination
@@ -349,7 +399,8 @@ def lp_feasible(instance, l):
         row, h, _ = basis[p]
         vals[p] = -h - sum(a * vals.get(e, 0) for e, a in row.items()
                            if e != p)
-    x = EdgeAssignment(instance, vals)
+    edges = instance.edges
+    x = EdgeAssignment(instance, {edges[p]: val for p, val in vals.items()})
     if separation_oracle(instance, x, l) is not None:
         raise SolverError("span basis gave an assignment violating a "
                           "cycle shorter than %d" % l)

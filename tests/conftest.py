@@ -789,3 +789,128 @@ def fraction_project_to_cycle(embedding, hole, instance):
         s = boundary_param(embedding.side, q)
         assignment[v] = instance.anchors[int(s) % instance.k]
     return Retraction(tuple(assignment))
+
+
+def horton_reference(instance, l):
+    """Reference for `bounds._horton_candidates`: Horton's candidate cycles
+    with fewer than l edges, shortest first, by walking tree paths. For
+    each vertex x one BFS tree T; each non-tree edge uv gives the cycle
+    T(w->u) + uv + T(v->w), w the last vertex the tree paths from x to u and
+    to v share, found by climbing both paths; one cycle is kept per
+    frozenset of edges, and a stable sort by length keeps ties in order of
+    first appearance."""
+    seen = set()
+    out = []
+    for x in range(instance.n):
+        parent = {x: None}
+        depth = {x: 0}
+        order = [x]
+        for w in order:
+            for nb in instance.neighbors(w):
+                if nb not in parent:
+                    parent[nb] = w
+                    depth[nb] = depth[w] + 1
+                    order.append(nb)
+        for u, v in instance.edges:
+            if parent[u] == v or parent[v] == u:
+                continue
+            up, vp = [u], [v]
+            while depth[up[-1]] > depth[vp[-1]]:
+                up.append(parent[up[-1]])
+            while depth[vp[-1]] > depth[up[-1]]:
+                vp.append(parent[vp[-1]])
+            while up[-1] != vp[-1]:
+                up.append(parent[up[-1]])
+                vp.append(parent[vp[-1]])
+            if len(up) + len(vp) - 1 >= l:
+                continue
+            cyc = tuple(reversed(up)) + tuple(vp[:-1])
+            key = frozenset(_normalize_edge(cyc[i - 1], cyc[i])
+                            for i in range(len(cyc)))
+            if key not in seen:
+                seen.add(key)
+                out.append(cyc)
+    out.sort(key=len)
+    return out
+
+
+def span_elimination_reference(instance, l):
+    """Reference for `bounds._span_elimination`: the same elimination over
+    `horton_reference`'s candidates with every entry a Fraction and rows
+    keyed by edge, each basis row normalised by dividing by its pivot.
+    Returns (combination, None) or (None, {pivot edge: (row, h, comb)})."""
+    k, anchors = instance.k, instance.anchors
+    host = {}
+    for i in range(k):
+        a, b = anchors[i], anchors[(i + 1) % k]
+        host[a, b] = Fraction(1)
+        host[b, a] = Fraction(-1)
+    cands = horton_reference(instance, l)
+    basis = {}
+    for idx, cyc in enumerate(cands):
+        h = Fraction(0)
+        row = {}
+        for i in range(len(cyc)):
+            u, v = cyc[i - 1], cyc[i]
+            if (u, v) in host:
+                h += host[u, v]
+            else:
+                e = _normalize_edge(u, v)
+                row[e] = Fraction(1 if (u, v) == e else -1)
+        comb = {idx: Fraction(1)}
+        while row:
+            piv = min(row)
+            if piv not in basis:
+                break
+            prow, ph, pcomb = basis[piv]
+            f = row[piv]
+            for target, src in ((row, prow), (comb, pcomb)):
+                for c, a in src.items():
+                    val = target.get(c, 0) - f * a
+                    if val:
+                        target[c] = val
+                    else:
+                        target.pop(c, None)
+            h -= f * ph
+        if not row:
+            if h == 0:
+                continue
+            scale = k / h
+            return [(cands[i], a * scale)
+                    for i, a in sorted(comb.items())], None
+        inv = 1 / row[piv]
+        basis[piv] = ({c: a * inv for c, a in row.items()}, h * inv,
+                      {i: a * inv for i, a in comb.items()})
+    return None, basis
+
+
+def lp_feasible_reference(instance, l):
+    """Reference for `bounds.lp_feasible` on `span_elimination_reference`:
+    (False, combination) or (True, {free edge: value}) with every free edge
+    of the instance present, read off the echelon basis by back
+    substitution."""
+    combination, basis = span_elimination_reference(instance, l)
+    if combination is not None:
+        return False, combination
+    vals = {}
+    for p in sorted(basis, reverse=True):
+        row, h, _ = basis[p]
+        vals[p] = -h - sum(a * vals.get(e, 0) for e, a in row.items()
+                           if e != p)
+    host = instance.host_edges()
+    return True, {e: Fraction(vals.get(e, 0)) for e in instance.edges
+                  if e not in host}
+
+
+def lp_certificate_reference(instance):
+    """Reference for `bounds.lp_certificate` on
+    `span_elimination_reference`: (bound, l0, cycles)."""
+    k = instance.k
+    cycles, _ = span_elimination_reference(instance, k)
+    if cycles is None:
+        return 1, None, None
+    l0 = 1 + max(len(c) for c, _ in cycles)
+    s = 1
+    while -(-k // (s + 1)) >= l0:
+        s += 1
+    return s + 1, l0, cycles

@@ -75,3 +75,32 @@ LADDER_LP = {
     "rp:14,4": (3, 6), "rp:14,8": (3, 6), "rp:16,4": (4, 5), "rp:16,8": (4, 5),
     "rp:20,4": (5, 5), "rp:20,8": (3, 9),
 }
+
+# --- `retract lb --method lp` stdout, byte for byte, as the all-Fraction
+# elimination over tree-path candidates printed it; each coef is
+# [numerator, denominator].
+LB_LP_W4_STDOUT = (
+    '{"bound": 2, "certificate": [{"coef": [1, 1], "cycle": [0, 1, 4]}, '
+    '{"coef": [-1, 1], "cycle": [0, 3, 4]}, '
+    '{"coef": [1, 1], "cycle": [1, 2, 4]}, '
+    '{"coef": [1, 1], "cycle": [2, 3, 4]}], "l": 4, "method": "lp"}\n')
+# grid 5's certificate is its 16 unit squares, each with coefficient -1.
+LB_LP_GRID5_STDOUT = (
+    '{"bound": 4, "certificate": ['
+    '{"coef": [-1, 1], "cycle": [0, 5, 6, 1]}, '
+    '{"coef": [-1, 1], "cycle": [1, 6, 7, 2]}, '
+    '{"coef": [-1, 1], "cycle": [2, 7, 8, 3]}, '
+    '{"coef": [-1, 1], "cycle": [3, 8, 9, 4]}, '
+    '{"coef": [-1, 1], "cycle": [5, 10, 11, 6]}, '
+    '{"coef": [-1, 1], "cycle": [6, 11, 12, 7]}, '
+    '{"coef": [-1, 1], "cycle": [7, 12, 13, 8]}, '
+    '{"coef": [-1, 1], "cycle": [8, 13, 14, 9]}, '
+    '{"coef": [-1, 1], "cycle": [10, 15, 16, 11]}, '
+    '{"coef": [-1, 1], "cycle": [11, 16, 17, 12]}, '
+    '{"coef": [-1, 1], "cycle": [12, 17, 18, 13]}, '
+    '{"coef": [-1, 1], "cycle": [13, 18, 19, 14]}, '
+    '{"coef": [-1, 1], "cycle": [15, 20, 21, 16]}, '
+    '{"coef": [-1, 1], "cycle": [16, 21, 22, 17]}, '
+    '{"coef": [-1, 1], "cycle": [17, 22, 23, 18]}, '
+    '{"coef": [-1, 1], "cycle": [18, 23, 24, 19]}'
+    '], "l": 5, "method": "lp"}\n')

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from retract import core, oracle, planar
-from retract.bounds import (EdgeAssignment, distance_stretch_lower_bound,
+from retract.bounds import (EdgeAssignment, _horton_candidates,
+                            distance_stretch_lower_bound,
                             lp_certificate, lp_feasible,
                             lp_stretch_lower_bound, retraction_coloring,
                             segment_coloring, separation_oracle,
@@ -14,7 +15,8 @@ from retract.core import (Instance, ValidationError, gen_column_deleted_grid,
                           gen_grid, gen_random_planar)
 
 import frozen
-from conftest import make_ck, make_w4
+from conftest import (horton_reference, lp_certificate_reference,
+                      lp_feasible_reference, make_ck, make_w4)
 
 
 # --- distance bound ---------------------------------------------------------
@@ -273,6 +275,61 @@ def test_lp_sound_for_retractions():
         s = max(1, rep.max_stretch)
         l = -(-inst.k // s)
         assert lp_feasible(inst, l)[0]
+
+
+# (k, free vertices) of the benchmark's drawn random planar instances
+DRAWN_RP = tuple((k, nf) for k in (6, 8, 10) for nf in (4, 8, 12))
+
+
+def _differential_set(name):
+    """The ladder with grid 7, the 310 random planar instances of the
+    planar tests, or 200 drawn like the benchmark's random instances."""
+    if name == "ladder":
+        return ([_ladder_instance(key) for key in sorted(frozen.LADDER_LP)]
+                + [gen_grid(7)])
+    if name == "random":
+        return [gen_random_planar(nf, k, 1000 * k + nf)
+                for k in range(3, 13) for nf in range(31)]
+    rng = random.Random(2020)
+    return [gen_random_planar(nf, k, rng.randrange(1 << 31))
+            for k, nf in (rng.choice(DRAWN_RP) for _ in range(200))]
+
+
+@pytest.mark.parametrize("name,count", [("ladder", 23), ("random", 310),
+                                        ("drawn", 200)])
+def test_lp_matches_tree_path_reference(name, count):
+    # the bitmask candidates and the integer-first elimination give the
+    # tree-path walk's candidates in its order, and the all-Fraction
+    # elimination's bound, l0, certificate and feasible assignments
+    insts = _differential_set(name)
+    assert len(insts) == count
+    for inst in insts:
+        k = inst.k
+        assert list(_horton_candidates(inst, k)) == horton_reference(inst, k)
+        got = lp_certificate(inst)
+        assert got == lp_certificate_reference(inst), inst
+        if got[1] is not None:
+            assert all(type(c) is Fraction for _, c in got[2])
+            assert oracle.check_lp_certificate(inst, got[1], got[2])
+        for l in range(2, k + 1):
+            ok, res = lp_feasible(inst, l)
+            ref_ok, ref = lp_feasible_reference(inst, l)
+            assert ok is ref_ok, (inst, l)
+            if ok:
+                assert res.values == ref
+            else:
+                assert res == ref
+                assert all(type(c) is Fraction for _, c in res)
+
+
+@pytest.mark.parametrize("l", [2.5, "3", 1, 0, True, None])
+def test_lp_feasible_rejects_bad_l(l, monkeypatch):
+    # rejected before the candidates are generated or eliminated
+    def no_call(*args):
+        raise AssertionError("elimination ran")
+    monkeypatch.setattr("retract.bounds._span_elimination", no_call)
+    with pytest.raises(ValidationError):
+        lp_feasible(make_w4(), l)
 
 
 def _random_small(rng):

@@ -106,6 +106,16 @@ def test_lb_lp_certificate_is_for_l0(tmp_path, capsys):
     assert oracle.check_lp_certificate(gen_grid(5), 5, _combination(out))
 
 
+def test_lb_lp_stdout_frozen(tmp_path, capsys):
+    from conftest import make_w4
+    inst_path = tmp_path / "inst.json"
+    for inst, want in ((make_w4(), frozen.LB_LP_W4_STDOUT),
+                       (gen_grid(5), frozen.LB_LP_GRID5_STDOUT)):
+        inst_path.write_text(serialize_instance(inst))
+        assert run(["lb", "--method", "lp", "-i", str(inst_path)]) == 0
+        assert capsys.readouterr().out == want
+
+
 def test_lb_sperner_on_grid(tmp_path, capsys):
     inst_path = _gen(tmp_path, "grid", "--m", "4")
     assert run(["lb", "--method", "sperner", "-i", str(inst_path)]) == 0
