@@ -44,23 +44,64 @@ class NiceTreeDecomposition:
 
 
 def _raw_decompose(n, edges):
-    """Heuristic (min-fill) tree decomposition: (bags, tree adjacency).
+    """Heuristic (min-fill) tree decomposition of the graph on vertices
+    0..n-1 with the given edges, none a loop: (bags, tree adjacency).
 
-    networkx is imported here, on first use, so that importing the
-    package and running its other solvers do not load it."""
-    import networkx as nx
-    from networkx.algorithms import approximation as nx_approx
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(edges)
-    _, tree = nx_approx.treewidth_min_fill_in(g)
-    bags = [tuple(sorted(b)) for b in tree.nodes]
-    index = {b: i for i, b in enumerate(tree.nodes)}
-    adj = [[] for _ in bags]
-    for a, b in tree.edges:
-        adj[index[a]].append(index[b])
-        adj[index[b]].append(index[a])
-    return bags, adj
+    bags[i] is a sorted vertex tuple; adj[i] lists bag i's home bag first
+    (none for bag 0) and then its children in creation order.
+
+    This is the minimum fill-in heuristic of H. L. Bodlaender and A. M. C. A.
+    Koster, "Treewidth computations I. Upper bounds" (2010), ported from
+    `treewidth_min_fill_in` and `treewidth_decomp` in networkx 3.6.1
+    (networkx/algorithms/approximation/treewidth.py; 3-clause BSD license,
+    Copyright (c) 2004-2025, NetworkX Developers), whose decompositions it
+    reproduces bag for bag and in the same order. Each round sorts the live
+    vertices by degree (stably, in vertex order); when the least degree is
+    the live count - 1 the rest form the first bag. Otherwise it eliminates
+    the first vertex of least fill-in (the number of missing edges among its
+    neighbours), stopping a vertex's count once it reaches the best so far
+    and taking a vertex of fill 0 at once: its neighbourhood becomes a
+    clique and is pushed with it. The stack is then popped, each vertex
+    with its neighbourhood making a new bag hung on the first earlier bag
+    holding that neighbourhood, or else on the first bag.
+    """
+    graph = {v: set() for v in range(n)}
+    for u, v in edges:
+        graph[u].add(v)
+        graph[v].add(u)
+    stack = []
+    while graph:
+        order = sorted(graph, key=lambda x: len(graph[x]))
+        if len(graph[order[0]]) == len(graph) - 1:
+            break
+        # fill counts are doubled: each missing edge is seen from both ends
+        best, best_fill = None, float("inf")
+        for v in order:
+            nbrs = graph[v]
+            fill = 0
+            for u in nbrs:
+                fill += len(nbrs - graph[u]) - 1
+                if fill >= best_fill:
+                    break
+            if fill < best_fill:
+                best, best_fill = v, fill
+                if fill == 0:
+                    break
+        nbrs = graph.pop(best)
+        for u in nbrs:
+            graph[u] |= nbrs
+            graph[u] -= {u, best}
+        stack.append((best, nbrs))
+    bags = [set(graph)]
+    adj = [[]]
+    while stack:
+        v, nbrs = stack.pop()
+        home = next((i for i, bag in enumerate(bags) if nbrs <= bag), 0)
+        adj[home].append(len(bags))
+        adj.append([home])
+        nbrs.add(v)
+        bags.append(nbrs)
+    return [tuple(sorted(bag)) for bag in bags], adj
 
 
 def _make_nice(bags, adj):

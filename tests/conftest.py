@@ -201,6 +201,24 @@ def nx_rotation(n, nodes, edges):
     return rotation
 
 
+def networkx_min_fill_reference(n, edges):
+    """Reference for `treewidth._raw_decompose`: networkx's min-fill tree
+    decomposition, read as (sorted bag tuples in node order, adjacency
+    lists in the order of the tree's edges)."""
+    from networkx.algorithms import approximation as nx_approx
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    _, tree = nx_approx.treewidth_min_fill_in(g)
+    bags = [tuple(sorted(b)) for b in tree.nodes]
+    index = {b: i for i, b in enumerate(tree.nodes)}
+    adj = [[] for _ in bags]
+    for a, b in tree.edges:
+        adj[index[a]].append(index[b])
+        adj[index[b]].append(index[a])
+    return bags, adj
+
+
 def rotation_faces(rotation, nodes):
     """The face walks of a rotation system, each half-edge (v, w) followed
     by (w, the neighbour before v in w's clockwise rotation), as

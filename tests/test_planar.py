@@ -976,18 +976,33 @@ def test_k5_on_the_anchors_of_c5_is_solved():
                                     list(range(5)))[1] == 2
 
 
-def test_planar_and_euclid_solves_do_not_load_networkx():
+def test_no_solve_loads_networkx(tmp_path):
+    # a None entry in sys.modules makes any import of networkx raise
     code = "\n".join([
         "import sys",
+        "sys.modules['networkx'] = None",
         "from retract import (euclid_retract, gen_grid, gen_random_points,",
-        "                     optimal_retract_planar, optimal_retract_tw)",
+        "                     host_from_cycle, optimal_retract_planar,",
+        "                     optimal_retract_tw)",
+        "from retract.cli import run",
+        "from retract.treewidth import stretch1_tw",
         "optimal_retract_planar(gen_grid(5))",
         "euclid_retract(gen_random_points(1, 10, 9010))",
-        "assert 'networkx' not in sys.modules",
         "optimal_retract_tw(gen_grid(3))",
-        "assert 'networkx' in sys.modules",
+        "stretch1_tw(gen_grid(3), host_from_cycle(gen_grid(3)))",
+        "grid, points, out = sys.argv[1:]",
+        "assert run(['gen', 'grid', '--m', '3', '-o', grid]) == 0",
+        "assert run(['gen', 'random-points', '--n', '1', '--k', '10',",
+        "            '--seed', '9010', '-o', points]) == 0",
+        "for algo in ('planar', 'approx', 'treewidth', 'oracle'):",
+        "    assert run(['solve', '--algo', algo, '-i', grid, '-o', out]) == 0",
+        "assert run(['solve', '--algo', 'euclid', '-i', points, '-o', out]) == 0",
+        "for method in ('distance', 'lp', 'sperner'):",
+        "    assert run(['lb', '--method', method, '-i', grid]) == 0",
     ])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    args = [str(tmp_path / name) for name in ("grid.json", "points.json",
+                                               "ret.json")]
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

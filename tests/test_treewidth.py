@@ -1,10 +1,13 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from retract import oracle, planar
-from retract.core import (Instance, SubgraphHost, ValidationError,
-                          gen_column_deleted_grid, gen_grid, host_from_cycle)
+from retract import cli, oracle, planar, treewidth
+from retract.core import (Instance, ResourceError, SubgraphHost,
+                          ValidationError, gen_column_deleted_grid, gen_grid,
+                          gen_random_planar, host_from_cycle)
 from retract.treewidth import (NiceTreeDecomposition, _make_nice,
                                _raw_decompose, _spliced_decomposition,
                                _start_bound, _stretch1_graph, _subdivided,
@@ -12,8 +15,11 @@ from retract.treewidth import (NiceTreeDecomposition, _make_nice,
                                tree_decompose)
 
 import frozen
-from conftest import make_ck, make_w4
+from conftest import make_ck, make_w4, networkx_min_fill_reference
 from test_acceptance import _random_host_case
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _check_decomposition(decomp, n, edges):
@@ -250,3 +256,71 @@ def test_host_stretch_validation():
     from retract.core import Retraction
     with pytest.raises(ValidationError):
         host_stretch(c8, host, Retraction(tuple([0] * 8)))  # moves anchors
+
+
+def _complete(n):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def _min_fill_set(name):
+    """(n, edges) graphs on which the min-fill port is checked against
+    networkx: grids 3-8, column-deleted grids 5-10 and the benchmark's
+    treewidth grids; 300 of the benchmark's random host guests; 200 random
+    planar instances; or graphs that end in the abort branch at once or hang
+    bags on the first bag (a single vertex, isolated vertices, K4, K5, a
+    disconnected graph)."""
+    if name == "grids":
+        families = ([("grid", m) for m in range(3, 9)]
+                    + [("colgrid", m) for m in range(5, 11)]
+                    + list(workloads.TW_GRIDS))
+        return [(g.n, g.edges) for g in
+                (workloads._family(*f) for f in families)]
+    if name == "hosts":
+        rng = random.Random(5)
+        return [workloads._random_host_case(rng)[:2] for _ in range(300)]
+    if name == "planar":
+        rng = random.Random(7)
+        insts = [gen_random_planar(rng.randrange(16), rng.randrange(3, 13),
+                                   rng.randrange(1 << 30)) for _ in range(200)]
+        return [(g.n, g.edges) for g in insts]
+    return [(1, []), (4, []), (6, [(1, 4)]), (4, _complete(4)),
+            (5, _complete(5)),
+            (9, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3),
+                 (3, 5)])]
+
+
+@pytest.mark.parametrize("name,count", [("grids", 16), ("hosts", 300),
+                                        ("planar", 200), ("edge", 6)])
+def test_min_fill_matches_networkx_reference(name, count):
+    graphs = _min_fill_set(name)
+    assert len(graphs) == count
+    for n, edges in graphs:
+        assert _raw_decompose(n, edges) == networkx_min_fill_reference(n, edges)
+
+
+def test_tw_answers_match_networkx_decomposition(monkeypatch):
+    rng = random.Random(5)
+    cases = [workloads.host_case(workloads._random_host_case(rng))
+             for _ in range(300)]
+    ours = [(tree_decompose(g).width, optimal_retract_tw(g, host))
+            for g, host in cases]
+    monkeypatch.setattr(treewidth, "_raw_decompose",
+                        networkx_min_fill_reference)
+    for (g, host), (width, (ret, rep)) in zip(cases, ours):
+        assert tree_decompose(g).width == width
+        ref_ret, ref_rep = optimal_retract_tw(g, host)
+        assert ret.assignment == ref_ret.assignment
+        assert rep.max_stretch == ref_rep.max_stretch
+
+
+def test_table_cap_raises_resource_error(tmp_path, monkeypatch):
+    # the DP work counter peaks at 63 on grid 3 and at 917 on grid 4
+    monkeypatch.setattr(treewidth, "_TABLE_CAP", 100)
+    assert optimal_retract_tw(gen_grid(3))[1].max_stretch == 3
+    with pytest.raises(ResourceError):
+        optimal_retract_tw(gen_grid(4))
+    inst, out = tmp_path / "inst.json", tmp_path / "ret.json"
+    assert cli.run(["gen", "grid", "--m", "4", "-o", str(inst)]) == 0
+    assert cli.run(["solve", "--algo", "treewidth", "-i", str(inst),
+                    "-o", str(out)]) == 3
+    assert not out.exists()
