@@ -62,17 +62,16 @@ def _solve(args):
         from .euclid import PointSet, euclid_retract
         res = euclid_retract(PointSet(tuple(inst.points), inst.anchors))
         record["ratio_sq"] = [res.ratio_sq.numerator, res.ratio_sq.denominator]
-        text = serialize_retraction(inst, Retraction(res.assignment))
+        ret = Retraction(res.assignment)
+        text = serialize_retraction(ret, stretch(inst, ret).max_stretch)
     elif args.host_edges:
         from .treewidth import optimal_retract_tw
         host = parse_host(_read_text(args.host_edges), inst)
         ret, rep = optimal_retract_tw(inst, host)
         # non-cycle host: the stretch lives in the host metric, so the
-        # cycle-metric serializer and bounds do not apply
+        # cycle-metric bounds do not apply
         record["stretch"] = rep.max_stretch
-        text = json.dumps({"assignment": list(ret.assignment),
-                           "stretch": rep.max_stretch},
-                          sort_keys=True, separators=(",", ":")) + "\n"
+        text = serialize_retraction(ret, rep.max_stretch)
     else:
         if args.algo == "planar":
             from .planar import optimal_retract_planar as solver
@@ -86,7 +85,7 @@ def _solve(args):
         record["stretch"] = rep.max_stretch
         record["lower_bounds"] = {
             "distance": bounds_mod.distance_stretch_lower_bound(inst)}
-        text = serialize_retraction(inst, ret)
+        text = serialize_retraction(ret, rep.max_stretch)
     record["wall_time_s"] = round(time.monotonic() - t0, 6)
     _write(args.output, text)
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")

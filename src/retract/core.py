@@ -11,6 +11,7 @@ endpoints.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -33,6 +34,34 @@ def _normalize_edge(u, v):
     if u == v:
         raise ValidationError("self-loop edge (%r, %r)" % (u, v))
     return (u, v) if u < v else (v, u)
+
+
+def _distances(adj, lengths, src):
+    """Shortest-path distances from src over adj, as a dict holding the
+    vertices reached. With `lengths` None every edge has length 1 and a BFS
+    finds them; else Dijkstra does, an edge (u, v) having length
+    lengths[(u, v)], normalized."""
+    dist = {src: 0}
+    if lengths is None:
+        queue = [src]
+        for u in queue:
+            d = dist[u] + 1
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = d
+                    queue.append(w)
+        return dist
+    heap = [(0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for w in adj[u]:
+            d2 = d + lengths[_normalize_edge(u, w)]
+            if d2 < dist.get(w, d2 + 1):
+                dist[w] = d2
+                heapq.heappush(heap, (d2, w))
+    return dist
 
 
 class Instance:
@@ -188,21 +217,12 @@ class SubgraphHost:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        dist = {}
+        self._dist = {}
         for s in self.anchors:
-            d = {s: 0}
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for w in adj[u]:
-                    if w not in d:
-                        d[w] = d[u] + 1
-                        q.append(w)
+            d = _distances(adj, None, s)
             if len(d) != len(self.anchors):
                 raise ValidationError("host subgraph is disconnected")
-            for t, dv in d.items():
-                dist[(s, t)] = dv
-        self._dist = dist
+            self._dist.update(((s, t), dv) for t, dv in d.items())
 
     @property
     def k(self):
@@ -258,30 +278,45 @@ def stretch(instance, retraction):
     return StretchReport(best, witness)
 
 
-def distance_lower_bound(instance):
-    """max(1, max over anchor pairs of d_H(a,b)/d_G(a,b)), as an exact Fraction.
+def _distance_ratio(search, branch, host_dist):
+    """(num, den) of the anchor distance ratio: max(1, max over pairs a, b
+    of `branch` of d_H(a, b) / d_G(a, b)), with search(a)[b] = d_G(a, b) and
+    host_dist(a, b) = d_H(a, b), skipping pairs the search does not reach.
 
-    Only branch anchors (more than two neighbours, so an edge off H) are
-    sources, and that is exact. Take anchors a != b and a shortest a-b path P
-    in G. If P uses only host edges, |P| >= d_H(a,b) and the ratio is at most
-    1. Otherwise let p be where P first takes a non-host edge and q where its
-    last non-host edge ends: P runs along H before p and after q, so p and q
-    are branch anchors, and p != q as P is simple. With c the length of P
-    outside its p-q subpath, d_G(a,b) = c + d_G(p,q) and d_H(a,b) <=
-    c + d_H(p,q), so the ratio is at most
+    It bounds the optimal stretch onto any connected host H from below: a
+    stretch-l map takes a shortest a-b path of G to a host walk of d_G(a, b)
+    steps of length at most l. Branch anchors, those with a guest edge off
+    H, suffice, and that is exact. Take anchors a != b and a shortest a-b
+    path P in G. If P uses only host edges, |P| >= d_H(a,b) and the ratio
+    is at most 1. Otherwise let p be where P first takes a non-host edge and
+    q where its last non-host edge ends: P runs along H before p and after
+    q, so p and q are branch anchors, and p != q as P is simple. With c the
+    length of P outside its p-q subpath, d_G(a,b) = c + d_G(p,q) and
+    d_H(a,b) <= c + d_H(p,q), so the ratio is at most
     (c + d_H(p,q)) / (c + d_G(p,q)) <= max(1, d_H(p,q)/d_G(p,q)).
     """
-    k = instance.k
-    branch = [i for i, a in enumerate(instance.anchors)
-              if len(instance.neighbors(a)) > 2]
     num, den = 1, 1
-    for x, i in enumerate(branch):
-        dg = instance.distances_from(instance.anchors[i])
-        for j in branch[x + 1:]:
-            dh, d = cycle_dist(k, i, j), dg[instance.anchors[j]]
+    for x, a in enumerate(branch):
+        dist = search(a)
+        for b in branch[x + 1:]:
+            try:
+                d = dist[b]
+            except KeyError:
+                continue
+            dh = host_dist(a, b)
             if dh * den > num * d:
                 num, den = dh, d
-    return Fraction(num, den)
+    return num, den
+
+
+def distance_lower_bound(instance):
+    """The anchor distance ratio (`_distance_ratio`) as an exact Fraction;
+    branch anchors are those with more than two neighbours."""
+    k, idx = instance.k, instance._anchor_index
+    branch = [a for a in instance.anchors if len(instance.neighbors(a)) > 2]
+    return Fraction(*_distance_ratio(
+        instance.distances_from, branch,
+        lambda a, b: cycle_dist(k, idx[a], idx[b])))
 
 
 def subdivide(instance, l):
@@ -453,10 +488,9 @@ def parse_instance(text):
     return Instance(obj["n"], edges, anchors, points)
 
 
-def serialize_retraction(instance, retraction):
-    rep = stretch(instance, retraction)
+def serialize_retraction(retraction, max_stretch):
     obj = {"assignment": list(retraction.assignment),
-           "stretch": rep.max_stretch}
+           "stretch": max_stretch}
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 

@@ -29,9 +29,9 @@ anchor copies, with a core edge of length L on H and L*l off it. The map is
 verified per chain from the labels, and only the accepted map gives images
 to the inner chain vertices. The scan is exact (see `_lipschitz_retract`).
 A part's optimum is the least feasible l, scanned upward from the part's
-distance bound (a BFS from each branch anchor when every length of the part
-is 1, else Dijkstra). The merged map is checked in closed form
-(`_check_weighted`).
+anchor distance ratio (`core._distance_ratio`: a BFS from each branch anchor
+when every length of the part is 1, else Dijkstra). The merged map is
+checked in closed form (`_check_weighted`).
 
 `reduce_two_connected`, `plane_parts` and `plane_core` take the same block,
 pieces and core of an `Instance`, vertex by vertex; no solve calls them.
@@ -53,7 +53,8 @@ from functools import partial
 from math import ceil
 
 from .core import (Instance, Retraction, SolverError, ValidationError,
-                   _normalize_edge, cycle_dist, distance_lower_bound, stretch)
+                   _distance_ratio, _distances, _normalize_edge, cycle_dist,
+                   distance_lower_bound, stretch)
 from .core import subdivide  # noqa: F401  (perfbench/spans.py wraps it here)
 
 
@@ -1185,10 +1186,8 @@ def _lipschitz_retract(core, face, l=1):
     inner vertex t is labelled from y where 2t > D(y, s) + L - D(x, 0), and
     those labels fall by 1 as t rises, while the anchors rise by 1, so with
     k >= 3 only t = L - 1 may be, and it must be fixed; and on a crossed
-    chain off H, its last edge is within l. The expanded map is then
-    checked with `stretch` as well when the core is an Instance's; the
-    weighted route checks its merged map in closed form instead
-    (`_check_weighted`).
+    chain off H, its last edge is within l. The solve checks the merged
+    map of all parts in closed form (`_check_weighted`).
     """
     k = core.k
     sign = _dual_crossing_signs(core.embedding, face, core.forward)
@@ -1353,33 +1352,6 @@ def _inner_ids(runs, first, edges, lengths):
     return first
 
 
-def _distances(adj, lengths, src):
-    """Shortest-path distances from src over adj. With `lengths` None every
-    edge has length 1 and a BFS finds them; else Dijkstra does, an edge
-    (u, v) having length lengths[(u, v)], normalized."""
-    dist = {src: 0}
-    if lengths is None:
-        queue = [src]
-        for u in queue:
-            d = dist[u] + 1
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = d
-                    queue.append(w)
-        return dist
-    heap = [(0, src)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for w in adj[u]:
-            d2 = d + lengths[_normalize_edge(u, w)]
-            if d2 < dist.get(w, d2 + 1):
-                dist[w] = d2
-                heapq.heappush(heap, (d2, w))
-    return dist
-
-
 def optimal_retract_weighted(n, lengths, cycle):
     """Minimum-stretch retraction of a weighted planar graph onto a cycle,
     decided without subdividing it.
@@ -1509,7 +1481,8 @@ def _chain_path(comp, bn, P, lengths, runs):
 
 def _weighted_part(K, P, cycle, host, lengths, bn, block_edges, comp, whole):
     """(core, start bound) of the part H plus the component `comp`, read
-    off the weighted graph.
+    off the weighted graph; the start bound is the part's anchor distance
+    ratio (`core._distance_ratio`) rounded up.
 
     The ids are those of the subdivided part: anchors 0..K-1 by position,
     then comp's vertices, then the inner vertices of its edges, as
@@ -1575,18 +1548,14 @@ def _weighted_part(K, P, cycle, host, lengths, bn, block_edges, comp, whole):
 
     core = _plane_core(n, anchors, anchor_index, core_ids, units, stubs,
                        out={vid[v]: v for v in comp}, size=len(bn))
-    # the distance bound over the branch anchors (`distance_lower_bound`),
-    # by BFS when every length of the part is 1
+    # the anchor distance ratio (`_distance_ratio`), by BFS when every
+    # length of the part is 1
     unit = K == r and all(lengths[e] == 1 for e in edges)
-    branch = [c for c in cycle if len(pn[c]) > 2]
-    num, den = 1, 1
-    for x, a in enumerate(branch):
-        dg = _distances(pn, None if unit else lengths, a)
-        for b in branch[x + 1:]:
-            dh, d = cycle_dist(K, P[a], P[b]), dg[b]
-            if dh * den > num * d:
-                num, den = dh, d
-    return core, max(1, -(-num // den))
+    num, den = _distance_ratio(
+        partial(_distances, pn, None if unit else lengths),
+        [c for c in cycle if len(pn[c]) > 2],
+        lambda a, b: cycle_dist(K, P[a], P[b]))
+    return core, -(-num // den)
 
 
 def _check_weighted(K, lengths, host, pos, optimum):

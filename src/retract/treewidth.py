@@ -5,7 +5,8 @@ A retraction of stretch at most l is decided by dynamic programming over a
 nice tree decomposition (min-fill heuristic width) of the graph itself, built
 once per solve: a vertex may take an image only if it lies within host
 distance l of the images of its neighbours already in the bag. The optimum is
-the least l the DP accepts, scanned upward from the anchor distance ratio.
+the least l the DP accepts, scanned upward from the anchor distance ratio
+over the branch anchors (`_start_bound`).
 
 The subdivision route (`_subdivided`, `_spliced_decomposition`) is kept as a
 reference: stretch l is feasible iff the graph with every non-host edge
@@ -14,11 +15,11 @@ replaced by an l-edge path retracts with stretch 1.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
-from .core import (Instance, ResourceError, Retraction, SolverError,
-                   StretchReport, SubgraphHost, ValidationError,
+from .core import (ResourceError, Retraction, SolverError, StretchReport,
+                   ValidationError, _distance_ratio, _distances,
                    _normalize_edge, host_from_cycle)
 
 LEAF, INTRODUCE, FORGET, JOIN = "leaf", "introduce", "forget", "join"
@@ -199,7 +200,9 @@ def _stretch1_graph(n, edges, host, decomp, l=1):
         candidates = (v,) if v in anchor_set else images
         work += len(child_table) * len(candidates)
         if work > _TABLE_CAP:
-            raise ResourceError("DP table budget exceeded (%d entries)" % work)
+            raise ResourceError("DP work budget exceeded: %d child table "
+                                "entries x candidate images, summed over "
+                                "introduce nodes" % work)
         table = set()
         for g in child_table:
             for a in candidates:
@@ -306,31 +309,20 @@ def _spliced_decomposition(bags, adj, chains):
 
 
 def _start_bound(n, edges, host):
-    """max(1, ceil of the max over anchor pairs of d_H(a, b) / d_G(a, b)),
-    by BFS in G from each anchor.
-
-    A lower bound on the optimal stretch for any host: a retraction of
-    stretch l maps a shortest a-b path of G to a host walk from a to b whose
-    d_G(a, b) steps each have length at most l.
-    """
+    """The anchor distance ratio (`_distance_ratio`) rounded up, the least l
+    the scan tries: by BFS in the graph (n, edges) from each branch anchor,
+    one with an edge outside `host.edges`."""
     adj = [[] for _ in range(n)]
+    off = set()
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    best = 1
-    for a in host.anchors:
-        dist = {a: 0}
-        queue = deque([a])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        for b in host.anchors:
-            if b != a and b in dist:
-                best = max(best, -(-host.dist(a, b) // dist[b]))
-    return best
+        if _normalize_edge(u, v) not in host.edges:
+            off.update((u, v))
+    num, den = _distance_ratio(partial(_distances, adj, None),
+                               [a for a in host.anchors if a in off],
+                               host.dist)
+    return -(-num // den)
 
 
 def optimal_retract_tw(instance, host=None):

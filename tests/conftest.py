@@ -55,6 +55,30 @@ def all_pairs_distance_ratio(inst):
     return best
 
 
+def all_anchor_start_bound(n, edges, host):
+    """Reference for `treewidth._start_bound`: max(1, ceil of the max over
+    every anchor pair of d_H(a, b) / d_G(a, b)), by BFS in G from every
+    anchor of the host."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    best = 1
+    for a in host.anchors:
+        dist = {a: 0}
+        queue = deque([a])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        for b in host.anchors:
+            if b != a and b in dist:
+                best = max(best, -(-host.dist(a, b) // dist[b]))
+    return best
+
+
 def random_planar_family(count, max_free, max_k, seed0):
     """`count` seeded `gen_random_planar` instances, k in 4..max_k and
     1..max_free free vertices."""

@@ -15,8 +15,10 @@ from retract.treewidth import (NiceTreeDecomposition, _make_nice,
                                tree_decompose)
 
 import frozen
-from conftest import make_ck, make_w4, networkx_min_fill_reference
+from conftest import (all_anchor_start_bound, make_ck, make_w4,
+                      networkx_min_fill_reference)
 from test_acceptance import _random_host_case
+from test_planar import _ladder
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -228,6 +230,21 @@ def test_direct_dp_matches_spliced_route():
         assert _start_bound(g.n, g.edges, host) <= l
 
 
+def test_start_bound_matches_all_anchor_reference():
+    # the branch-anchor ratio equals the ratio over every anchor pair on
+    # random non-cycle hosts and on the anchor cycles of the planar ladder
+    # and of the 310 random planar instances
+    rng = random.Random(5)
+    cases = [_random_host_case(rng) for _ in range(2000)]
+    insts = _ladder() + [gen_random_planar(nf, k, 1000 * k + nf)
+                         for k in range(3, 13) for nf in range(31)]
+    cases += [(inst, host_from_cycle(inst)) for inst in insts]
+    assert len(cases) == 2332
+    for g, host in cases:
+        assert (_start_bound(g.n, g.edges, host)
+                == all_anchor_start_bound(g.n, g.edges, host)), (g, host)
+
+
 def test_anchor_order_invariance():
     c8 = make_ck(8)
     host_fwd = SubgraphHost((0, 1, 2, 3), [(0, 1), (1, 2), (2, 3)])
@@ -313,14 +330,20 @@ def test_tw_answers_match_networkx_decomposition(monkeypatch):
         assert rep.max_stretch == ref_rep.max_stretch
 
 
-def test_table_cap_raises_resource_error(tmp_path, monkeypatch):
-    # the DP work counter peaks at 63 on grid 3 and at 917 on grid 4
+def test_table_cap_raises_resource_error(tmp_path, monkeypatch, capsys):
+    # the DP work counter peaks at 63 on grid 3 and at 917 on grid 4; on
+    # grid 4 it first passes 100 at 124
     monkeypatch.setattr(treewidth, "_TABLE_CAP", 100)
     assert optimal_retract_tw(gen_grid(3))[1].max_stretch == 3
-    with pytest.raises(ResourceError):
+    message = ("DP work budget exceeded: 124 child table entries x candidate "
+               "images, summed over introduce nodes")
+    with pytest.raises(ResourceError) as info:
         optimal_retract_tw(gen_grid(4))
+    assert str(info.value) == message
     inst, out = tmp_path / "inst.json", tmp_path / "ret.json"
     assert cli.run(["gen", "grid", "--m", "4", "-o", str(inst)]) == 0
+    capsys.readouterr()
     assert cli.run(["solve", "--algo", "treewidth", "-i", str(inst),
                     "-o", str(out)]) == 3
+    assert capsys.readouterr().err == "solver error: %s\n" % message
     assert not out.exists()
