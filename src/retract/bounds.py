@@ -38,9 +38,9 @@ from .core import (SolverError, ValidationError, _is_int, _normalize_edge,
 
 
 def distance_stretch_lower_bound(instance):
-    """ceil of max d_H(a,b)/d_G(a,b) over anchor pairs; stretch is an integer
-    at least that ratio, so rounding up is sound."""
-    return max(1, ceil(distance_lower_bound(instance)))
+    """ceil of max(1, max d_H(a,b)/d_G(a,b) over anchor pairs); stretch is an
+    integer at least that ratio, so rounding up is sound."""
+    return ceil(distance_lower_bound(instance))
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,8 @@ def gen_random_planar(n_free, k, seed):
     import random as _random
     if k < 3:
         raise ValidationError("k must be >= 3")
+    if n_free < 0:
+        raise ValidationError("the free vertex count must be >= 0")
     rng = _random.Random(seed)
     n = k + n_free
     edges = {_normalize_edge(i, (i + 1) % k) for i in range(k)}

@@ -91,6 +91,8 @@ def circle_radius(k):
 
 def gen_random_points(n_interior, k, seed):
     """Seeded PointSet: anchors on the circle plus interior grid points."""
+    if n_interior < 0:
+        raise ValidationError("the interior point count must be >= 0")
     rng = random.Random(seed)
     anchors = anchors_on_circle(k)
     pts = list(anchors)

@@ -33,11 +33,11 @@ anchor distance ratio (`core._distance_ratio`: a BFS from each branch anchor
 when every length of the part is 1, else Dijkstra). The merged map is
 checked in closed form (`_check_weighted`).
 
-`reduce_two_connected`, `plane_parts` and `plane_core` take the same block,
-pieces and core of an `Instance`, vertex by vertex; no solve calls them.
-`plane_embed` embeds a one-piece instance through the last two, with the
-chains spliced back into the core's embedding, for the curve certificate
-below.
+`reduce_two_connected` and `plane_parts` take the same block and pieces of
+an `Instance`, vertex by vertex, and `plane_core` its core, by a call of the
+solve's own builder with every length 1; no solve calls them. `plane_embed`
+embeds a one-piece instance through the last two, with the chains spliced
+back into the core's embedding, for the curve certificate below.
 
 The paper's certificate, k vertex-disjoint curves from F to H found by max
 flow in a triangulated supergraph and the retraction read off the regions
@@ -107,21 +107,22 @@ class PlaneEmbedding:
 class PlaneCore:
     """A part's weighted core, embedded once.
 
-    The core is the vertices of degree other than 2, plus interior vertices
-    promoted from any chain of degree-2 vertices that would otherwise close a
+    The core is the vertices of degree other than 2 (one vertex of a bare
+    cycle), plus interior vertices promoted from any chain of degree-2 vertices that would otherwise close a
     loop or repeat a core edge, so that the core is simple and each core
     edge stands for exactly one chain. A chain lies wholly on H or wholly
     off it, since an inner vertex of H has no edge off H. `embedding` embeds
     the core alone, with H's face as outer face, and `forward` holds the
     host core edges directed in anchor order. For the cover, `vertices`
     lists the core vertices, whose positions there are their dense ids, and
-    `outs` the vertex each one's image is reported for (None for none);
-    `seeds` pairs each core anchor's dense id with its anchor index; each
-    link (chain, x, y, on H, sites) gives a core edge's chain, in anchor
-    order on H, the dense ids x and y of its first and last vertex, and the
-    inner vertices (t, v) whose images are reported: v's is that of the
-    chain's vertex t; and face_lengths[f] is face f's length (on H, off H).
-    A map is a list of `size` anchor indices by reported vertex.
+    `outs` the part vertex each one is (None for an inner vertex of a
+    longer edge); `seeds` pairs each core anchor's dense id with its anchor
+    index; each link (chain, x, y, on H, sites) gives a core edge's chain,
+    in anchor order on H, the dense ids x and y of its first and last
+    vertex, and the inner vertices (t, v) that are part vertices v: v's
+    image is that of the chain's vertex t; and face_lengths[f] is face f's
+    length (on H, off H). A map is a list of `size` anchor indices, and
+    every vertex of the part is reported in it.
     """
 
     __slots__ = ("anchors", "size", "embedding", "forward",
@@ -133,188 +134,14 @@ class PlaneCore:
 
 
 def plane_core(instance):
-    """Planarity-test the instance and embed its core (see PlaneCore).
-
-    The chains are walked vertex by vertex; `_plane_core` embeds them.
-    """
-    n = instance.n
-    nbr = [instance.neighbors(v) for v in range(n)]
-    core = [v for v in range(n) if len(nbr[v]) != 2] or [0]  # or a bare cycle
-    is_core = set(core)
+    """Planarity-test the instance and embed its core (see PlaneCore): the
+    solve's own builder (`_weighted_part`), every edge of length 1."""
     host = instance.host_edges()
-    units = [(e, e in host) for e in instance.edges
-             if e[0] in is_core and e[1] in is_core]
-
-    def walk(u, x):
-        chain = [u, x]
-        while chain[-1] not in is_core:
-            a, b = nbr[chain[-1]]
-            chain.append(b if a == chain[-2] else a)
-        return (tuple(chain), _normalize_edge(u, x) in host,
-                tuple(enumerate(chain[1:-1], 1)))
-
-    def stubs(u):
-        return [(x, partial(walk, u, x)) for x in nbr[u]]
-
-    return _plane_core(n, instance.anchors,
-                       lambda v: (instance.anchor_index(v)
-                                  if instance.is_anchor(v) else None),
-                       core, units, stubs)
-
-
-def _plane_core(n, anchors, anchor_index, core, units, stubs, out=None,
-                size=None):
-    """Embed a part's core, given as its chains (see PlaneCore).
-
-    Vertex ids are below n, and `anchors` lists H's vertices in anchor
-    order; anchor_index(v) is v's anchor index, None off H. `core` lists the
-    vertices of degree other than 2 in increasing order, `units` the sorted
-    edges between two of them, each with whether it lies on H, and stubs(u)
-    u's neighbours in increasing order, each with a walk: a function that
-    returns the chain from u through that neighbour to the next core
-    vertex, whether it lies on H, and the inner vertices (t, v) whose images
-    are reported, as the vertices they are reported for. `out` maps each
-    reported core vertex to the vertex its image is reported for, and maps
-    have `size` entries; with `out` None every core vertex is reported as
-    itself, and maps have n entries.
-
-    `_lr_rotation` embeds the core, which raises NotPlanarError if the
-    part is not planar. The faces are walked on the core's rotation
-    and listed in the order a walk of the whole graph would find them: by
-    the least (vertex, rotation position) of any half-edge on the face, a
-    chain's inner vertex v ordering its two half-edges as v's sorted
-    neighbors do, so `plane_embed`'s face ids are the core's.
-    """
-    is_core = set(core)
-    # path[(u, w)] is the chain that the core edge (u, w) stands for, walked
-    # from u; `walked` holds both end half-edges of every chain taken
-    path = {}
-    on_h = {}
-    sites = {}
-    walked = set()
-    core_edges = set()
-
-    def add_chain(chain, h, inner):
-        u, v = chain[0], chain[-1]
-        e = _normalize_edge(u, v)
-        core_edges.add(e)
-        on_h[e] = h
-        sites[e] = (chain, inner)
-        path[(u, v)] = chain
-        path[(v, u)] = chain[::-1]
-        walked.add((u, chain[1]))
-        walked.add((v, chain[-2]))
-
-    for e, h in units:
-        add_chain(e, h, ())
-    for u in core:
-        for x, walk in stubs(u):
-            if (u, x) in walked:
-                continue
-            chain, h, inner = walk()
-            v = chain[-1]
-            i = 0
-            # promote while the chain closes a loop or repeats a core edge
-            while len(chain) - i > 2 and (
-                    chain[i] == v
-                    or _normalize_edge(chain[i], v) in core_edges):
-                is_core.add(chain[i + 1])
-                add_chain(chain[i:i + 2], h, ())
-                i += 1
-            if i:
-                inner = tuple((t - i, w) for t, w in inner if t > i)
-            add_chain(chain[i:], h, inner)
-    nodes = sorted(is_core)
-    rotation = _lr_rotation(n, nodes, sorted(core_edges))
-
-    def first_half_edge(u, w):
-        # the least (vertex, rotation position) of a half-edge on the chain
-        # walked from u to w; an inner vertex's neighbors are its two chain
-        # neighbors
-        chain = path[(u, w)]
-        key = (u, rotation[u].index(w))
-        if len(chain) > 2:
-            i = chain.index(min(chain[1:-1]))
-            key = min(key, (chain[i], int(chain[i + 1] > chain[i - 1])))
-        return key
-
-    found = []
-    seen = set()
-    for v0 in nodes:
-        for w0 in rotation[v0]:
-            if (v0, w0) in seen:
-                continue
-            v, w = v0, w0
-            walk = []
-            key = None
-            while (v, w) not in seen:
-                seen.add((v, w))
-                walk.append(v)
-                here = first_half_edge(v, w)
-                if key is None or here < key:
-                    key = here
-                rot = rotation[w]
-                v, w = w, rot[rot.index(v) - 1]
-            found.append((key, walk))
-    found.sort()
-    embedding = PlaneEmbedding(n, rotation, [walk for _, walk in found], None,
-                               anchors)
-    k = len(anchors)
-    chains = []
-    forward = set()
-    host_core = set()
-    for e in embedding.graph_edges:
-        chain = path[e]
-        if on_h[e]:
-            host_core.add(e)
-            i = anchor_index(chain[0])
-            if anchor_index(chain[1]) != (i + 1) % k:
-                chain = path[e[::-1]]
-            forward.add((chain[0], chain[-1]))
-        chains.append(chain)
-    # H's face lies along one of the two sides of the host edge from anchor
-    # 0 to anchor 1, on the chain whose L anchor steps pass anchor 0
-    x, y = next((x, y) for x, y in forward
-                if -anchor_index(x) % k < len(path[(x, y)]) - 1)
-    outer = embedding.half_face[(x, y)]
-    if embedding.face_edge_sets[outer] != host_core:
-        outer = embedding.half_face[(y, x)]
-    embedding.outer_face = outer
-
-    pc = PlaneCore()
-    pc.anchors = anchors
-    pc.size = n if size is None else size
-    pc.embedding = embedding
-    pc.forward = frozenset(forward)
-    pc.vertices = tuple(nodes)
-    pc.outs = pc.vertices if out is None else tuple(map(out.get, nodes))
-    index = {v: c for c, v in enumerate(nodes)}
-    pc.seeds = tuple((c, i) for i, c in sorted(
-        (anchor_index(v), c) for c, v in enumerate(nodes)
-        if anchor_index(v) is not None))
-    links = []
-    span = {}
-    for chain in chains:
-        L = len(chain) - 1
-        e = _normalize_edge(chain[0], chain[-1])
-        walked_as, inner = sites[e]
-        if walked_as is not chain:
-            inner = tuple((L - t, w) for t, w in inner)
-        links.append((chain, index[chain[0]], index[chain[-1]],
-                      (chain[0], chain[-1]) in forward, inner))
-        span[e] = (L, on_h[e])
-    pc.links = tuple(links)
-    pc.face_lengths = []
-    for fes in embedding.face_edge_sets:
-        on, off = 0, 0
-        for e in fes:
-            L, h = span[e]
-            if h:
-                on += L
-            else:
-                off += L
-        pc.face_lengths.append((on, off))
-    return pc
+    return _weighted_part(
+        instance.k, {a: i for i, a in enumerate(instance.anchors)},
+        instance.anchors, host, dict.fromkeys(instance.edges, 1), instance.n,
+        [e for e in instance.edges if e not in host],
+        [v for v in range(instance.n) if not instance.is_anchor(v)], True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1301,7 +1128,7 @@ def stretch1_retract(instance):
 def _start_lower_bound(instance):
     """The distance lower bound rounded up: the bound the scan over l starts
     from, which the solve takes off the weighted part (`_weighted_part`)."""
-    return max(1, ceil(distance_lower_bound(instance)))
+    return ceil(distance_lower_bound(instance))
 
 
 def _scan(core, start):
@@ -1370,13 +1197,11 @@ def optimal_retract_weighted(n, lengths, cycle):
     the block minus the cycle whose vertices all have degree 2 is one chain
     through them; both are decided in closed form (`_chain_at`), and only
     the component's vertices get images. Every other component is a part,
-    whose core `_plane_core` takes straight from the weighted graph: its
-    chains are walked edge by edge, as ranges of the ids that the subdivided
-    part numbers its vertices with, since the part's face order, its
-    embedding and the orientation of a chain follow those ids. Its start
-    bound is a shortest-path search from each of its branch anchors, and
-    `_scan` decides each l on the core, with images only at the component's
-    vertices. The merged map is checked in closed form (`_check_weighted`).
+    whose core and start bound `_weighted_part` takes straight from the
+    weighted graph, its chains walked as ranges of the subdivided part's
+    ids. `_scan` decides each l on the core, and only the component's
+    images are kept. The merged map is checked in closed form
+    (`_check_weighted`).
     """
     r = len(cycle)
     P = {}
@@ -1401,10 +1226,9 @@ def optimal_retract_weighted(n, lengths, cycle):
     for c in cycle:
         pos[c] = P[c]
     optima = []
-    chords = [e for e in block_edges
-              if e not in host and e[0] in P and e[1] in P]
-    for u, v in chords:
-        optima.append(max(1, -(-cycle_dist(K, P[u], P[v]) // lengths[(u, v)])))
+    # a chord is a chain with no inner vertex
+    chains = [((u, v), [lengths[(u, v)]]) for u, v in block_edges
+              if (u, v) not in host and u in P and v in P]
     comps = []
     chain_comps = []
     seen = set(P) | set(gateway)
@@ -1425,20 +1249,23 @@ def optimal_retract_weighted(n, lengths, cycle):
     if chain_comps:
         runs = {}
         _inner_ids(runs, n, lengths, lengths)
-    for comp in chain_comps:
-        seq, steps = _chain_path(comp, bn, P, lengths, runs)
-        L = sum(steps)
+        chains += [_chain_path(comp, bn, P, lengths, runs)
+                   for comp in chain_comps]
+    for seq, steps in chains:
         i, j = P[seq[0]], P[seq[-1]]
-        l = max(1, -(-cycle_dist(K, i, j) // L))
+        l = max(1, -(-cycle_dist(K, i, j) // sum(steps)))
         optima.append(l)
         t = 0
         for v, m in zip(seq[1:-1], steps):
             t += m
             pos[v] = _chain_at(K, i, j, l, t)
-    whole = not chords and not chain_comps and len(comps) == 1
+    whole = not chains and len(comps) == 1
     for comp in comps:
-        l, img = _scan(*_weighted_part(K, P, cycle, host, lengths, bn,
-                                       block_edges, comp, whole))
+        cset = set(comp)
+        edges = sorted(e for e in block_edges
+                       if e[0] in cset or e[1] in cset)
+        l, img = _scan(*_weighted_part(K, P, cycle, host, lengths, n, edges,
+                                       comp, whole))
         optima.append(l)
         for v in comp:
             pos[v] = img[v]
@@ -1479,22 +1306,31 @@ def _chain_path(comp, bn, P, lengths, runs):
     return seq, steps
 
 
-def _weighted_part(K, P, cycle, host, lengths, bn, block_edges, comp, whole):
-    """(core, start bound) of the part H plus the component `comp`, read
-    off the weighted graph; the start bound is the part's anchor distance
-    ratio (`core._distance_ratio`) rounded up.
+def _weighted_part(K, P, cycle, host, lengths, size, edges, comp, whole):
+    """(core, start bound) of the part H plus the piece with the vertices
+    `comp` off H and the sorted edges `edges` off H, read off the weighted
+    graph (see PlaneCore). Every vertex of the part is reported, in maps of
+    `size` entries; the start bound is the part's anchor distance ratio
+    (`core._distance_ratio`) rounded up.
 
     The ids are those of the subdivided part: anchors 0..K-1 by position,
     then comp's vertices, then the inner vertices of its edges, as
     `plane_parts` numbers them; or, when the part is the whole block
-    (`whole`), the subdivided block's own ids, vertices before inner ones."""
-    cset = set(comp)
+    (`whole`), the subdivided block's own ids, vertices before inner ones.
+    The core is the vertices of degree other than 2, or one vertex of a
+    bare cycle, and each chain between them is walked edge by edge, as
+    ranges of those ids, since the part's face order, its embedding and the
+    orientation of a chain follow them. `_lr_rotation` embeds the core,
+    which raises NotPlanarError if the part is not planar. The faces are
+    walked on the core's rotation and listed in the order a walk of the
+    whole subdivided part would find them: by the least (vertex, rotation
+    position) of any half-edge on the face, a chain's inner vertex v
+    ordering its two half-edges as v's sorted neighbors do, so
+    `plane_embed`'s face ids are the core's."""
     r = len(cycle)
     pn = {c: [cycle[i - 1], cycle[(i + 1) % r]] for i, c in enumerate(cycle)}
     for v in comp:
         pn[v] = []
-    edges = sorted(e for e in block_edges
-                   if e not in host and (e[0] in cset or e[1] in cset))
     for u, v in edges:
         pn[u].append(v)
         pn[v].append(u)
@@ -1519,35 +1355,142 @@ def _weighted_part(K, P, cycle, host, lengths, bn, block_edges, comp, whole):
             runs[(d, c)] = range(P[c] + m - 1, P[c], -1)
         anchors = range(K)
         anchor_index = lambda v: v if v < K else None   # noqa: E731
-    core_set = {v for v in pn if len(pn[v]) != 2}
-    core_ids = sorted(vid[v] for v in core_set)
+    core_set = {v for v in pn if len(pn[v]) != 2} or {min(pn)}
+    is_core = {vid[v] for v in core_set}
+    # path[(x, y)] is the chain that the core edge (x, y) stands for, walked
+    # from x, sites[e] the chain as walked with its inner vertices (t, v) at
+    # vertices v of the part, and `walked` holds both end half-edges of every
+    # chain taken
+    path, on_h, sites, walked = {}, {}, {}, set()
+
+    def add_chain(chain, h, inner):
+        x, y = chain[0], chain[-1]
+        e = _normalize_edge(x, y)
+        on_h[e] = h
+        sites[e] = (chain, inner)
+        path[(x, y)] = chain
+        path[(y, x)] = chain[::-1]
+        walked.add((x, chain[1]))
+        walked.add((y, chain[-2]))
+
+    # single edges first: a chain parallel to one is the one promoted
+    for u, v in edges + sorted(host):
+        if lengths[(u, v)] == 1 and u in core_set and v in core_set:
+            add_chain(_normalize_edge(vid[u], vid[v]), (u, v) in host, ())
+    for u in sorted(core_set, key=vid.get):
+        for first, w in sorted(((runs.get((u, w)) or [vid[w]])[0], w)
+                               for w in pn[u]):
+            if (vid[u], first) in walked:
+                continue
+            chain, inner, x = [vid[u]], [], u
+            h = _normalize_edge(u, w) in host
+            while True:
+                chain += runs.get((x, w), ())
+                chain.append(vid[w])
+                if w in core_set:
+                    break
+                inner.append((len(chain) - 1, w))
+                a, b = pn[w]
+                x, w = w, (b if a == x else a)
+            chain, y, i = tuple(chain), chain[-1], 0
+            # promote while the chain closes a loop or repeats a core edge
+            while len(chain) - i > 2 and (
+                    chain[i] == y or _normalize_edge(chain[i], y) in on_h):
+                is_core.add(chain[i + 1])
+                add_chain(chain[i:i + 2], h, ())
+                i += 1
+            add_chain(chain[i:], h,
+                      tuple((t - i, v) for t, v in inner if t > i))
+    nodes = sorted(is_core)
+    rotation = _lr_rotation(n, nodes, sorted(on_h))
+
+    def first_half_edge(u, w):
+        # the least (vertex, rotation position) of a half-edge on the chain
+        # walked from u to w; an inner vertex's neighbors are its two chain
+        # neighbors
+        chain = path[(u, w)]
+        key = (u, rotation[u].index(w))
+        if len(chain) > 2:
+            i = chain.index(min(chain[1:-1]))
+            key = min(key, (chain[i], int(chain[i + 1] > chain[i - 1])))
+        return key
+
+    found = []
+    seen = set()
+    for v0 in nodes:
+        for w0 in rotation[v0]:
+            if (v0, w0) in seen:
+                continue
+            v, w = v0, w0
+            walk = []
+            key = None
+            while (v, w) not in seen:
+                seen.add((v, w))
+                walk.append(v)
+                here = first_half_edge(v, w)
+                if key is None or here < key:
+                    key = here
+                rot = rotation[w]
+                v, w = w, rot[rot.index(v) - 1]
+            found.append((key, walk))
+    found.sort()
+    embedding = PlaneEmbedding(n, rotation, [walk for _, walk in found], None,
+                               anchors)
+    chains = []
+    forward = set()
+    host_core = set()
+    for e in embedding.graph_edges:
+        chain = path[e]
+        if on_h[e]:
+            host_core.add(e)
+            i = anchor_index(chain[0])
+            if anchor_index(chain[1]) != (i + 1) % K:
+                chain = path[e[::-1]]
+            forward.add((chain[0], chain[-1]))
+        chains.append(chain)
+    # H's face lies along one of the two sides of the host edge from anchor
+    # 0 to anchor 1, on the chain whose L anchor steps pass anchor 0
+    x, y = next((x, y) for x, y in forward
+                if -anchor_index(x) % K < len(path[(x, y)]) - 1)
+    outer = embedding.half_face[(x, y)]
+    if embedding.face_edge_sets[outer] != host_core:
+        outer = embedding.half_face[(y, x)]
+    embedding.outer_face = outer
+
+    pc = PlaneCore()
+    pc.anchors = embedding.anchors
+    pc.size = size
+    pc.embedding = embedding
+    pc.forward = frozenset(forward)
+    pc.vertices = tuple(nodes)
     vertex = {vid[v]: v for v in pn}
-    units = sorted((_normalize_edge(vid[u], vid[v]), (u, v) in host)
-                   for u, v in edges + sorted(host)
-                   if lengths[(u, v)] == 1 and u in core_set
-                   and v in core_set)
-
-    def walk(u, w):
-        ids = [vid[u]]
-        sites = []
-        on_h = _normalize_edge(u, w) in host
-        while True:
-            ids.extend(runs.get((u, w), ()))
-            ids.append(vid[w])
-            if w in core_set:
-                return tuple(ids), on_h, sites
-            if w in cset:
-                sites.append((len(ids) - 1, w))
-            a, b = pn[w]
-            u, w = w, (b if a == u else a)
-
-    def stubs(c):
-        u = vertex[c]
-        return sorted((((runs.get((u, w)) or [vid[w]])[0], partial(walk, u, w))
-                       for w in pn[u]), key=lambda s: s[0])
-
-    core = _plane_core(n, anchors, anchor_index, core_ids, units, stubs,
-                       out={vid[v]: v for v in comp}, size=len(bn))
+    pc.outs = tuple(map(vertex.get, nodes))
+    index = {v: c for c, v in enumerate(nodes)}
+    pc.seeds = tuple((c, i) for i, c in sorted(
+        (anchor_index(v), c) for c, v in enumerate(nodes)
+        if anchor_index(v) is not None))
+    links = []
+    span = {}
+    for chain in chains:
+        L = len(chain) - 1
+        e = _normalize_edge(chain[0], chain[-1])
+        walked_as, inner = sites[e]
+        if walked_as is not chain:
+            inner = tuple((L - t, w) for t, w in inner)
+        links.append((chain, index[chain[0]], index[chain[-1]],
+                      (chain[0], chain[-1]) in forward, inner))
+        span[e] = (L, on_h[e])
+    pc.links = tuple(links)
+    pc.face_lengths = []
+    for fes in embedding.face_edge_sets:
+        on, off = 0, 0
+        for e in fes:
+            L, h = span[e]
+            if h:
+                on += L
+            else:
+                off += L
+        pc.face_lengths.append((on, off))
     # the anchor distance ratio (`_distance_ratio`), by BFS when every
     # length of the part is 1
     unit = K == r and all(lengths[e] == 1 for e in edges)
@@ -1555,7 +1498,7 @@ def _weighted_part(K, P, cycle, host, lengths, bn, block_edges, comp, whole):
         partial(_distances, pn, None if unit else lengths),
         [c for c in cycle if len(pn[c]) > 2],
         lambda a, b: cycle_dist(K, P[a], P[b]))
-    return core, -(-num // den)
+    return pc, -(-num // den)
 
 
 def _check_weighted(K, lengths, host, pos, optimum):

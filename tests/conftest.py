@@ -246,7 +246,7 @@ def networkx_min_fill_reference(n, edges):
 def rotation_faces(rotation, nodes):
     """The face walks of a rotation system, each half-edge (v, w) followed
     by (w, the neighbour before v in w's clockwise rotation), as
-    `planar._plane_core` walks them."""
+    `planar._weighted_part` walks them."""
     faces = []
     seen = set()
     for v0 in nodes:

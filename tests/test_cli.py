@@ -230,6 +230,20 @@ def test_gen_random_points_has_coordinates(tmp_path):
     assert inst.points is not None and inst.n == 12
 
 
+@pytest.mark.parametrize("family,n", [("random-planar", "-1"),
+                                      ("random-points", "-2")])
+def test_gen_negative_count_exits_2(family, n):
+    # a negative vertex or point count is malformed input: exit 2 with a
+    # validation error, no traceback and nothing written
+    err, out = io.StringIO(), io.StringIO()
+    with redirect_stderr(err), redirect_stdout(out):
+        rc = run(["gen", family, "--n", n, "--k", "10"])
+    assert rc == 2
+    assert err.getvalue().startswith("validation error: ")
+    assert "Traceback" not in err.getvalue()
+    assert out.getvalue() == ""
+
+
 def test_gen_and_solve_euclid_matches_api(tmp_path):
     # gen random-points builds the spanner for its edges, and solve --algo
     # euclid gives euclid_retract's assignment on the same PointSet

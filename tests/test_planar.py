@@ -549,6 +549,48 @@ def test_weighted_start_bound_is_the_distance_bound(monkeypatch):
     assert searches and not any(searches)
 
 
+def _core_fields(core, orig):
+    """The fields of a PlaneCore, each reported vertex v read as orig[v]."""
+    emb = core.embedding
+    links = tuple((chain, x, y, on_h, tuple((t, orig[v]) for t, v in sites))
+                  for chain, x, y, on_h, sites in core.links)
+    return (emb.rotation, emb.faces, emb.outer_face, core.forward,
+            core.vertices, tuple(None if v is None else orig[v]
+                                 for v in core.outs),
+            core.seeds, links, list(core.face_lengths))
+
+
+def test_solve_scans_plane_core_of_each_part(monkeypatch):
+    # the core the solve scans for each part is `plane_core` of that part of
+    # the unit route, vertex for vertex: the builder is one, and the solve
+    # reports every vertex of the part, in the instance's own ids
+    cores = []
+    scan = planar._scan
+
+    def traced_scan(core, start):
+        cores.append(core)
+        return scan(core, start)
+
+    monkeypatch.setattr(planar, "_scan", traced_scan)
+    insts = _ladder() + [gen_grid(7)]
+    insts += [gen_random_planar(nf, k, 1000 * k + nf)
+              for k in range(3, 13) for nf in range(31)]
+    compared = 0
+    for inst in insts:
+        cores.clear()
+        optimal_retract_planar(inst)
+        red, rmap = reduce_two_connected(inst)
+        parts = [(part, [rmap.old_of_new[v] for v in old_of_new])
+                 for part, old_of_new in plane_parts(red)[0]
+                 if part.n > part.k]
+        assert len(cores) == len(parts), inst
+        for core, (part, orig) in zip(cores, parts):
+            assert (_core_fields(core, range(inst.n))
+                    == _core_fields(planar.plane_core(part), orig)), inst
+            compared += 1
+    assert compared >= 600
+
+
 def test_cycle_score_host_is_k():
     inst, _ = subdivide(gen_grid(3), GRID3_OPTIMAL)
     ret = stretch1_retract(inst)
