@@ -35,9 +35,10 @@ checked in closed form (`_check_weighted`).
 
 `reduce_two_connected` and `plane_parts` take the same block and pieces of
 an `Instance`, vertex by vertex, and `plane_core` its core, by a call of the
-solve's own builder with every length 1; no solve calls them. `plane_embed`
-embeds a one-piece instance through the last two, with the chains spliced
-back into the core's embedding, for the curve certificate below.
+solve's own builder with every length 1, whose ids put the anchors first;
+no solve calls them. `plane_embed` embeds a one-piece instance through the
+last two: it maps the core's ids back to the instance's and splices the
+chains back into the core's embedding, for the curve certificate below.
 
 The paper's certificate, k vertex-disjoint curves from F to H found by max
 flow in a triangulated supergraph and the retraction read off the regions
@@ -135,13 +136,15 @@ class PlaneCore:
 
 def plane_core(instance):
     """Planarity-test the instance and embed its core (see PlaneCore): the
-    solve's own builder (`_weighted_part`), every edge of length 1."""
+    solve's own builder (`_weighted_part`), every edge of length 1. The
+    core's ids are the anchors by index, then the other vertices in order;
+    `outs` reports the instance's own."""
     host = instance.host_edges()
     return _weighted_part(
         instance.k, {a: i for i, a in enumerate(instance.anchors)},
         instance.anchors, host, dict.fromkeys(instance.edges, 1), instance.n,
         [e for e in instance.edges if e not in host],
-        [v for v in range(instance.n) if not instance.is_anchor(v)], True)[0]
+        [v for v in range(instance.n) if not instance.is_anchor(v)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +553,9 @@ def plane_parts(instance):
     A piece is a chord of H, or a connected component C of G minus the
     anchors together with its edges to H. Returns (parts, chains). A chain
     is a chord or a component whose vertices all have degree 2: the path
-    (a, inner vertices..., b) between two anchors, decided in closed form
-    with no sub-instance (see `_chain_at`). Every other piece is a part
+    (a, inner vertices..., b) between two anchors, from its end of lesser
+    anchor index, decided in closed form with no sub-instance (see
+    `_chain_at`). Every other piece is a part
     (sub_instance, old_of_new): H with that piece attached; an instance with
     no chain and at most one piece is its own single part, with the
     identity map. A part of a 2-connected instance is 2-connected, since
@@ -585,6 +589,8 @@ def plane_parts(instance):
         while chain[-1] not in anchor_new:
             x, y = instance.neighbors(chain[-1])
             chain.append(y if x == chain[-2] else x)
+        if anchor_new[chain[-1]] < anchor_new[chain[0]]:
+            chain.reverse()
         chains.append(tuple(chain))
     if not chains and len(comps) <= 1:
         return [(instance, tuple(range(instance.n)))], []
@@ -610,9 +616,9 @@ def plane_embed(instance):
     H bounds a face of every embedding of such a part: a connected C lies on
     one side of the Jordan curve H, so the other side holds nothing. Two or
     more pieces are rejected, as H may bound no face of the whole. The
-    embedding is the core's (`plane_core`) with every chain spliced back
-    in: each face walk starts at its least half-edge, and the faces keep
-    the core's ids.
+    embedding is the core's (`plane_core`), its ids mapped back to the
+    instance's, with every chain spliced back in; the faces keep the core's
+    ids.
     """
     parts, chains = plane_parts(instance)
     if len(parts) + len(chains) > 1:
@@ -620,23 +626,23 @@ def plane_embed(instance):
                               "two or more pieces; embed its parts")
     core = plane_core(instance)
     emb = core.embedding
+    orig = list(instance.anchors)
+    orig += [v for v in range(instance.n) if not instance.is_anchor(v)]
     path = {}
     for chain, _, _, _, _ in core.links:
+        chain = [orig[t] for t in chain]
         path[(chain[0], chain[-1])] = chain
         path[(chain[-1], chain[0])] = chain[::-1]
-    rotation = tuple(tuple(path[(v, w)][1] for w in emb.rotation[v])
-                     if emb.rotation[v] else instance.neighbors(v)
-                     for v in range(instance.n))
+    rotation = [None] * instance.n
+    for x, v in enumerate(orig):
+        rotation[v] = (tuple(path[(v, orig[w])][1] for w in emb.rotation[x])
+                       if emb.rotation[x] else instance.neighbors(v))
     faces = []
     for walk in emb.faces:
-        full = []
-        for i, v in enumerate(walk):
-            full += path[(v, walk[(i + 1) % len(walk)])][:-1]
-        m = len(full)
-        start = min(range(m), key=lambda i: (
-            full[i], rotation[full[i]].index(full[(i + 1) % m])))
-        faces.append(full[start:] + full[:start])
-    return PlaneEmbedding(instance.n, rotation, faces, emb.outer_face,
+        walk = [orig[x] for x in walk]
+        faces.append([t for v, w in zip(walk, walk[1:] + walk[:1])
+                      for t in path[(v, w)][:-1]])
+    return PlaneEmbedding(instance.n, tuple(rotation), faces, emb.outer_face,
                           instance.anchors)
 
 
@@ -1165,20 +1171,6 @@ def optimal_retract_planar(instance):
 # the weighted route: a graph whose edges stand for paths, never subdivided
 
 
-def _inner_ids(runs, first, edges, lengths):
-    """Number the inner vertices of each edge (u, v), u < v, from `first`,
-    edge by edge in sorted order, from u to v: runs[(u, v)] and
-    runs[(v, u)] become the ranges of those ids walked from u and from v.
-    An edge of length 1 has none and gets no entry; readers take a missing
-    run as empty. Returns the next free id."""
-    for e in sorted(e for e in edges if lengths[e] > 1):
-        m = lengths[e]
-        runs[e] = range(first, first + m - 1)
-        runs[e[::-1]] = range(first + m - 2, first - 1, -1)
-        first += m - 1
-    return first
-
-
 def optimal_retract_weighted(n, lengths, cycle):
     """Minimum-stretch retraction of a weighted planar graph onto a cycle,
     decided without subdividing it.
@@ -1246,11 +1238,7 @@ def optimal_retract_weighted(n, lengths, cycle):
             chain_comps.append(comp)
         else:
             comps.append(sorted(comp))
-    if chain_comps:
-        runs = {}
-        _inner_ids(runs, n, lengths, lengths)
-        chains += [_chain_path(comp, bn, P, lengths, runs)
-                   for comp in chain_comps]
+    chains += [_chain_path(comp, bn, P, lengths) for comp in chain_comps]
     for seq, steps in chains:
         i, j = P[seq[0]], P[seq[-1]]
         l = max(1, -(-cycle_dist(K, i, j) // sum(steps)))
@@ -1259,13 +1247,12 @@ def optimal_retract_weighted(n, lengths, cycle):
         for v, m in zip(seq[1:-1], steps):
             t += m
             pos[v] = _chain_at(K, i, j, l, t)
-    whole = not chains and len(comps) == 1
     for comp in comps:
         cset = set(comp)
         edges = sorted(e for e in block_edges
                        if e[0] in cset or e[1] in cset)
         l, img = _scan(*_weighted_part(K, P, cycle, host, lengths, n, edges,
-                                       comp, whole))
+                                       comp))
         optima.append(l)
         for v in comp:
             pos[v] = img[v]
@@ -1276,37 +1263,22 @@ def optimal_retract_weighted(n, lengths, cycle):
     return pos, optimum
 
 
-def _chain_path(comp, bn, P, lengths, runs):
+def _chain_path(comp, bn, P, lengths):
     """(path, lengths of its edges) of a component whose vertices all have
     degree 2: the path a, comp's vertices..., b between the cycle vertices
-    a and b, oriented as `plane_parts` walks the unit chain, whose ids runs
-    gives. That walk starts next to the first vertex a BFS from the chain's
-    least id s finds next to the cycle: so at the end nearer s; on a tie,
-    at the lesser end if s is next to both, else at the end on the side of
-    s's lesser neighbour."""
+    a and b, from its end of lesser anchor position, as `plane_parts`
+    orients the unit chain."""
     w0 = next(v for v in comp if any(x in P for x in bn[v]))
     seq = [next(x for x in bn[w0] if x in P), w0]
     while seq[-1] not in P:
         x, y = bn[seq[-1]]
         seq.append(y if x == seq[-2] else x)
-    steps = [lengths[_normalize_edge(u, v)] for u, v in zip(seq, seq[1:])]
-    q = seq.index(min(comp))
-    to_a, to_b = sum(steps[:q]), sum(steps[q:])
-    if to_a != to_b:
-        flip = to_b < to_a
-    elif to_a == 1:
-        flip = seq[-1] < seq[0]
-    else:
-        s = seq[q]
-        flip = ((runs.get((s, seq[q + 1])) or [seq[q + 1]])[0]
-                < (runs.get((s, seq[q - 1])) or [seq[q - 1]])[0])
-    if flip:
+    if P[seq[-1]] < P[seq[0]]:
         seq.reverse()
-        steps.reverse()
-    return seq, steps
+    return seq, [lengths[_normalize_edge(u, v)] for u, v in zip(seq, seq[1:])]
 
 
-def _weighted_part(K, P, cycle, host, lengths, size, edges, comp, whole):
+def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):
     """(core, start bound) of the part H plus the piece with the vertices
     `comp` off H and the sorted edges `edges` off H, read off the weighted
     graph (see PlaneCore). Every vertex of the part is reported, in maps of
@@ -1314,19 +1286,14 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp, whole):
     (`core._distance_ratio`) rounded up.
 
     The ids are those of the subdivided part: anchors 0..K-1 by position,
-    then comp's vertices, then the inner vertices of its edges, as
-    `plane_parts` numbers them; or, when the part is the whole block
-    (`whole`), the subdivided block's own ids, vertices before inner ones.
-    The core is the vertices of degree other than 2, or one vertex of a
-    bare cycle, and each chain between them is walked edge by edge, as
-    ranges of those ids, since the part's face order, its embedding and the
-    orientation of a chain follow them. `_lr_rotation` embeds the core,
-    which raises NotPlanarError if the part is not planar. The faces are
-    walked on the core's rotation and listed in the order a walk of the
-    whole subdivided part would find them: by the least (vertex, rotation
-    position) of any half-edge on the face, a chain's inner vertex v
-    ordering its two half-edges as v's sorted neighbors do, so
-    `plane_embed`'s face ids are the core's."""
+    then comp's vertices, then the inner vertices of its edges (u, v), edge
+    by edge in sorted order, from u to v; an id below K is an anchor index.
+    The core is the vertices of degree other than 2, or one vertex of a bare
+    cycle, and each chain between them is walked edge by edge, as ranges of
+    those ids. `_lr_rotation` embeds the core, which raises NotPlanarError
+    if the part is not planar. The faces are walked on the core's rotation
+    and listed in the order the walk finds them, each from its least (core
+    vertex, rotation position) half-edge."""
     r = len(cycle)
     pn = {c: [cycle[i - 1], cycle[(i + 1) % r]] for i, c in enumerate(cycle)}
     for v in comp:
@@ -1334,27 +1301,22 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp, whole):
     for u, v in edges:
         pn[u].append(v)
         pn[v].append(u)
+    vid = dict(P)
+    vid.update((v, K + i) for i, v in enumerate(comp))
+    # runs[(u, v)] is the range of ids of the edge's inner vertices, walked
+    # from u
     runs = {}
-    if whole:
-        verts = sorted(pn)
-        vid = {v: i for i, v in enumerate(verts)}
-        n = _inner_ids(runs, len(verts), edges + sorted(host), lengths)
-        anchors = []
-        for i, c in enumerate(cycle):
-            anchors.append(vid[c])
-            anchors.extend(runs.get((c, cycle[(i + 1) % r]), ()))
-        anchor_index = {a: i for i, a in enumerate(anchors)}.get
-    else:
-        vid = dict(P)
-        vid.update((v, K + i) for i, v in enumerate(comp))
-        n = _inner_ids(runs, K + len(comp), edges, lengths)
-        for i, c in enumerate(cycle):
-            d = cycle[(i + 1) % r]
-            m = lengths[_normalize_edge(c, d)]
-            runs[(c, d)] = range(P[c] + 1, P[c] + m)
-            runs[(d, c)] = range(P[c] + m - 1, P[c], -1)
-        anchors = range(K)
-        anchor_index = lambda v: v if v < K else None   # noqa: E731
+    n = K + len(comp)
+    for e in edges:
+        m = lengths[e] - 1
+        runs[e] = range(n, n + m)
+        runs[e[::-1]] = range(n + m - 1, n - 1, -1)
+        n += m
+    for i, c in enumerate(cycle):
+        d = cycle[(i + 1) % r]
+        m = lengths[_normalize_edge(c, d)]
+        runs[(c, d)] = range(P[c] + 1, P[c] + m)
+        runs[(d, c)] = range(P[c] + m - 1, P[c], -1)
     core_set = {v for v in pn if len(pn[v]) != 2} or {min(pn)}
     is_core = {vid[v] for v in core_set}
     # path[(x, y)] is the chain that the core edge (x, y) stands for, walked
@@ -1378,14 +1340,14 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp, whole):
         if lengths[(u, v)] == 1 and u in core_set and v in core_set:
             add_chain(_normalize_edge(vid[u], vid[v]), (u, v) in host, ())
     for u in sorted(core_set, key=vid.get):
-        for first, w in sorted(((runs.get((u, w)) or [vid[w]])[0], w)
+        for first, w in sorted(((runs[(u, w)] or [vid[w]])[0], w)
                                for w in pn[u]):
             if (vid[u], first) in walked:
                 continue
             chain, inner, x = [vid[u]], [], u
             h = _normalize_edge(u, w) in host
             while True:
-                chain += runs.get((x, w), ())
+                chain += runs[(x, w)]
                 chain.append(vid[w])
                 if w in core_set:
                     break
@@ -1403,19 +1365,7 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp, whole):
                       tuple((t - i, v) for t, v in inner if t > i))
     nodes = sorted(is_core)
     rotation = _lr_rotation(n, nodes, sorted(on_h))
-
-    def first_half_edge(u, w):
-        # the least (vertex, rotation position) of a half-edge on the chain
-        # walked from u to w; an inner vertex's neighbors are its two chain
-        # neighbors
-        chain = path[(u, w)]
-        key = (u, rotation[u].index(w))
-        if len(chain) > 2:
-            i = chain.index(min(chain[1:-1]))
-            key = min(key, (chain[i], int(chain[i + 1] > chain[i - 1])))
-        return key
-
-    found = []
+    faces = []
     seen = set()
     for v0 in nodes:
         for w0 in rotation[v0]:
@@ -1423,19 +1373,13 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp, whole):
                 continue
             v, w = v0, w0
             walk = []
-            key = None
             while (v, w) not in seen:
                 seen.add((v, w))
                 walk.append(v)
-                here = first_half_edge(v, w)
-                if key is None or here < key:
-                    key = here
                 rot = rotation[w]
                 v, w = w, rot[rot.index(v) - 1]
-            found.append((key, walk))
-    found.sort()
-    embedding = PlaneEmbedding(n, rotation, [walk for _, walk in found], None,
-                               anchors)
+            faces.append(walk)
+    embedding = PlaneEmbedding(n, rotation, faces, None, range(K))
     chains = []
     forward = set()
     host_core = set()
@@ -1443,15 +1387,14 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp, whole):
         chain = path[e]
         if on_h[e]:
             host_core.add(e)
-            i = anchor_index(chain[0])
-            if anchor_index(chain[1]) != (i + 1) % K:
+            if chain[1] != (chain[0] + 1) % K:
                 chain = path[e[::-1]]
             forward.add((chain[0], chain[-1]))
         chains.append(chain)
     # H's face lies along one of the two sides of the host edge from anchor
     # 0 to anchor 1, on the chain whose L anchor steps pass anchor 0
     x, y = next((x, y) for x, y in forward
-                if -anchor_index(x) % K < len(path[(x, y)]) - 1)
+                if -x % K < len(path[(x, y)]) - 1)
     outer = embedding.half_face[(x, y)]
     if embedding.face_edge_sets[outer] != host_core:
         outer = embedding.half_face[(y, x)]
@@ -1466,9 +1409,7 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp, whole):
     vertex = {vid[v]: v for v in pn}
     pc.outs = tuple(map(vertex.get, nodes))
     index = {v: c for c, v in enumerate(nodes)}
-    pc.seeds = tuple((c, i) for i, c in sorted(
-        (anchor_index(v), c) for c, v in enumerate(nodes)
-        if anchor_index(v) is not None))
+    pc.seeds = tuple((c, v) for c, v in enumerate(nodes) if v < K)
     links = []
     span = {}
     for chain in chains:

@@ -563,7 +563,9 @@ def _core_fields(core, orig):
 def test_solve_scans_plane_core_of_each_part(monkeypatch):
     # the core the solve scans for each part is `plane_core` of that part of
     # the unit route, vertex for vertex: the builder is one, and the solve
-    # reports every vertex of the part, in the instance's own ids
+    # reports every vertex of the part, in the instance's own ids. Each core
+    # lists its faces in the order a walk of its rotation finds them, and
+    # each chain of the unit route runs from its end of lesser anchor index
     cores = []
     scan = planar._scan
 
@@ -575,20 +577,28 @@ def test_solve_scans_plane_core_of_each_part(monkeypatch):
     insts = _ladder() + [gen_grid(7)]
     insts += [gen_random_planar(nf, k, 1000 * k + nf)
               for k in range(3, 13) for nf in range(31)]
-    compared = 0
+    compared = oriented = 0
     for inst in insts:
         cores.clear()
         optimal_retract_planar(inst)
         red, rmap = reduce_two_connected(inst)
+        parts, chains = plane_parts(red)
         parts = [(part, [rmap.old_of_new[v] for v in old_of_new])
-                 for part, old_of_new in plane_parts(red)[0]
-                 if part.n > part.k]
+                 for part, old_of_new in parts if part.n > part.k]
         assert len(cores) == len(parts), inst
         for core, (part, orig) in zip(cores, parts):
             assert (_core_fields(core, range(inst.n))
                     == _core_fields(planar.plane_core(part), orig)), inst
+            emb = core.embedding
+            assert list(map(list, emb.faces)) == rotation_faces(
+                emb.rotation, core.vertices), inst
             compared += 1
-    assert compared >= 600
+        for chain in chains:
+            if len(chain) > 2:
+                assert (red.anchors.index(chain[0])
+                        < red.anchors.index(chain[-1])), (inst, chain)
+                oriented += 1
+    assert compared >= 600 and oriented >= 300
 
 
 def test_cycle_score_host_is_k():
