@@ -408,15 +408,7 @@ def gen_random_planar(n_free, k, seed):
         for u, v in es:
             adj[u].append(v)
             adj[v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
+        return len(_distances(adj, None, 0)) == n
 
     removable = sorted(edges - host)
     rng.shuffle(removable)

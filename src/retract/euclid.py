@@ -560,10 +560,8 @@ def euclid_retract(points):
     cycle = build_host_cycle(g2.n, lengths, aidx)
     pos, _ = planar_mod.optimal_retract_weighted(g2.n, lengths, cycle)
     # an image is a position on the cycle, read as (cycle edge, offset):
-    # starts[e] is the position of cycle[e]
-    starts = [0]
-    for c, d in zip(cycle, cycle[1:]):
-        starts.append(starts[-1] + lengths[_normalize_edge(c, d)])
+    # starts[e] is the position of cycle[e], which the solve gives it
+    starts = [pos[c] for c in cycle]
     anchor_pts = [points.points[i] for i in points.anchor_indices]
     anchor_set = set(points.anchor_indices)
     assignment = []

@@ -8,37 +8,39 @@ that graph with every length 1.
 Route: reduce to the 2-connected block containing the host cycle H, found
 by one lowpoint DFS (`_hanging`); a vertex outside the block takes the
 image of the block vertex its component hangs off, which adds no stretch.
-Then split on the pieces of the block minus H's vertices: each chord of H,
-and each component with its edges to H, is solved independently at its own
-optimum. Every non-anchor vertex and every edge off H lies in one piece,
-piece maps fix the anchors and host edges have stretch 1, so the optimum is
-the largest piece optimum. A chain, a chord or a component whose vertices
-all have degree 2, is a path of length L between anchors a and b; it has a
-map of stretch l exactly when L*l >= d_H(a, b), so it is decided in closed
-form (`_chain_at`) with no embedding. Every other piece is a part: H with the
-piece attached. A part has one piece, so H bounds a face of every embedding
-of it. Each part is taken to its weighted core once (`_weighted_part`): the
-vertices of degree other than 2, each chain of degree-2 vertices between
-them one core edge that carries its length L, and only that core is
-planarity-tested and embedded, by the left-right test (`_lr_rotation`,
-linear time and iterative). Each stretch l of a part is decided on the core
-by scanning its bounded faces F with a winding cover: core vertices are
-copied into layers that shift where a core edge crosses a dual path from F
-to the outer face, and labels are shortest-path values from the core
-anchor copies, with a core edge of length L on H and L*l off it. The map is
-verified per chain from the labels, and only the accepted map gives images
-to the inner chain vertices. The scan is exact (see `_lipschitz_retract`).
-A part's optimum is the least feasible l, scanned upward from the part's
-anchor distance ratio (`core._distance_ratio`: a BFS from each branch anchor
-when every length of the part is 1, else Dijkstra). The merged map is
-checked in closed form (`_check_weighted`).
+Then split on the pieces of the block minus H's vertices, in one pass
+(`_pieces`): each chord of H, and each component with its edges to H, is
+solved independently at its own optimum. Every non-anchor vertex and every
+edge off H lies in one piece, piece maps fix the anchors and host edges
+have stretch 1, so the optimum is the largest piece optimum. A chain, a
+chord or a component whose vertices all have degree 2, is a path of length
+L between anchors a and b; it has a map of stretch l exactly when
+L*l >= d_H(a, b), so it is decided in closed form (`_chain_at`) with no
+embedding. Every other piece is a part: H with the piece attached. A part
+has one piece, so H bounds a face of every embedding of it. Each part is
+taken to its weighted core once (`_weighted_part`): the vertices of degree
+other than 2, each chain of degree-2 vertices between them one core edge
+that carries its length L, and only that core is planarity-tested and
+embedded, by the left-right test (`_lr_rotation`, linear time and
+iterative). Each stretch l of a part is decided on the core by scanning its
+bounded faces F with a winding cover: core vertices are copied into layers
+that shift where a core edge crosses a dual path from F to the outer face,
+and labels are shortest-path values from the core anchor copies, with a
+core edge of length L on H and L*l off it. The map is verified per chain
+from the labels, and only the accepted map gives images to the inner chain
+vertices. The scan is exact (see `_lipschitz_retract`). A part's optimum is
+the least feasible l, scanned upward from the part's anchor distance ratio
+(`core._distance_ratio`: a BFS from each branch anchor when every length of
+the part is 1, else Dijkstra). The merged map is checked in closed form
+(`_check_weighted`).
 
-`reduce_two_connected` and `plane_parts` take the same block and pieces of
-an `Instance`, vertex by vertex, and `plane_core` its core, by a call of the
-solve's own builder with every length 1, whose ids put the anchors first;
-no solve calls them. `plane_embed` embeds a one-piece instance through the
-last two: it maps the core's ids back to the instance's and splices the
-chains back into the core's embedding, for the curve certificate below.
+`reduce_two_connected`, `plane_parts` and `plane_core` take the same
+block, pieces and core of an `Instance` by calls of the solve's own
+`_hanging`, `_pieces` and builder, the builder with every length 1 and ids
+that put the anchors first; no solve calls them. `plane_embed` embeds a
+one-piece instance, counted by `_pieces`, through `plane_core`: it maps the
+core's ids back to the instance's and splices the chains back into the
+core's embedding, for the curve certificate below.
 
 The paper's certificate, k vertex-disjoint curves from F to H found by max
 flow in a triangulated supergraph and the retraction read off the regions
@@ -547,64 +549,76 @@ def _hanging(n, neighbors, anchors):
     return gateway
 
 
+def _pieces(n, neighbors, P, host, skip):
+    """(chains, comps): the pieces of G minus the cycle vertices P, cycle
+    vertex c at position P[c]. neighbors(v) lists v's neighbours, none in
+    `skip`, and no vertex of `skip` is visited. A chord, an edge off `host`
+    between cycle vertices, is the chain (u, v), u < v, in sorted edge
+    order; a component whose vertices all have degree 2 the chain a, its
+    vertices..., b between cycle vertices, from its end of lesser P; every
+    other one (its sorted vertices, its sorted edges, those to the cycle
+    included)."""
+    chains = sorted((u, w) for u in P for w in neighbors(u)
+                    if u < w and w in P and (u, w) not in host)
+    comps = []
+    seen = set(P).union(skip)
+    for s in range(n):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp, edges = [s], []
+        for v in comp:
+            for w in neighbors(v):
+                if w in P or w > v:
+                    edges.append(_normalize_edge(v, w))
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        if any(len(neighbors(v)) != 2 for v in comp):
+            comps.append((sorted(comp), sorted(edges)))
+            continue
+        # a path of degree-2 vertices: walk it from a cycle vertex at one end
+        end = next(v for v in comp if any(w in P for w in neighbors(v)))
+        chain = [next(w for w in neighbors(end) if w in P), end]
+        while chain[-1] not in P:
+            x, y = neighbors(chain[-1])
+            chain.append(y if x == chain[-2] else x)
+        if P[chain[-1]] < P[chain[0]]:
+            chain.reverse()
+        chains.append(tuple(chain))
+    return chains, comps
+
+
 def plane_parts(instance):
     """Split the instance into the pieces that are solved apart.
 
     A piece is a chord of H, or a connected component C of G minus the
-    anchors together with its edges to H. Returns (parts, chains). A chain
-    is a chord or a component whose vertices all have degree 2: the path
-    (a, inner vertices..., b) between two anchors, from its end of lesser
-    anchor index, decided in closed form with no sub-instance (see
-    `_chain_at`). Every other piece is a part
-    (sub_instance, old_of_new): H with that piece attached; an instance with
-    no chain and at most one piece is its own single part, with the
-    identity map. A part of a 2-connected instance is 2-connected, since
-    its component attaches at two or more anchors.
+    anchors together with its edges to H. Returns (parts, chains), split by
+    the solve's own pass (`_pieces`) with no vertex skipped, so a tree that
+    hangs off the block lies in a component: its own if it hangs off an
+    anchor, else the one it hangs off. A chain is a chord (u, v), u < v, or
+    a component whose vertices all have degree 2: the path (a, inner
+    vertices..., b) between two anchors, from its end of lesser anchor
+    index, decided in closed form with no sub-instance (see `_chain_at`).
+    Every other piece is a part (sub_instance, old_of_new): H with that
+    piece attached; an instance with no chain and at most one piece is its
+    own single part, with the identity map. A part of a 2-connected
+    instance is 2-connected, since its component attaches at two or more
+    anchors.
     """
     k = instance.k
-    anchor_new = {a: i for i, a in enumerate(instance.anchors)}
-    host = instance.host_edges()
-    chains = [(u, v) for u, v in instance.edges
-              if u in anchor_new and v in anchor_new and (u, v) not in host]
-    comps = []
-    seen = set(anchor_new)
-    for s in range(instance.n):
-        if s in seen:
-            continue
-        seen.add(s)
-        comp = [s]
-        for v in comp:
-            for w in instance.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        if any(len(instance.neighbors(v)) != 2 for v in comp):
-            comps.append(sorted(comp))
-            continue
-        # a path of degree-2 vertices: walk it from an anchor at one end
-        end = next(v for v in comp
-                   if any(w in anchor_new for w in instance.neighbors(v)))
-        chain = [next(w for w in instance.neighbors(end) if w in anchor_new),
-                 end]
-        while chain[-1] not in anchor_new:
-            x, y = instance.neighbors(chain[-1])
-            chain.append(y if x == chain[-2] else x)
-        if anchor_new[chain[-1]] < anchor_new[chain[0]]:
-            chain.reverse()
-        chains.append(tuple(chain))
+    anchor_new = instance._anchor_index
+    chains, comps = _pieces(instance.n, instance.neighbors, anchor_new,
+                            instance.host_edges(), ())
     if not chains and len(comps) <= 1:
         return [(instance, tuple(range(instance.n)))], []
     host_new = [(i, (i + 1) % k) for i in range(k)]
     parts = []
-    for comp in comps:
-        old_of_new = tuple(instance.anchors) + tuple(comp)
+    for comp, edges in comps:
+        old_of_new = instance.anchors + tuple(comp)
         new_of_old = dict(anchor_new)
         new_of_old.update((v, k + i) for i, v in enumerate(comp))
-        edges = list(host_new)
-        for v in comp:
-            for w in instance.neighbors(v):
-                if w > v or w in anchor_new:
-                    edges.append((new_of_old[v], new_of_old[w]))
+        edges = host_new + [(new_of_old[u], new_of_old[v]) for u, v in edges]
         parts.append((Instance(len(old_of_new), edges, range(k)),
                       old_of_new))
     return parts, chains
@@ -620,8 +634,9 @@ def plane_embed(instance):
     instance's, with every chain spliced back in; the faces keep the core's
     ids.
     """
-    parts, chains = plane_parts(instance)
-    if len(parts) + len(chains) > 1:
+    chains, comps = _pieces(instance.n, instance.neighbors,
+                            instance._anchor_index, instance.host_edges(), ())
+    if len(chains) + len(comps) > 1:
         raise ValidationError("H need not bound a face of an instance with "
                               "two or more pieces; embed its parts")
     core = plane_core(instance)
@@ -1184,15 +1199,15 @@ def optimal_retract_weighted(n, lengths, cycle):
     l is the optimum and pos[v] the anchor index of v's image.
 
     The route is the module's (see its docstring), with every piece read
-    off the weighted graph. The block of H is found by `_hanging`. An edge
-    off H between two cycle vertices is a chain of m edges; a component of
-    the block minus the cycle whose vertices all have degree 2 is one chain
-    through them; both are decided in closed form (`_chain_at`), and only
-    the component's vertices get images. Every other component is a part,
-    whose core and start bound `_weighted_part` takes straight from the
-    weighted graph, its chains walked as ranges of the subdivided part's
-    ids. `_scan` decides each l on the core, and only the component's
-    images are kept. The merged map is checked in closed form
+    off the weighted graph. `_hanging` finds the block of H and `_pieces`
+    splits it. A chain between two cycle vertices, a chord or a component
+    whose vertices all have degree 2, steps by its edges' lengths; it is
+    decided in closed form (`_chain_at`), and only its inner vertices get
+    images. Every other component is a part, whose core and
+    start bound `_weighted_part` takes straight from the weighted graph and
+    the component's edges, its chains walked as ranges of the subdivided
+    part's ids. `_scan` decides each l on the core, and only the
+    component's images are kept. The merged map is checked in closed form
     (`_check_weighted`).
     """
     r = len(cycle)
@@ -1212,34 +1227,13 @@ def optimal_retract_weighted(n, lengths, cycle):
         a.sort()
     gateway = _hanging(n, adj.__getitem__, cycle)
     bn = [[w for w in a if w not in gateway] for a in adj]
-    block_edges = [e for e in lengths
-                   if e[0] not in gateway and e[1] not in gateway]
     pos = [None] * n
     for c in cycle:
         pos[c] = P[c]
     optima = []
-    # a chord is a chain with no inner vertex
-    chains = [((u, v), [lengths[(u, v)]]) for u, v in block_edges
-              if (u, v) not in host and u in P and v in P]
-    comps = []
-    chain_comps = []
-    seen = set(P) | set(gateway)
-    for s in range(n):
-        if s in seen:
-            continue
-        seen.add(s)
-        comp = [s]
-        for v in comp:
-            for w in bn[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        if all(len(bn[v]) == 2 for v in comp):
-            chain_comps.append(comp)
-        else:
-            comps.append(sorted(comp))
-    chains += [_chain_path(comp, bn, P, lengths) for comp in chain_comps]
-    for seq, steps in chains:
+    chains, comps = _pieces(n, bn.__getitem__, P, host, gateway)
+    for seq in chains:
+        steps = [lengths[_normalize_edge(u, v)] for u, v in zip(seq, seq[1:])]
         i, j = P[seq[0]], P[seq[-1]]
         l = max(1, -(-cycle_dist(K, i, j) // sum(steps)))
         optima.append(l)
@@ -1247,10 +1241,7 @@ def optimal_retract_weighted(n, lengths, cycle):
         for v, m in zip(seq[1:-1], steps):
             t += m
             pos[v] = _chain_at(K, i, j, l, t)
-    for comp in comps:
-        cset = set(comp)
-        edges = sorted(e for e in block_edges
-                       if e[0] in cset or e[1] in cset)
+    for comp, edges in comps:
         l, img = _scan(*_weighted_part(K, P, cycle, host, lengths, n, edges,
                                        comp))
         optima.append(l)
@@ -1261,21 +1252,6 @@ def optimal_retract_weighted(n, lengths, cycle):
     optimum = max(optima, default=1)
     _check_weighted(K, lengths, host, pos, optimum)
     return pos, optimum
-
-
-def _chain_path(comp, bn, P, lengths):
-    """(path, lengths of its edges) of a component whose vertices all have
-    degree 2: the path a, comp's vertices..., b between the cycle vertices
-    a and b, from its end of lesser anchor position, as `plane_parts`
-    orients the unit chain."""
-    w0 = next(v for v in comp if any(x in P for x in bn[v]))
-    seq = [next(x for x in bn[w0] if x in P), w0]
-    while seq[-1] not in P:
-        x, y = bn[seq[-1]]
-        seq.append(y if x == seq[-2] else x)
-    if P[seq[-1]] < P[seq[0]]:
-        seq.reverse()
-    return seq, [lengths[_normalize_edge(u, v)] for u, v in zip(seq, seq[1:])]
 
 
 def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):

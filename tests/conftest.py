@@ -109,6 +109,59 @@ def pieces(inst):
     return parts + [chain_piece(inst, chain) for chain in chains]
 
 
+def plane_parts_reference(instance):
+    """Reference for `planar.plane_parts`: its own chord list, component BFS
+    and chain walk over the instance, vertex by vertex. Returns (parts,
+    chains) as plane_parts does, list order included."""
+    k = instance.k
+    anchor_new = {a: i for i, a in enumerate(instance.anchors)}
+    host = instance.host_edges()
+    chains = [(u, v) for u, v in instance.edges
+              if u in anchor_new and v in anchor_new and (u, v) not in host]
+    comps = []
+    seen = set(anchor_new)
+    for s in range(instance.n):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp = [s]
+        for v in comp:
+            for w in instance.neighbors(v):
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        if any(len(instance.neighbors(v)) != 2 for v in comp):
+            comps.append(sorted(comp))
+            continue
+        # a path of degree-2 vertices: walk it from an anchor at one end
+        end = next(v for v in comp
+                   if any(w in anchor_new for w in instance.neighbors(v)))
+        chain = [next(w for w in instance.neighbors(end) if w in anchor_new),
+                 end]
+        while chain[-1] not in anchor_new:
+            x, y = instance.neighbors(chain[-1])
+            chain.append(y if x == chain[-2] else x)
+        if anchor_new[chain[-1]] < anchor_new[chain[0]]:
+            chain.reverse()
+        chains.append(tuple(chain))
+    if not chains and len(comps) <= 1:
+        return [(instance, tuple(range(instance.n)))], []
+    host_new = [(i, (i + 1) % k) for i in range(k)]
+    parts = []
+    for comp in comps:
+        old_of_new = tuple(instance.anchors) + tuple(comp)
+        new_of_old = dict(anchor_new)
+        new_of_old.update((v, k + i) for i, v in enumerate(comp))
+        edges = list(host_new)
+        for v in comp:
+            for w in instance.neighbors(v):
+                if w > v or w in anchor_new:
+                    edges.append((new_of_old[v], new_of_old[w]))
+        parts.append((Instance(len(old_of_new), edges, range(k)),
+                      old_of_new))
+    return parts, chains
+
+
 def as_retraction(instance, img):
     """The Retraction of a core map, a list of anchor indices by vertex of
     the instance; None stays None."""

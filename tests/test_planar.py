@@ -27,7 +27,8 @@ from conftest import (BENCH_SETS, all_pairs_distance_ratio, as_retraction,
                       euclid_instance, expand_cycle, full_cover, full_stretch1,
                       host_forward, make_ck, make_w4, nx_reduce_two_connected,
                       nx_rotation, part_embeddings, part_optimum, pieces,
-                      rotation_faces, unit_graph, unit_route_reference)
+                      plane_parts_reference, rotation_faces, unit_graph,
+                      unit_route_reference)
 from frozen import (COLGRID_OPTIMAL, GRID3_OPTIMAL, GRID4_OPTIMAL,
                     GRID4_CENTER_FACE_MIN_CYCLE, W4_OPTIMAL)
 
@@ -152,13 +153,26 @@ def test_plane_embed_rejects_nonplanar():
         plane_embed(red)
 
 
-def test_plane_embed_decomposes():
+def c8_with_two_hubs():
     # C8 plus a hub on anchors 0,1,4 and a second hub on anchors 2,6,7:
     # G - V(H) has two components, one part each (they cannot sit on the
     # same side of H, so no embedding of the whole has H as a face)
     edges = [(i, (i + 1) % 8) for i in range(8)]
     edges += [(0, 8), (1, 8), (4, 8), (2, 9), (6, 9), (7, 9)]
-    inst = Instance(10, edges, tuple(range(8)))
+    return Instance(10, edges, tuple(range(8)))
+
+
+def c8_with_chains():
+    # C8 plus the chord (1, 5), the path 0-8-9-4, a hub 10 on anchors 2 and
+    # 6, and a hub 11 on anchors 3, 5 and 7: three chains and one part
+    edges = [(i, (i + 1) % 8) for i in range(8)] + [(1, 5)]
+    edges += [(0, 8), (8, 9), (9, 4), (2, 10), (6, 10)]
+    edges += [(3, 11), (5, 11), (7, 11)]
+    return Instance(12, edges, tuple(range(8)))
+
+
+def test_plane_embed_decomposes():
+    inst = c8_with_two_hubs()
     parts, chains = plane_parts(inst)
     assert len(parts) == 2 and chains == []
     for sub, old_of_new in parts:
@@ -176,12 +190,7 @@ def test_plane_embed_decomposes():
 
 
 def test_plane_parts_takes_out_chains():
-    # C8 plus the chord (1, 5), the path 0-8-9-4, a hub 10 on anchors 2 and
-    # 6, and a hub 11 on anchors 3, 5 and 7: three chains and one part
-    edges = [(i, (i + 1) % 8) for i in range(8)] + [(1, 5)]
-    edges += [(0, 8), (8, 9), (9, 4), (2, 10), (6, 10)]
-    edges += [(3, 11), (5, 11), (7, 11)]
-    inst = Instance(12, edges, tuple(range(8)))
+    inst = c8_with_chains()
     parts, chains = plane_parts(inst)
     assert chains == [(1, 5), (0, 8, 9, 4), (2, 10, 6)]
     assert [old for _, old in parts] == [tuple(range(8)) + (11,)]
@@ -195,6 +204,50 @@ def test_plane_parts_takes_out_chains():
     assert ret.assignment[8:11] == (2, 4, 4)
     # one chain alone is no part: it is decided without an embedding
     assert plane_parts(c8_with_chord()) == ([], [(0, 4)])
+
+
+def _hang_tree(inst, v, size, rng):
+    """inst with a random tree of `size` new vertices hung off vertex v."""
+    edges = list(inst.edges)
+    tree = [v]
+    for x in range(inst.n, inst.n + size):
+        edges.append((rng.choice(tree), x))
+        tree.append(x)
+    return Instance(inst.n + size, edges, inst.anchors)
+
+
+def test_plane_parts_matches_reference():
+    # plane_parts, one call of the solve's own pass over the pieces, splits
+    # as the reference's own walk does, list order included, on the ladder,
+    # grid 7, 310 random instances and the hand-built ones, none of them
+    # reduced, and on each again with a tree hung off an anchor, off an
+    # inner chain vertex and off a component vertex: every hung tree stays
+    # inside a part
+    rng = random.Random(25)
+    insts = _ladder() + [gen_grid(7)]
+    insts += [gen_random_planar(nf, k, 1000 * k + nf)
+              for k in range(3, 13) for nf in range(31)]
+    insts += [c8_with_two_hubs(), c8_with_chains(), c8_with_chord()]
+    hung = {"anchor": 0, "chain": 0, "component": 0}
+    for inst in insts:
+        want = plane_parts_reference(inst)
+        assert plane_parts(inst) == want, inst
+        inner = [v for chain in want[1] for v in chain[1:-1]]
+        sites = {"anchor": list(inst.anchors), "chain": inner,
+                 "component": [v for v in range(inst.n)
+                               if not inst.is_anchor(v) and v not in inner]}
+        for where, vertices in sites.items():
+            if not vertices:
+                continue
+            tree = _hang_tree(inst, rng.choice(vertices), rng.randint(1, 4),
+                              rng)
+            got = plane_parts(tree)
+            assert got == plane_parts_reference(tree), (inst, where)
+            kept = {v for _, old_of_new in got[0] for v in old_of_new}
+            assert kept.issuperset(range(inst.n, tree.n)), (inst, where)
+            hung[where] += 1
+    assert hung["anchor"] == len(insts)
+    assert hung["chain"] >= 200 and hung["component"] >= 300, hung
 
 
 def test_triangulate_preserves_distances():
