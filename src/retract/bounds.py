@@ -16,18 +16,19 @@ candidate's vertex tuple is built only when the elimination reads it, so
 candidates past the threshold are never built. The elimination keeps rows,
 host sums and combinations in Python ints while every pivot is +-1 and
 brings in Fraction only at a pivot of another value; certificate
-coefficients are always Fractions. The exact-rational separation oracle
-stays as the independent check of a feasible solution. Everything runs in
-exact arithmetic; certificates are explicit (a trichromatic triangle, or
-short cycles with rational coefficients whose directed edges sum to the host
-cycle).
+coefficients are always Fractions. The separation oracle stays as the
+independent check of a feasible solution; its hop-bounded DP runs on the
+solution scaled to integers, and a violated cycle it returns carries its
+exact rational sum. Everything runs in exact arithmetic; certificates are
+explicit (a trichromatic triangle, or short cycles with rational
+coefficients whose directed edges sum to the host cycle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 
 from .core import (SolverError, ValidationError, _is_int, _normalize_edge,
                    distance_lower_bound, gen_grid)
@@ -181,37 +182,43 @@ def separation_oracle(instance, x, l):
     1..l-2 edges; a directed edge (u,v) closes a violated walk when the
     extremal v->u walk weight plus x(u,v) is nonzero. The walk splits into
     simple cycles whose sums add to the walk sum, so one of them violates.
+    The DP runs on x times D, the lcm of its denominators, so on ints: every
+    comparison and sign is that of x itself.
     """
     if l < 2:
         raise ValidationError("l must be >= 2")
     n = instance.n
     max_h = l - 2
+    D = lcm(*(val.denominator for val in x.values.values()))
+    # steps[w] lists (nb, D * x(w, nb)) for the neighbors nb of w
+    steps = [[(nb, int(D * x.directed(w, nb)))
+              for nb in instance.neighbors(w)] for w in range(n)]
     # DP from each vertex s: extremal weights of s->w walks with h edges
     for s in range(n):
         lo_par = [{} for _ in range(max_h + 1)]
         hi_par = [{} for _ in range(max_h + 1)]
         reach_lo = [dict() for _ in range(max_h + 1)]
         reach_hi = [dict() for _ in range(max_h + 1)]
-        reach_lo[0][s] = Fraction(0)
-        reach_hi[0][s] = Fraction(0)
+        reach_lo[0][s] = 0
+        reach_hi[0][s] = 0
         for h in range(1, max_h + 1):
             for w, val in reach_lo[h - 1].items():
-                for nb in instance.neighbors(w):
-                    cand = val + x.directed(w, nb)
+                for nb, step in steps[w]:
+                    cand = val + step
                     cur = reach_lo[h].get(nb)
                     if cur is None or cand < cur:
                         reach_lo[h][nb] = cand
                         lo_par[h][nb] = w
             for w, val in reach_hi[h - 1].items():
-                for nb in instance.neighbors(w):
-                    cand = val + x.directed(w, nb)
+                for nb, step in steps[w]:
+                    cand = val + step
                     cur = reach_hi[h].get(nb)
                     if cur is None or cand > cur:
                         reach_hi[h][nb] = cand
                         hi_par[h][nb] = w
         # close a cycle with any edge (u, s): walk s -> u plus edge u -> s
-        for u in instance.neighbors(s):
-            back = x.directed(u, s)
+        for u, out in steps[s]:
+            back = -out
             for h in range(1, max_h + 1):
                 for reach, par, bad in ((reach_lo, lo_par,
                                          lambda t: t < 0),

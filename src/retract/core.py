@@ -75,13 +75,18 @@ class Instance:
                  "_dist_cache", "_host_edges")
 
     def __init__(self, n, edges, anchors, points=None):
-        if not isinstance(n, int) or n <= 0:
+        if not _is_int(n) or n <= 0:
             raise ValidationError("vertex count must be a positive integer")
         norm = []
         seen = set()
         for u, v in edges:
+            # as _is_int, with the common case of two plain ints inline
+            if ((type(u) is not int or type(v) is not int)
+                    and not (_is_int(u) and _is_int(v))):
+                raise ValidationError("edge %r has a non-integer end"
+                                      % ((u, v),))
             e = _normalize_edge(u, v)
-            if not (0 <= e[0] < n and 0 <= e[1] < n):
+            if e[0] < 0 or e[1] >= n:       # e[0] < e[1]
                 raise ValidationError("edge %r out of range" % (e,))
             if e in seen:
                 raise ValidationError("duplicate edge %r" % (e,))
@@ -95,8 +100,8 @@ class Instance:
         if len(set(anchors)) != len(anchors):
             raise ValidationError("anchors must be distinct")
         for a in anchors:
-            if not (0 <= a < n):
-                raise ValidationError("anchor %r out of range" % (a,))
+            if not _is_int(a) or not 0 <= a < n:
+                raise ValidationError("anchor %r is not a vertex id" % (a,))
         self.anchors = anchors
         k = len(anchors)
         host = []

@@ -111,20 +111,22 @@ class PlaneCore:
     """A part's weighted core, embedded once.
 
     The core is the vertices of degree other than 2 (one vertex of a bare
-    cycle), plus interior vertices promoted from any chain of degree-2 vertices that would otherwise close a
-    loop or repeat a core edge, so that the core is simple and each core
-    edge stands for exactly one chain. A chain lies wholly on H or wholly
-    off it, since an inner vertex of H has no edge off H. `embedding` embeds
-    the core alone, with H's face as outer face, and `forward` holds the
-    host core edges directed in anchor order. For the cover, `vertices`
-    lists the core vertices, whose positions there are their dense ids, and
-    `outs` the part vertex each one is (None for an inner vertex of a
-    longer edge); `seeds` pairs each core anchor's dense id with its anchor
-    index; each link (chain, x, y, on H, sites) gives a core edge's chain,
-    in anchor order on H, the dense ids x and y of its first and last
+    cycle), plus interior vertices promoted from any chain of degree-2
+    vertices that would otherwise close a loop or repeat a core edge, so
+    that the core is simple and each core edge stands for exactly one
+    chain. A chain lies wholly on H or wholly off it, since an inner vertex
+    of H has no edge off H. `embedding` embeds the core alone, with H's
+    face as outer face, and `forward` holds the host core edges directed in
+    anchor order. For the cover, `vertices` lists the core vertices, whose
+    positions there are their dense ids, and `outs` the part vertex each
+    one is (None for an inner vertex of a longer edge); `seeds` pairs each
+    core anchor's dense id with its anchor index; each link (chain, x, y,
+    on H, sites) gives a core edge's chain, in anchor order on H and from
+    its lesser id off H, the dense ids x and y of its first and last
     vertex, and the inner vertices (t, v) that are part vertices v: v's
-    image is that of the chain's vertex t; and face_lengths[f] is face f's
-    length (on H, off H). A map is a list of `size` anchor indices, and
+    image is that of the chain's vertex t; the links come in the order the
+    builder takes the chains, each taken once; and face_lengths[f] is face
+    f's length (on H, off H). A map is a list of `size` anchor indices, and
     every vertex of the part is reported in it.
     """
 
@@ -1265,8 +1267,9 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):
     then comp's vertices, then the inner vertices of its edges (u, v), edge
     by edge in sorted order, from u to v; an id below K is an anchor index.
     The core is the vertices of degree other than 2, or one vertex of a bare
-    cycle, and each chain between them is walked edge by edge, as ranges of
-    those ids. `_lr_rotation` embeds the core, which raises NotPlanarError
+    cycle, and each chain between them is walked once, edge by edge, as
+    ranges of those ids, and turned there to run as its link does (see
+    PlaneCore). `_lr_rotation` embeds the core, which raises NotPlanarError
     if the part is not planar. The faces are walked on the core's rotation
     and listed in the order the walk finds them, each from its least (core
     vertex, rotation position) half-edge."""
@@ -1295,26 +1298,27 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):
         runs[(d, c)] = range(P[c] + m - 1, P[c], -1)
     core_set = {v for v in pn if len(pn[v]) != 2} or {min(pn)}
     is_core = {vid[v] for v in core_set}
-    # path[(x, y)] is the chain that the core edge (x, y) stands for, walked
-    # from x, sites[e] the chain as walked with its inner vertices (t, v) at
-    # vertices v of the part, and `walked` holds both end half-edges of every
-    # chain taken
-    path, on_h, sites, walked = {}, {}, {}, set()
+    # chains lists each core edge once, as (chain, on H, sites): the chain
+    # runs in anchor order on H and from its lesser end off it, and its
+    # sites (t, v) are the inner vertices t that are vertices v of the part;
+    # span[e] is core edge e's (length, on H), and `walked` holds both end
+    # half-edges of every chain taken
+    chains, span, walked = [], {}, set()
 
-    def add_chain(chain, h, inner):
-        x, y = chain[0], chain[-1]
-        e = _normalize_edge(x, y)
-        on_h[e] = h
-        sites[e] = (chain, inner)
-        path[(x, y)] = chain
-        path[(y, x)] = chain[::-1]
+    def add_chain(chain, h, sites):
+        x, y, L = chain[0], chain[-1], len(chain) - 1
+        span[_normalize_edge(x, y)] = (L, h)
         walked.add((x, chain[1]))
         walked.add((y, chain[-2]))
+        if (chain[1] != (x + 1) % K) if h else x > y:
+            chain = chain[::-1]
+            sites = tuple((L - t, v) for t, v in sites)
+        chains.append((chain, h, sites))
 
     # single edges first: a chain parallel to one is the one promoted
     for u, v in edges + sorted(host):
         if lengths[(u, v)] == 1 and u in core_set and v in core_set:
-            add_chain(_normalize_edge(vid[u], vid[v]), (u, v) in host, ())
+            add_chain((vid[u], vid[v]), (u, v) in host, ())
     for u in sorted(core_set, key=vid.get):
         for first, w in sorted(((runs[(u, w)] or [vid[w]])[0], w)
                                for w in pn[u]):
@@ -1333,14 +1337,14 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):
             chain, y, i = tuple(chain), chain[-1], 0
             # promote while the chain closes a loop or repeats a core edge
             while len(chain) - i > 2 and (
-                    chain[i] == y or _normalize_edge(chain[i], y) in on_h):
+                    chain[i] == y or _normalize_edge(chain[i], y) in span):
                 is_core.add(chain[i + 1])
                 add_chain(chain[i:i + 2], h, ())
                 i += 1
             add_chain(chain[i:], h,
                       tuple((t - i, v) for t, v in inner if t > i))
     nodes = sorted(is_core)
-    rotation = _lr_rotation(n, nodes, sorted(on_h))
+    rotation = _lr_rotation(n, nodes, sorted(span))
     faces = []
     seen = set()
     for v0 in nodes:
@@ -1356,48 +1360,20 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):
                 v, w = w, rot[rot.index(v) - 1]
             faces.append(walk)
     embedding = PlaneEmbedding(n, rotation, faces, None, range(K))
-    chains = []
-    forward = set()
-    host_core = set()
-    for e in embedding.graph_edges:
-        chain = path[e]
-        if on_h[e]:
-            host_core.add(e)
-            if chain[1] != (chain[0] + 1) % K:
-                chain = path[e[::-1]]
-            forward.add((chain[0], chain[-1]))
-        chains.append(chain)
-    # H's face lies along one of the two sides of the host edge from anchor
-    # 0 to anchor 1, on the chain whose L anchor steps pass anchor 0
-    x, y = next((x, y) for x, y in forward
-                if -x % K < len(path[(x, y)]) - 1)
-    outer = embedding.half_face[(x, y)]
-    if embedding.face_edge_sets[outer] != host_core:
-        outer = embedding.half_face[(y, x)]
-    embedding.outer_face = outer
 
     pc = PlaneCore()
     pc.anchors = embedding.anchors
     pc.size = size
     pc.embedding = embedding
-    pc.forward = frozenset(forward)
     pc.vertices = tuple(nodes)
     vertex = {vid[v]: v for v in pn}
     pc.outs = tuple(map(vertex.get, nodes))
     index = {v: c for c, v in enumerate(nodes)}
     pc.seeds = tuple((c, v) for c, v in enumerate(nodes) if v < K)
-    links = []
-    span = {}
-    for chain in chains:
-        L = len(chain) - 1
-        e = _normalize_edge(chain[0], chain[-1])
-        walked_as, inner = sites[e]
-        if walked_as is not chain:
-            inner = tuple((L - t, w) for t, w in inner)
-        links.append((chain, index[chain[0]], index[chain[-1]],
-                      (chain[0], chain[-1]) in forward, inner))
-        span[e] = (L, on_h[e])
-    pc.links = tuple(links)
+    pc.links = tuple((chain, index[chain[0]], index[chain[-1]], h, sites)
+                     for chain, h, sites in chains)
+    pc.forward = frozenset((chain[0], chain[-1]) for chain, h, _ in chains
+                           if h)
     pc.face_lengths = []
     for fes in embedding.face_edge_sets:
         on, off = 0, 0
@@ -1408,6 +1384,10 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):
             else:
                 off += L
         pc.face_lengths.append((on, off))
+    # H's face is the one face with no length off H: the piece lies on the
+    # other side of H, and a face walk along H alone goes round all of it
+    embedding.outer_face = next(f for f, (_, off)
+                                in enumerate(pc.face_lengths) if not off)
     # the anchor distance ratio (`_distance_ratio`), by BFS when every
     # length of the part is 1
     unit = K == r and all(lengths[e] == 1 for e in edges)

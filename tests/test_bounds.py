@@ -1,10 +1,9 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from retract import core, oracle, planar
+from retract import oracle, planar
 from retract.bounds import (EdgeAssignment, _horton_candidates,
                             distance_stretch_lower_bound,
                             lp_certificate, lp_feasible,

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from retract import euclid, oracle
 from retract.cli import run
-from retract.core import (Instance, gen_grid, parse_instance,
-                          parse_retraction, serialize_instance)
+from retract.core import (Instance, gen_column_deleted_grid, gen_grid,
+                          parse_instance, parse_retraction,
+                          serialize_instance)
 
 import frozen
-from conftest import interior_square
+from conftest import interior_square, make_w4
 
 
 def _gen(tmp_path, *args):
@@ -82,7 +83,6 @@ def _combination(out):
 
 
 def test_lb_lp_w4_certificate(tmp_path, capsys):
-    from conftest import make_w4
     from retract.core import serialize_instance
     inst_path = tmp_path / "w4.json"
     inst_path.write_text(serialize_instance(make_w4()))
@@ -107,7 +107,6 @@ def test_lb_lp_certificate_is_for_l0(tmp_path, capsys):
 
 
 def test_lb_lp_stdout_frozen(tmp_path, capsys):
-    from conftest import make_w4
     inst_path = tmp_path / "inst.json"
     for inst, want in ((make_w4(), frozen.LB_LP_W4_STDOUT),
                        (gen_grid(5), frozen.LB_LP_GRID5_STDOUT)):
@@ -122,6 +121,31 @@ def test_lb_sperner_on_grid(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out.strip())
     assert out["bound"] == 3
     assert len(out["triangle"]) == 3
+
+
+@pytest.mark.parametrize("inst", [gen_column_deleted_grid(4), make_w4()],
+                         ids=["colgrid4", "w4"])
+def test_lb_sperner_off_grid_exits_2(tmp_path, capsys, inst):
+    # colgrid 4 has a square vertex count but not gen_grid's edges
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(serialize_instance(inst))
+    assert run(["lb", "--method", "sperner", "-i", str(inst_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "gen_grid instances only" in out.err
+
+
+def test_verify_rejects_wrong_claimed_stretch(tmp_path, capsys):
+    inst_path = _gen(tmp_path, "grid", "--m", "3")
+    ret_path = tmp_path / "ret.json"
+    run(["solve", "--algo", "planar", "-i", str(inst_path),
+         "-o", str(ret_path)])
+    obj = json.loads(ret_path.read_text())
+    obj["stretch"] += 1
+    ret_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", "-i", str(inst_path), "-r", str(ret_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "claimed stretch" in out.err
 
 
 def test_solve_approx_and_treewidth(tmp_path, capsys):

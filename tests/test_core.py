@@ -74,6 +74,27 @@ def test_huge_vertex_count_rejected_before_allocation():
     assert out.stdout.strip() == "guest graph is disconnected", out.stderr
 
 
+@pytest.mark.parametrize("edges,anchors", [
+    ([(False, True), (True, 2), (False, 2)], [False, True, 2]),  # bools
+    ([(0, 1.0), (1, 2), (0, 2)], [0, 1, 2]),                  # float end
+    ([(0, 1), (1, 2), (0, 2)], [0, 1.0, 2]),                  # float anchor
+    ([(0, "1"), (1, 2), (0, 2)], [0, 1, 2]),                  # str end
+    ([(0, 1), (1, 2), (0, 2)], [0, 1, "2"]),                  # str anchor
+])
+def test_vertex_ids_must_be_ints(edges, anchors):
+    # such ids would not survive serialize -> parse; the same ids as ints do
+    with pytest.raises(ValidationError):
+        Instance(3, edges, anchors)
+    inst = Instance(3, [tuple(map(int, e)) for e in edges],
+                    list(map(int, anchors)))
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
+def test_bool_vertex_count_rejected():
+    with pytest.raises(ValidationError, match="vertex count"):
+        Instance(True, [], [0, 1, 2])
+
+
 # --- stretch ---
 
 def test_identity_stretch_on_cycles():

@@ -602,6 +602,44 @@ def test_weighted_start_bound_is_the_distance_bound(monkeypatch):
     assert searches and not any(searches)
 
 
+def test_core_links_are_oriented_chains():
+    # each core edge is one link, whose chain runs from core vertex x to
+    # core vertex y; a chain on H steps +1 mod k per edge and is a `forward`
+    # edge, one off H is not, and each site (t, v) is the chain's inner
+    # vertex t, which in `plane_core`'s ids (the anchors by index, then the
+    # other vertices in order) is v
+    insts = _ladder() + [gen_grid(7)]
+    insts += [gen_random_planar(nf, k, 1000 * k + nf)
+              for k in range(3, 13) for nf in range(31)]
+    links = 0
+    for inst in insts:
+        for part, _ in plane_parts(reduce_two_connected(inst)[0])[0]:
+            core = planar.plane_core(part)
+            k = part.k
+            ids = list(part.anchors)
+            ids += [v for v in range(part.n) if not part.is_anchor(v)]
+            cid = {v: c for c, v in enumerate(ids)}
+            edges = set()
+            for chain, x, y, on_h, sites in core.links:
+                L = len(chain) - 1
+                assert (core.vertices[x], core.vertices[y]) == (
+                    chain[0], chain[-1]), inst
+                edges.add(tuple(sorted((chain[0], chain[-1]))))
+                end = (chain[0], chain[-1])
+                if on_h:
+                    assert all(b == (a + 1) % k
+                               for a, b in zip(chain, chain[1:])), inst
+                    assert end in core.forward, inst
+                else:
+                    assert end not in core.forward, inst
+                for t, v in sites:
+                    assert 0 < t < L and chain[t] == cid[v], inst
+                links += 1
+            assert len(edges) == len(core.links), inst
+            assert edges == set(core.embedding.graph_edges), inst
+    assert links >= 8000
+
+
 def _core_fields(core, orig):
     """The fields of a PlaneCore, each reported vertex v read as orig[v]."""
     emb = core.embedding

@@ -8,10 +8,10 @@ from retract import cli, oracle, planar, treewidth
 from retract.core import (Instance, ResourceError, SubgraphHost,
                           ValidationError, gen_column_deleted_grid, gen_grid,
                           gen_random_planar, host_from_cycle)
-from retract.treewidth import (NiceTreeDecomposition, _make_nice,
-                               _raw_decompose, _spliced_decomposition,
-                               _start_bound, _stretch1_graph, _subdivided,
-                               host_stretch, optimal_retract_tw, stretch1_tw,
+from retract.treewidth import (_make_nice, _raw_decompose,
+                               _spliced_decomposition, _start_bound,
+                               _stretch1_graph, _subdivided, host_stretch,
+                               optimal_retract_tw, stretch1_tw,
                                tree_decompose)
 
 import frozen
