@@ -95,13 +95,13 @@ class Instance:
         self.n = n
         self.edges = tuple(sorted(norm))
         anchors = tuple(anchors)
+        for a in anchors:
+            if not _is_int(a) or not 0 <= a < n:
+                raise ValidationError("anchor %r is not a vertex id" % (a,))
         if len(anchors) < 3:
             raise ValidationError("need at least 3 anchors")
         if len(set(anchors)) != len(anchors):
             raise ValidationError("anchors must be distinct")
-        for a in anchors:
-            if not _is_int(a) or not 0 <= a < n:
-                raise ValidationError("anchor %r is not a vertex id" % (a,))
         self.anchors = anchors
         k = len(anchors)
         host = []
@@ -467,13 +467,13 @@ def parse_instance(text):
     for field in ("n", "edges", "anchors"):
         if field not in obj:
             raise ValidationError("missing field %r" % field)
-    if not _is_int(obj["n"]):
-        raise ValidationError("n must be an integer")
-    if not isinstance(obj["edges"], list):
-        raise ValidationError("edges must be a list")
-    edges = [tuple(_int_list(e, "edges[%d]" % i, 2))
-             for i, e in enumerate(obj["edges"])]
-    anchors = _int_list(obj["anchors"], "anchors")
+    # Instance checks n and every vertex id; here only the JSON shapes
+    edges, anchors = obj["edges"], obj["anchors"]
+    if (not isinstance(edges, list)
+            or not all(isinstance(e, list) and len(e) == 2 for e in edges)):
+        raise ValidationError("edges must be a list of 2-element lists")
+    if not isinstance(anchors, list):
+        raise ValidationError("anchors must be a list")
     points = None
     if obj.get("points") is not None:
         if not isinstance(obj["points"], list):

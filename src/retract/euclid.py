@@ -414,19 +414,18 @@ def _grow_path(adj, path, targets, banned=frozenset()):
     """Incremental closest-vertex construction: for each target anchor in
     order, trim the path at its closest vertex and append a shortest path to
     the anchor. Appended branches avoid the kept portion (and `banned`), so
-    the result stays a simple path. In the unit graph the closest vertex is
-    never inside an edge's path, being one step farther than a neighbour on
-    the path, so the trim is at a vertex here too."""
+    the result stays a simple path: the branch is read off the search from
+    the anchor, and every vertex on it but the closest one is strictly
+    nearer the anchor, so it is not on the path. In the unit graph the
+    closest vertex is never inside an edge's path, being one step farther
+    than a neighbour on the path, so the trim is at a vertex here too."""
     for t in targets:
-        dist = _tree(adj, t, banned)[0]
+        dist, par = _tree(adj, t, banned)
         best_pos = min(range(len(path)),
                        key=lambda i: (dist.get(path[i], 1 << 60), i))
         if path[best_pos] not in dist:
             raise SolverError("anchor unreachable during path construction")
         kept = path[:best_pos + 1]
-        par = _tree(adj, t, banned | (set(kept) - {path[best_pos]}))[1]
-        if path[best_pos] not in par:
-            raise SolverError("anchor unreachable during path construction")
         branch = [path[best_pos]]
         while branch[-1] != t:
             branch.append(par[branch[-1]])

@@ -22,9 +22,11 @@ taken to its weighted core once (`_weighted_part`): the vertices of degree
 other than 2, each chain of degree-2 vertices between them one core edge
 that carries its length L, and only that core is planarity-tested and
 embedded, by the left-right test (`_lr_rotation`, linear time and
-iterative). Each stretch l of a part is decided on the core by scanning its
-bounded faces F with a winding cover: core vertices are copied into layers
-that shift where a core edge crosses a dual path from F to the outer face,
+iterative). Its faces are walked once on that rotation, and the walk keeps
+each half-edge's face and each face's length. Each stretch l of a part is
+decided on the core by scanning its bounded faces F with a winding cover:
+core vertices are copied into layers that shift where a core edge crosses
+a dual path from F to the outer face, found by BFS over the face walks,
 and labels are shortest-path values from the core anchor copies, with a
 core edge of length L on H and L*l off it. The map is verified per chain
 from the labels, and only the accepted map gives images to the inner chain
@@ -40,7 +42,8 @@ block, pieces and core of an `Instance` by calls of the solve's own
 that put the anchors first; no solve calls them. `plane_embed` embeds a
 one-piece instance, counted by `_pieces`, through `plane_core`: it maps the
 core's ids back to the instance's and splices the chains back into the
-core's embedding, for the curve certificate below.
+core's rotation and face walks, as the PlaneEmbedding that the curve
+certificate below reads; no core builds one.
 
 The paper's certificate, k vertex-disjoint curves from F to H found by max
 flow in a triangulated supergraph and the retraction read off the regions
@@ -66,7 +69,8 @@ class NotPlanarError(ValidationError):
 
 
 class PlaneEmbedding:
-    """A combinatorial plane embedding with explicit face lists.
+    """A combinatorial plane embedding with explicit face lists, for the
+    curve certificate (`plane_embed`, `triangulate_for_face`).
 
     rotation[v] is the cyclic order of v's neighbors; faces are directed
     boundary walks (simple cycles in the 2-connected case); outer_face indexes
@@ -115,23 +119,27 @@ class PlaneCore:
     vertices that would otherwise close a loop or repeat a core edge, so
     that the core is simple and each core edge stands for exactly one
     chain. A chain lies wholly on H or wholly off it, since an inner vertex
-    of H has no edge off H. `embedding` embeds the core alone, with H's
-    face as outer face, and `forward` holds the host core edges directed in
-    anchor order. For the cover, `vertices` lists the core vertices, whose
-    positions there are their dense ids, and `outs` the part vertex each
-    one is (None for an inner vertex of a longer edge); `seeds` pairs each
-    core anchor's dense id with its anchor index; each link (chain, x, y,
-    on H, sites) gives a core edge's chain, in anchor order on H and from
-    its lesser id off H, the dense ids x and y of its first and last
-    vertex, and the inner vertices (t, v) that are part vertices v: v's
-    image is that of the chain's vertex t; the links come in the order the
-    builder takes the chains, each taken once; and face_lengths[f] is face
-    f's length (on H, off H). A map is a list of `size` anchor indices, and
-    every vertex of the part is reported in it.
+    of H has no edge off H. The core alone is embedded: rotation[v] is
+    core vertex v's clockwise neighbours (empty off the core); faces[f] is
+    face f's walk, each half-edge (v, w) followed by (w, the neighbour
+    before v in w's rotation); half_face[(v, w)] is the face whose walk
+    takes (v, w); outer_face is H's face; and `forward` holds the host core
+    edges directed in anchor order. For the cover, `vertices` lists the
+    core vertices, whose positions there are their dense ids, and `outs`
+    the part vertex each one is (None for an inner vertex of a longer
+    edge); `seeds` pairs each core anchor's dense id with its anchor index;
+    each link (chain, x, y, on H, sites) gives a core edge's chain, in
+    anchor order on H and from its lesser id off H, the dense ids x and y
+    of its first and last vertex, and the inner vertices (t, v) that are
+    part vertices v: v's image is that of the chain's vertex t; the links
+    come in the order the builder takes the chains, each taken once; and
+    face_lengths[f] is face f's length (on H, off H). A map is a list of
+    `size` anchor indices, and every vertex of the part is reported in it.
     """
 
-    __slots__ = ("anchors", "size", "embedding", "forward",
-                 "vertices", "outs", "seeds", "links", "face_lengths")
+    __slots__ = ("anchors", "size", "rotation", "faces", "half_face",
+                 "outer_face", "forward", "vertices", "outs", "seeds", "links",
+                 "face_lengths")
 
     @property
     def k(self):
@@ -642,7 +650,6 @@ def plane_embed(instance):
         raise ValidationError("H need not bound a face of an instance with "
                               "two or more pieces; embed its parts")
     core = plane_core(instance)
-    emb = core.embedding
     orig = list(instance.anchors)
     orig += [v for v in range(instance.n) if not instance.is_anchor(v)]
     path = {}
@@ -652,15 +659,15 @@ def plane_embed(instance):
         path[(chain[-1], chain[0])] = chain[::-1]
     rotation = [None] * instance.n
     for x, v in enumerate(orig):
-        rotation[v] = (tuple(path[(v, orig[w])][1] for w in emb.rotation[x])
-                       if emb.rotation[x] else instance.neighbors(v))
+        rotation[v] = (tuple(path[(v, orig[w])][1] for w in core.rotation[x])
+                       if core.rotation[x] else instance.neighbors(v))
     faces = []
-    for walk in emb.faces:
+    for walk in core.faces:
         walk = [orig[x] for x in walk]
         faces.append([t for v, w in zip(walk, walk[1:] + walk[:1])
                       for t in path[(v, w)][:-1]])
-    return PlaneEmbedding(instance.n, tuple(rotation), faces, emb.outer_face,
-                          instance.anchors)
+    return PlaneEmbedding(instance.n, tuple(rotation), faces,
+                          core.outer_face, instance.anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -959,37 +966,34 @@ def retraction_from_curves(embedding, curves):
 # the winding cover: the per-face decision
 
 
-def _dual_crossing_signs(embedding, face, forward):
-    """BFS in the face-adjacency graph from `face` to the outer face; return
-    sign[(u,v)] = +-1 for the directed edges crossed by the dual path,
-    normalized so the crossed edge of `forward` (H's edges directed in
-    anchor order) scores +1."""
+def _dual_crossing_signs(plane, face, forward):
+    """BFS in the dual from `face` to the outer face, over the face walks of
+    `plane` (a PlaneCore or a PlaneEmbedding: its `faces`, `half_face` and
+    `outer_face`); return sign[(u,v)] = +-1 for the directed edges crossed
+    by the dual path, normalized so the crossed edge of `forward` (H's
+    edges directed in anchor order) scores +1. The face across half-edge
+    (u, v) of a walk is the one that walks (v, u), and a crossing counts +1
+    on the half-edge of the face it leaves."""
+    half_face, outer = plane.half_face, plane.outer_face
     parent = {face: None}
     queue = [face]
     for f in queue:
-        if f == embedding.outer_face:
+        if f == outer:
             break
-        for e in embedding.face_edge_sets[f]:
-            for g in embedding.edge_faces[e]:
-                if g not in parent:
-                    parent[g] = (f, e)
-                    queue.append(g)
-    if embedding.outer_face not in parent:
+        walk = plane.faces[f]
+        for u, v in zip(walk, walk[1:] + walk[:1]):
+            g = half_face[(v, u)]
+            if g not in parent:
+                parent[g] = (f, u, v)
+                queue.append(g)
+    if outer not in parent:
         raise SolverError("outer face unreachable in the dual")
     sign = {}
-    f = embedding.outer_face
+    f = outer
     while parent[f] is not None:
-        prev, e = parent[f]
-        u, v = e
-        # (u, v) has the face to one side; crossing prev -> f counts +1 for
-        # the direction whose left face is prev
-        if embedding.half_face.get((u, v)) == prev:
-            sign[(u, v)] = sign.get((u, v), 0) + 1
-            sign[(v, u)] = sign.get((v, u), 0) - 1
-        else:
-            sign[(v, u)] = sign.get((v, u), 0) + 1
-            sign[(u, v)] = sign.get((u, v), 0) - 1
-        f = prev
+        f, u, v = parent[f]
+        sign[(u, v)] = sign.get((u, v), 0) + 1
+        sign[(v, u)] = sign.get((v, u), 0) - 1
     w = sum(sign.get(he, 0) for he in forward)
     if w == 0:
         raise SolverError("dual path does not separate H from F")
@@ -1040,7 +1044,7 @@ def _lipschitz_retract(core, face, l=1):
     map of all parts in closed form (`_check_weighted`).
     """
     k = core.k
-    sign = _dual_crossing_signs(core.embedding, face, core.forward)
+    sign = _dual_crossing_signs(core, face, core.forward)
     J = len(sign) // 2
     width = 2 * J + 1
     INF = float("inf")
@@ -1119,7 +1123,7 @@ def _stretch1_embedded(core, l=1):
     cannot wind around H; the longest faces are tried first."""
     size = {f: on_h + l * off_h
             for f, (on_h, off_h) in enumerate(core.face_lengths)
-            if f != core.embedding.outer_face}
+            if f != core.outer_face}
     faces = sorted((f for f in size if size[f] >= core.k),
                    key=size.get, reverse=True)
     for f in faces:
@@ -1345,26 +1349,34 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):
                       tuple((t - i, v) for t, v in inner if t > i))
     nodes = sorted(is_core)
     rotation = _lr_rotation(n, nodes, sorted(span))
-    faces = []
-    seen = set()
+    faces, half_face, face_lengths = [], {}, []
     for v0 in nodes:
         for w0 in rotation[v0]:
-            if (v0, w0) in seen:
+            if (v0, w0) in half_face:
                 continue
             v, w = v0, w0
-            walk = []
-            while (v, w) not in seen:
-                seen.add((v, w))
+            walk, on, off = [], 0, 0
+            while (v, w) not in half_face:
+                half_face[(v, w)] = len(faces)
                 walk.append(v)
+                L, h = span[_normalize_edge(v, w)]
+                on, off = (on + L, off) if h else (on, off + L)
                 rot = rotation[w]
                 v, w = w, rot[rot.index(v) - 1]
             faces.append(walk)
-    embedding = PlaneEmbedding(n, rotation, faces, None, range(K))
+            face_lengths.append((on, off))
 
     pc = PlaneCore()
-    pc.anchors = embedding.anchors
+    pc.anchors = tuple(range(K))
     pc.size = size
-    pc.embedding = embedding
+    pc.rotation = rotation
+    pc.faces = faces
+    pc.half_face = half_face
+    pc.face_lengths = face_lengths
+    # H's face is the one face with no length off H: the piece lies on the
+    # other side of H, and a face walk along H alone goes round all of it
+    pc.outer_face = next(f for f, (_, off) in enumerate(face_lengths)
+                         if not off)
     pc.vertices = tuple(nodes)
     vertex = {vid[v]: v for v in pn}
     pc.outs = tuple(map(vertex.get, nodes))
@@ -1374,20 +1386,6 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):
                      for chain, h, sites in chains)
     pc.forward = frozenset((chain[0], chain[-1]) for chain, h, _ in chains
                            if h)
-    pc.face_lengths = []
-    for fes in embedding.face_edge_sets:
-        on, off = 0, 0
-        for e in fes:
-            L, h = span[e]
-            if h:
-                on += L
-            else:
-                off += L
-        pc.face_lengths.append((on, off))
-    # H's face is the one face with no length off H: the piece lies on the
-    # other side of H, and a face walk along H alone goes round all of it
-    embedding.outer_face = next(f for f, (_, off)
-                                in enumerate(pc.face_lengths) if not off)
     # the anchor distance ratio (`_distance_ratio`), by BFS when every
     # length of the part is 1
     unit = K == r and all(lengths[e] == 1 for e in edges)

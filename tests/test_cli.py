@@ -358,6 +358,10 @@ def test_determinism(tmp_path):
      7),                                                # non-object file
     ({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "anchors": [0, 1, 2]},
      {"assignment": [0, [1], 2]}),                      # nested list
+    ({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "anchors": [[0], 1, 2]},
+     None),                                             # list anchor
+    ({"n": 3, "edges": [[0, 1], [1, {}], [0, 2]], "anchors": [0, 1, 2]},
+     None),                                             # dict vertex id
 ])
 def test_malformed_input_exits_2(tmp_path, inst, ret):
     inst_path = tmp_path / "inst.json"
@@ -420,11 +424,15 @@ def test_cli_fuzz_never_tracebacks(inst, ret):
         tmp = Path(tmp)
         (tmp / "inst.json").write_text(json.dumps(inst))
         (tmp / "ret.json").write_text(json.dumps(ret))
+        out = ["-o", str(tmp / "out.json")]
         for argv in (["verify", "-r", str(tmp / "ret.json")],
                      ["lb", "--method", "distance"],
                      ["lb", "--method", "lp"],
-                     ["solve", "--algo", "planar", "-o",
-                      str(tmp / "out.json")]):
+                     ["lb", "--method", "sperner"],
+                     *(["solve", "--algo", algo] + out for algo in
+                       ("planar", "approx", "treewidth", "oracle", "euclid")),
+                     ["solve", "--algo", "treewidth", "--host-edges",
+                      str(tmp / "ret.json")] + out):
             err = io.StringIO()
             with redirect_stderr(err), redirect_stdout(io.StringIO()):
                 rc = run(argv + ["-i", str(tmp / "inst.json")])

@@ -80,14 +80,21 @@ def test_huge_vertex_count_rejected_before_allocation():
     ([(0, 1), (1, 2), (0, 2)], [0, 1.0, 2]),                  # float anchor
     ([(0, "1"), (1, 2), (0, 2)], [0, 1, 2]),                  # str end
     ([(0, 1), (1, 2), (0, 2)], [0, 1, "2"]),                  # str anchor
+    ([(0, 1), (1, 2), (0, 2)], [[0], 1, 2]),                  # list anchor
+    ([(0, 1), (1, 2), (0, 2)], [0, {1: 1}, 2]),               # dict anchor
 ])
 def test_vertex_ids_must_be_ints(edges, anchors):
     # such ids would not survive serialize -> parse; the same ids as ints do
     with pytest.raises(ValidationError):
         Instance(3, edges, anchors)
-    inst = Instance(3, [tuple(map(int, e)) for e in edges],
-                    list(map(int, anchors)))
+    inst = Instance(3, [tuple(map(_as_int, e)) for e in edges],
+                    list(map(_as_int, anchors)))
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+def _as_int(x):
+    """The int that id x stands for: a list or dict by its one item."""
+    return int(next(iter(x)) if isinstance(x, (list, dict)) else x)
 
 
 def test_bool_vertex_count_rejected():

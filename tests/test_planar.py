@@ -16,11 +16,11 @@ from retract.core import (Instance, Retraction, ValidationError, cycle_dist,
                           gen_column_deleted_grid, gen_grid, gen_random_planar,
                           stretch, subdivide)
 from retract.oracle import brute_force_optimal, enumerate_min_surrounding_cycle
-from retract.planar import (NotPlanarError, max_disjoint_paths,
-                            optimal_retract_planar, optimal_retract_weighted,
-                            plane_embed, plane_parts, reduce_two_connected,
-                            retraction_from_curves, stretch1_retract,
-                            triangulate_for_face)
+from retract.planar import (NotPlanarError, PlaneEmbedding,
+                            max_disjoint_paths, optimal_retract_planar,
+                            optimal_retract_weighted, plane_embed, plane_parts,
+                            reduce_two_connected, retraction_from_curves,
+                            stretch1_retract, triangulate_for_face)
 
 from conftest import (BENCH_SETS, all_pairs_distance_ratio, as_retraction,
                       chain_images, chain_piece, cycle_score, enclosed_faces,
@@ -636,19 +636,19 @@ def test_core_links_are_oriented_chains():
                     assert 0 < t < L and chain[t] == cid[v], inst
                 links += 1
             assert len(edges) == len(core.links), inst
-            assert edges == set(core.embedding.graph_edges), inst
+            assert edges == {(v, w) for v, rot in enumerate(core.rotation)
+                             for w in rot if v < w}, inst
     assert links >= 8000
 
 
 def _core_fields(core, orig):
     """The fields of a PlaneCore, each reported vertex v read as orig[v]."""
-    emb = core.embedding
     links = tuple((chain, x, y, on_h, tuple((t, orig[v]) for t, v in sites))
                   for chain, x, y, on_h, sites in core.links)
-    return (emb.rotation, emb.faces, emb.outer_face, core.forward,
-            core.vertices, tuple(None if v is None else orig[v]
-                                 for v in core.outs),
-            core.seeds, links, list(core.face_lengths))
+    return (core.rotation, core.faces, core.half_face, core.outer_face,
+            core.forward, core.vertices,
+            tuple(None if v is None else orig[v] for v in core.outs),
+            core.seeds, links, core.face_lengths)
 
 
 def test_solve_scans_plane_core_of_each_part(monkeypatch):
@@ -680,9 +680,19 @@ def test_solve_scans_plane_core_of_each_part(monkeypatch):
         for core, (part, orig) in zip(cores, parts):
             assert (_core_fields(core, range(inst.n))
                     == _core_fields(planar.plane_core(part), orig)), inst
-            emb = core.embedding
-            assert list(map(list, emb.faces)) == rotation_faces(
-                emb.rotation, core.vertices), inst
+            assert core.faces == rotation_faces(core.rotation,
+                                                core.vertices), inst
+            # the walk keeps what PlaneEmbedding derives from the faces; a
+            # part is 2-connected, so no core edge is twice on one face
+            emb = PlaneEmbedding(len(core.rotation), core.rotation,
+                                 core.faces, core.outer_face, core.anchors)
+            assert emb.half_face == core.half_face, inst
+            span = {tuple(sorted((chain[0], chain[-1]))): (len(chain) - 1, h)
+                    for chain, _, _, h, _ in core.links}
+            assert core.face_lengths == [
+                tuple(sum(span[e][0] for e in fes if span[e][1] == h)
+                      for h in (True, False))
+                for fes in emb.face_edge_sets], inst
             compared += 1
         for chain in chains:
             if len(chain) > 2:
