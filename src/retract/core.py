@@ -113,9 +113,14 @@ class Instance:
             host.append(e)
         self._host_edges = frozenset(host)
         if points is not None:
-            points = tuple((Fraction(x), Fraction(y)) for x, y in points)
-            if len(points) != n:
-                raise ValidationError("points length must equal vertex count")
+            try:
+                if len(points) != n:
+                    raise ValueError("%d points for %d vertices"
+                                     % (len(points), n))
+                points = tuple((Fraction(x), Fraction(y)) for x, y in points)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError("points must be one pair of finite "
+                                      "numbers per vertex: %s" % exc) from None
         self.points = points
         if len(self.edges) < n - 1:
             raise ValidationError("guest graph is disconnected")
@@ -207,12 +212,20 @@ class SubgraphHost:
 
     def __init__(self, anchors, edges):
         self.anchors = tuple(anchors)
+        for a in self.anchors:
+            if not _is_int(a):
+                raise ValidationError("host anchor %r is not a vertex id"
+                                      % (a,))
         if len(set(self.anchors)) != len(self.anchors):
             raise ValidationError("host anchors must be distinct")
         aset = set(self.anchors)
         norm = set()
-        for u, v in edges:
-            e = _normalize_edge(u, v)
+        for e in edges:
+            if (not isinstance(e, (tuple, list)) or len(e) != 2
+                    or not (_is_int(e[0]) and _is_int(e[1]))):
+                raise ValidationError("host edge %r is not a pair of vertex "
+                                      "ids" % (e,))
+            e = _normalize_edge(*e)
             if e[0] not in aset or e[1] not in aset:
                 raise ValidationError("host edge %r leaves the anchor set" % (e,))
             norm.add(e)

@@ -36,14 +36,13 @@ the least feasible l, scanned upward from the part's anchor distance ratio
 the part is 1, else Dijkstra). The merged map is checked in closed form
 (`_check_weighted`).
 
-`reduce_two_connected`, `plane_parts` and `plane_core` take the same
-block, pieces and core of an `Instance` by calls of the solve's own
-`_hanging`, `_pieces` and builder, the builder with every length 1 and ids
-that put the anchors first; no solve calls them. `plane_embed` embeds a
-one-piece instance, counted by `_pieces`, through `plane_core`: it maps the
-core's ids back to the instance's and splices the chains back into the
-core's rotation and face walks, as the PlaneEmbedding that the curve
-certificate below reads; no core builds one.
+`reduce_two_connected` and `plane_core` take the same block and core of an
+`Instance` by calls of the solve's own `_hanging` and builder, the builder
+with every length 1 and ids that put the anchors first; no solve calls
+them. `plane_embed` embeds a one-piece instance, counted by `_pieces`,
+through `plane_core`: it maps the core's ids back to the instance's and
+splices the chains back into the core's face walks, as the PlaneEmbedding
+that the curve certificate below reads; no core builds one.
 
 The paper's certificate, k vertex-disjoint curves from F to H found by max
 flow in a triangulated supergraph and the retraction read off the regions
@@ -69,20 +68,20 @@ class NotPlanarError(ValidationError):
 
 
 class PlaneEmbedding:
-    """A combinatorial plane embedding with explicit face lists, for the
+    """A combinatorial plane embedding given by its face walks, for the
     curve certificate (`plane_embed`, `triangulate_for_face`).
 
-    rotation[v] is the cyclic order of v's neighbors; faces are directed
-    boundary walks (simple cycles in the 2-connected case); outer_face indexes
-    the face bounded by the anchor cycle.
+    faces are directed boundary walks (simple cycles in the 2-connected
+    case), no half-edge on two of them; outer_face indexes the face bounded
+    by the anchor cycle. The edges, each face's edge set and each half-edge's
+    face are derived from the walks.
     """
 
-    __slots__ = ("n", "rotation", "faces", "outer_face", "anchors",
-                 "graph_edges", "face_edge_sets", "edge_faces", "half_face")
+    __slots__ = ("n", "faces", "outer_face", "anchors", "graph_edges",
+                 "face_edge_sets", "edge_faces", "half_face")
 
-    def __init__(self, n, rotation, faces, outer_face, anchors):
+    def __init__(self, n, faces, outer_face, anchors):
         self.n = n
-        self.rotation = rotation
         self.faces = tuple(tuple(f) for f in faces)
         self.outer_face = outer_face
         self.anchors = tuple(anchors)
@@ -599,50 +598,16 @@ def _pieces(n, neighbors, P, host, skip):
     return chains, comps
 
 
-def plane_parts(instance):
-    """Split the instance into the pieces that are solved apart.
-
-    A piece is a chord of H, or a connected component C of G minus the
-    anchors together with its edges to H. Returns (parts, chains), split by
-    the solve's own pass (`_pieces`) with no vertex skipped, so a tree that
-    hangs off the block lies in a component: its own if it hangs off an
-    anchor, else the one it hangs off. A chain is a chord (u, v), u < v, or
-    a component whose vertices all have degree 2: the path (a, inner
-    vertices..., b) between two anchors, from its end of lesser anchor
-    index, decided in closed form with no sub-instance (see `_chain_at`).
-    Every other piece is a part (sub_instance, old_of_new): H with that
-    piece attached; an instance with no chain and at most one piece is its
-    own single part, with the identity map. A part of a 2-connected
-    instance is 2-connected, since its component attaches at two or more
-    anchors.
-    """
-    k = instance.k
-    anchor_new = instance._anchor_index
-    chains, comps = _pieces(instance.n, instance.neighbors, anchor_new,
-                            instance.host_edges(), ())
-    if not chains and len(comps) <= 1:
-        return [(instance, tuple(range(instance.n)))], []
-    host_new = [(i, (i + 1) % k) for i in range(k)]
-    parts = []
-    for comp, edges in comps:
-        old_of_new = instance.anchors + tuple(comp)
-        new_of_old = dict(anchor_new)
-        new_of_old.update((v, k + i) for i, v in enumerate(comp))
-        edges = host_new + [(new_of_old[u], new_of_old[v]) for u, v in edges]
-        parts.append((Instance(len(old_of_new), edges, range(k)),
-                      old_of_new))
-    return parts, chains
-
-
 def plane_embed(instance):
-    """Embed a one-piece part (see plane_parts) with H on the outer face.
+    """Embed a one-piece instance with H on the outer face.
 
-    H bounds a face of every embedding of such a part: a connected C lies on
-    one side of the Jordan curve H, so the other side holds nothing. Two or
-    more pieces are rejected, as H may bound no face of the whole. The
-    embedding is the core's (`plane_core`), its ids mapped back to the
-    instance's, with every chain spliced back in; the faces keep the core's
-    ids.
+    A piece is a chord of H, or a component C of G minus the anchors with
+    its edges to H (see `_pieces`). H bounds a face of every embedding of a
+    one-piece instance: a connected C lies on one side of the Jordan curve
+    H, so the other side holds nothing. Two or more pieces are rejected, as
+    H may bound no face of the whole. The face walks are the core's
+    (`plane_core`), its ids mapped back to the instance's, with every chain
+    spliced back in; the faces keep the core's face ids.
     """
     chains, comps = _pieces(instance.n, instance.neighbors,
                             instance._anchor_index, instance.host_edges(), ())
@@ -657,17 +622,13 @@ def plane_embed(instance):
         chain = [orig[t] for t in chain]
         path[(chain[0], chain[-1])] = chain
         path[(chain[-1], chain[0])] = chain[::-1]
-    rotation = [None] * instance.n
-    for x, v in enumerate(orig):
-        rotation[v] = (tuple(path[(v, orig[w])][1] for w in core.rotation[x])
-                       if core.rotation[x] else instance.neighbors(v))
     faces = []
     for walk in core.faces:
         walk = [orig[x] for x in walk]
         faces.append([t for v, w in zip(walk, walk[1:] + walk[:1])
                       for t in path[(v, w)][:-1]])
-    return PlaneEmbedding(instance.n, tuple(rotation), faces,
-                          core.outer_face, instance.anchors)
+    return PlaneEmbedding(instance.n, faces, core.outer_face,
+                          instance.anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -725,35 +686,6 @@ def _triangulate_walk(walk, fresh, new_faces):
     return fresh
 
 
-def _rotation_from_faces(n, faces):
-    """Stitch a rotation system out of consistently oriented face walks: a
-    corner (a, v, b) of some face makes the edges (v,a), (v,b) consecutive
-    around v."""
-    succ = [dict() for _ in range(n)]
-    for walk in faces:
-        m = len(walk)
-        for i in range(m):
-            a, v, b = walk[i - 1], walk[i], walk[(i + 1) % m]
-            if a in succ[v]:
-                raise SolverError("inconsistent face orientations at %d" % v)
-            succ[v][a] = b
-    rotation = []
-    for v in range(n):
-        if not succ[v]:
-            rotation.append(())
-            continue
-        start = next(iter(succ[v]))
-        cyc = [start]
-        w = succ[v][start]
-        while w != start:
-            cyc.append(w)
-            w = succ[v][w]
-        if len(cyc) != len(succ[v]):
-            raise SolverError("rotation at vertex %d is not a single cycle" % v)
-        rotation.append(tuple(cyc))
-    return tuple(rotation)
-
-
 def triangulate_for_face(embedding, face):
     """Make every bounded face except `face` a triangle; attach terminals.
 
@@ -777,8 +709,7 @@ def triangulate_for_face(embedding, face):
     fresh = embedding.n
     for walk in todo:
         fresh = _triangulate_walk(walk, fresh, new_faces)
-    rotation = _rotation_from_faces(fresh, new_faces)
-    emb = PlaneEmbedding(fresh, rotation, new_faces, keep[embedding.outer_face],
+    emb = PlaneEmbedding(fresh, new_faces, keep[embedding.outer_face],
                          embedding.anchors)
     new_face = keep[face]
     s, t = fresh, fresh + 1

@@ -93,7 +93,8 @@ def random_planar_family(count, max_free, max_k, seed0):
 
 def chain_piece(inst, chain):
     """(sub_instance, old_of_new) for a chain (a, inner..., b) of
-    plane_parts(inst): H with the chain attached, the anchors first."""
+    plane_parts_reference(inst): H with the chain attached, the anchors
+    first."""
     k = inst.k
     old_of_new = tuple(inst.anchors) + tuple(chain[1:-1])
     new_of_old = {v: i for i, v in enumerate(old_of_new)}
@@ -103,16 +104,27 @@ def chain_piece(inst, chain):
 
 
 def pieces(inst):
-    """(sub_instance, old_of_new) for every piece of plane_parts(inst), the
-    chains built explicitly."""
-    parts, chains = planar.plane_parts(inst)
+    """(sub_instance, old_of_new) for every piece of
+    plane_parts_reference(inst), the chains built explicitly."""
+    parts, chains = plane_parts_reference(inst)
     return parts + [chain_piece(inst, chain) for chain in chains]
 
 
 def plane_parts_reference(instance):
-    """Reference for `planar.plane_parts`: its own chord list, component BFS
-    and chain walk over the instance, vertex by vertex. Returns (parts,
-    chains) as plane_parts does, list order included."""
+    """The pieces of the instance, split as the solve's one pass
+    (`planar._pieces`) splits them, by its own chord list, component BFS and
+    chain walk over the instance, vertex by vertex.
+
+    A piece is a chord of H, or a connected component C of G minus the
+    anchors together with its edges to H, so a tree that hangs off the block
+    lies in a component: its own if it hangs off an anchor, else the one it
+    hangs off. Returns (parts, chains). A chain is a chord (u, v), u < v, in
+    sorted edge order, or a component whose vertices all have degree 2: the
+    path (a, inner vertices..., b) between two anchors, from its end of
+    lesser anchor index. Every other piece is a part (sub_instance,
+    old_of_new): H with that piece attached, the anchors first and then C's
+    vertices in order; an instance with no chain and at most one piece is
+    its own single part, with the identity map."""
     k = instance.k
     anchor_new = {a: i for i, a in enumerate(instance.anchors)}
     host = instance.host_edges()
@@ -182,7 +194,7 @@ def chain_images(k, i, j, L, l):
 
 
 def part_optimum(part):
-    """(l, map) of one part of `plane_parts`: the face scan of its core
+    """(l, map) of one part of `plane_parts_reference`: the face scan of its core
     (`planar.plane_core`) from its distance bound, the map a list of anchor
     indices by vertex, checked to have stretch at most l."""
     l, img = planar._scan(planar.plane_core(part),
@@ -196,13 +208,13 @@ def unit_route_reference(instance):
     """Reference for `planar.optimal_retract_planar`: the route on the
     instance itself, vertex by vertex. It reduces to the block of H
     (`reduce_two_connected`), splits the block into pieces
-    (`plane_parts`), solves each part at its own optimum by the face scan
+    (`plane_parts_reference`), solves each part at its own optimum by the face scan
     (`part_optimum`) and each chain of L edges between anchors d apart at
     max(1, ceil(d/L)) (`chain_images`), merges the piece maps, lifts the
     merged map and checks that its stretch is the largest piece optimum.
     Returns (retraction, stretch report)."""
     reduced, rmap = planar.reduce_two_connected(instance)
-    parts, chains = planar.plane_parts(reduced)
+    parts, chains = plane_parts_reference(reduced)
     asg = list(range(reduced.n))
     optima = []
     for sub, old_of_new in parts:

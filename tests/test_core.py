@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from retract.core import (Instance, Retraction, ValidationError,
-                          cycle_dist, stretch,
+from retract.core import (Instance, Retraction, SubgraphHost,
+                          ValidationError, cycle_dist, stretch,
                           distance_lower_bound, subdivide, gen_grid,
                           gen_column_deleted_grid, parse_instance,
                           serialize_instance, host_from_cycle,
@@ -100,6 +100,22 @@ def _as_int(x):
 def test_bool_vertex_count_rejected():
     with pytest.raises(ValidationError, match="vertex count"):
         Instance(True, [], [0, 1, 2])
+
+
+@pytest.mark.parametrize("points", [
+    [(None, 0)] * 3,                # not a number
+    5,                              # not a list
+    [("a", 0)] * 3,                 # not a numeral
+    [(0,)] * 3,                     # one coordinate
+    [(0, 0, 0)] * 3,                # three coordinates
+    [1, 2, 3],                      # no coordinates
+    [(float("nan"), 0)] * 3,        # nan
+    [(float("inf"), 0)] * 3,        # infinite
+    [(0, 0)] * 2,                   # one point short
+])
+def test_malformed_points_rejected(points):
+    with pytest.raises(ValidationError, match="points"):
+        Instance(3, [(0, 1), (1, 2), (0, 2)], [0, 1, 2], points=points)
 
 
 # --- stretch ---
@@ -238,7 +254,9 @@ def test_round_trip_points():
     inst = Instance(3, [(0, 1), (1, 2), (2, 0)], (0, 1, 2),
                     points=[(Fraction(1, 2), Fraction(0)),
                             (Fraction(1), Fraction(1, 3)),
-                            (Fraction(0), Fraction(2))])
+                            (1.5, 2)])
+    assert inst.points[2] == (Fraction(3, 2), Fraction(2))
+    assert all(type(c) is Fraction for p in inst.points for c in p)
     assert parse_instance(serialize_instance(inst)) == inst
 
 
@@ -261,6 +279,17 @@ def test_cycle_host_metric_matches_cycle_distance():
     for i in range(8):
         for j in range(8):
             assert host.dist(i, j) == cycle_dist(8, i, j)
+
+
+@pytest.mark.parametrize("anchors,edges", [
+    ([0, [1]], [(0, 1)]),                 # list anchor
+    ([0, 1], [(0, 1, 2)]),                # three-vertex edge
+    ([0, 1], [(0, "1")]),                 # str end
+    ([0, 1.0], [(0, 1)]),                 # float anchor
+])
+def test_host_ids_must_be_ints(anchors, edges):
+    with pytest.raises(ValidationError, match="host"):
+        SubgraphHost(anchors, edges)
 
 
 @given(st.integers(min_value=3, max_value=12), st.data())

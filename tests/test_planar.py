@@ -12,13 +12,14 @@ import networkx as nx
 import pytest
 
 from retract import euclid, planar
-from retract.core import (Instance, Retraction, ValidationError, cycle_dist,
+from retract.core import (Instance, Retraction, ValidationError,
+                          _normalize_edge, cycle_dist,
                           gen_column_deleted_grid, gen_grid, gen_random_planar,
                           stretch, subdivide)
 from retract.oracle import brute_force_optimal, enumerate_min_surrounding_cycle
 from retract.planar import (NotPlanarError, PlaneEmbedding,
                             max_disjoint_paths, optimal_retract_planar,
-                            optimal_retract_weighted, plane_embed, plane_parts,
+                            optimal_retract_weighted, plane_embed,
                             reduce_two_connected, retraction_from_curves,
                             stretch1_retract, triangulate_for_face)
 
@@ -173,12 +174,12 @@ def c8_with_chains():
 
 def test_plane_embed_decomposes():
     inst = c8_with_two_hubs()
-    parts, chains = plane_parts(inst)
+    parts, chains = plane_parts_reference(inst)
     assert len(parts) == 2 and chains == []
     for sub, old_of_new in parts:
         assert sub.k == 8 and sub.n == 9
         assert old_of_new[:8] == inst.anchors
-        assert plane_parts(sub) == ([(sub, tuple(range(9)))], [])
+        assert plane_parts_reference(sub) == ([(sub, tuple(range(9)))], [])
     with pytest.raises(ValidationError):
         plane_embed(inst)
     # no stretch-1 map exists (a hub sees anchors 4 apart); the optimizer
@@ -191,7 +192,7 @@ def test_plane_embed_decomposes():
 
 def test_plane_parts_takes_out_chains():
     inst = c8_with_chains()
-    parts, chains = plane_parts(inst)
+    parts, chains = plane_parts_reference(inst)
     assert chains == [(1, 5), (0, 8, 9, 4), (2, 10, 6)]
     assert [old for _, old in parts] == [tuple(range(8)) + (11,)]
     with pytest.raises(ValidationError):
@@ -203,7 +204,14 @@ def test_plane_parts_takes_out_chains():
     # chains go min(t*l, d) steps along the increasing arc on a tie
     assert ret.assignment[8:11] == (2, 4, 4)
     # one chain alone is no part: it is decided without an embedding
-    assert plane_parts(c8_with_chord()) == ([], [(0, 4)])
+    assert plane_parts_reference(c8_with_chord()) == ([], [(0, 4)])
+
+
+def _block_parts(inst):
+    """The parts of the block of H in inst (`reduce_two_connected`), as
+    `plane_parts_reference` splits it."""
+    return [part for part, _ in
+            plane_parts_reference(reduce_two_connected(inst)[0])[0]]
 
 
 def _hang_tree(inst, v, size, rng):
@@ -216,13 +224,39 @@ def _hang_tree(inst, v, size, rng):
     return Instance(inst.n + size, edges, inst.anchors)
 
 
-def test_plane_parts_matches_reference():
-    # plane_parts, one call of the solve's own pass over the pieces, splits
-    # as the reference's own walk does, list order included, on the ladder,
-    # grid 7, 310 random instances and the hand-built ones, none of them
-    # reduced, and on each again with a tree hung off an anchor, off an
-    # inner chain vertex and off a component vertex: every hung tree stays
-    # inside a part
+def _assert_pieces_match_reference(inst):
+    """The solve's pass over the pieces (`_pieces`, nothing skipped) splits
+    inst as `plane_parts_reference` does, list order included: the same
+    chains, and per part the component of its non-anchor vertices, in
+    order, with its edges off H. Where the reference keeps the instance
+    whole, `_pieces` finds no chain and one component, or none when G = H.
+    Returns the reference's chains and the vertices of `_pieces`'
+    components."""
+    host = inst.host_edges()
+    chains, comps = planar._pieces(inst.n, inst.neighbors, inst._anchor_index,
+                                   host, ())
+    parts, want = plane_parts_reference(inst)
+    assert chains == want, inst
+    if parts and parts[0][0] is inst:
+        parts = [([v for v in range(inst.n) if not inst.is_anchor(v)],
+                  [e for e in inst.edges if e not in host])
+                 ] if inst.n > inst.k else []
+    else:
+        k = inst.k
+        parts = [(list(old[k:]),
+                  sorted(_normalize_edge(old[u], old[v])
+                         for u, v in part.edges if max(u, v) >= k))
+                 for part, old in parts]
+    assert comps == parts, inst
+    return want, {v for comp, _ in comps for v in comp}
+
+
+def test_pieces_matches_plane_parts_reference():
+    # `_pieces` splits as the reference's own walk does, on the ladder, grid
+    # 7, 310 random instances and the hand-built ones, none of them reduced,
+    # and on each again with a tree hung off an anchor, off an inner chain
+    # vertex and off a component vertex: every hung tree stays inside a
+    # component
     rng = random.Random(25)
     insts = _ladder() + [gen_grid(7)]
     insts += [gen_random_planar(nf, k, 1000 * k + nf)
@@ -230,9 +264,8 @@ def test_plane_parts_matches_reference():
     insts += [c8_with_two_hubs(), c8_with_chains(), c8_with_chord()]
     hung = {"anchor": 0, "chain": 0, "component": 0}
     for inst in insts:
-        want = plane_parts_reference(inst)
-        assert plane_parts(inst) == want, inst
-        inner = [v for chain in want[1] for v in chain[1:-1]]
+        chains, _ = _assert_pieces_match_reference(inst)
+        inner = [v for chain in chains for v in chain[1:-1]]
         sites = {"anchor": list(inst.anchors), "chain": inner,
                  "component": [v for v in range(inst.n)
                                if not inst.is_anchor(v) and v not in inner]}
@@ -241,13 +274,21 @@ def test_plane_parts_matches_reference():
                 continue
             tree = _hang_tree(inst, rng.choice(vertices), rng.randint(1, 4),
                               rng)
-            got = plane_parts(tree)
-            assert got == plane_parts_reference(tree), (inst, where)
-            kept = {v for _, old_of_new in got[0] for v in old_of_new}
+            _, kept = _assert_pieces_match_reference(tree)
             assert kept.issuperset(range(inst.n, tree.n)), (inst, where)
             hung[where] += 1
     assert hung["anchor"] == len(insts)
     assert hung["chain"] >= 200 and hung["component"] >= 300, hung
+
+
+def _assert_plane_map(emb):
+    """The face walks of emb take each direction of each edge of
+    emb.graph_edges exactly once, and n - |E| + |F| = 2."""
+    walked = [(walk[i], walk[(i + 1) % len(walk)])
+              for walk in emb.faces for i in range(len(walk))]
+    directed = {(u, v) for e in emb.graph_edges for u, v in (e, e[::-1])}
+    assert len(walked) == len(set(walked)) and set(walked) == directed
+    assert emb.n - len(emb.graph_edges) + len(emb.faces) == 2
 
 
 def test_triangulate_preserves_distances():
@@ -255,6 +296,7 @@ def test_triangulate_preserves_distances():
     emb = plane_embed(inst)
     face = next(f for f in range(5) if f != emb.outer_face)
     sg = triangulate_for_face(emb, face)
+    _assert_plane_map(sg.embedding)
     assert sg.n_original == 9
     before = {v: inst.distances_from(v) for v in range(9)}
     tri = Instance(sg.embedding.n, sg.embedding.graph_edges,
@@ -283,6 +325,7 @@ def test_triangulate_hexagon_recursion():
     face = next(f for f in range(len(emb.faces))
                 if f != emb.outer_face and len(emb.faces[f]) == 6)
     sg = triangulate_for_face(emb, face)
+    _assert_plane_map(sg.embedding)
     before = {v: prism.distances_from(v) for v in range(12)}
     tri = Instance(sg.embedding.n, sg.embedding.graph_edges, prism.anchors)
     for u in range(12):
@@ -322,6 +365,7 @@ def test_disjoint_paths_match_min_surrounding_cycle():
             if f == emb.outer_face:
                 continue
             sg = triangulate_for_face(emb, f)
+            _assert_plane_map(sg.embedding)
             got = len(max_disjoint_paths(sg, sg.s, sg.t).paths)
             assert got == enumerate_min_surrounding_cycle(emb, f)
 
@@ -478,7 +522,7 @@ def test_core_cover_matches_full_cover_on_every_face():
     faces = accepted = 0
     for seed in range(200):
         inst = gen_random_planar(1 + seed % 6, 6 + seed % 11, seed)
-        for part, _ in plane_parts(reduce_two_connected(inst)[0])[0]:
+        for part in _block_parts(inst):
             core = planar.plane_core(part)
             emb = plane_embed(part)
             for f in range(len(emb.faces)):
@@ -518,7 +562,7 @@ def test_length_l_cover_matches_subdivided_probe():
     parts = probes = euclid_parts = 0
     for inst in insts:
         assert optimal_retract_planar(inst) == unit_route_reference(inst), inst
-        for part, _ in plane_parts(reduce_two_connected(inst)[0])[0]:
+        for part in _block_parts(inst):
             opt = part_optimum(part)[0]
             core = planar.plane_core(part)
             for l in range(1, opt + 1):
@@ -581,7 +625,7 @@ def test_weighted_start_bound_is_the_distance_bound(monkeypatch):
         starts.clear()
         optimal_retract_planar(inst)
         want = []
-        for part, _ in plane_parts(reduce_two_connected(inst)[0])[0]:
+        for part in _block_parts(inst):
             if part.n == part.k:
                 continue        # H alone: no scan, the optimum is 1
             want.append(ceil(all_pairs_distance_ratio(part)))
@@ -613,7 +657,7 @@ def test_core_links_are_oriented_chains():
               for k in range(3, 13) for nf in range(31)]
     links = 0
     for inst in insts:
-        for part, _ in plane_parts(reduce_two_connected(inst)[0])[0]:
+        for part in _block_parts(inst):
             core = planar.plane_core(part)
             k = part.k
             ids = list(part.anchors)
@@ -673,7 +717,7 @@ def test_solve_scans_plane_core_of_each_part(monkeypatch):
         cores.clear()
         optimal_retract_planar(inst)
         red, rmap = reduce_two_connected(inst)
-        parts, chains = plane_parts(red)
+        parts, chains = plane_parts_reference(red)
         parts = [(part, [rmap.old_of_new[v] for v in old_of_new])
                  for part, old_of_new in parts if part.n > part.k]
         assert len(cores) == len(parts), inst
@@ -684,8 +728,8 @@ def test_solve_scans_plane_core_of_each_part(monkeypatch):
                                                 core.vertices), inst
             # the walk keeps what PlaneEmbedding derives from the faces; a
             # part is 2-connected, so no core edge is twice on one face
-            emb = PlaneEmbedding(len(core.rotation), core.rotation,
-                                 core.faces, core.outer_face, core.anchors)
+            emb = PlaneEmbedding(len(core.rotation), core.faces,
+                                 core.outer_face, core.anchors)
             assert emb.half_face == core.half_face, inst
             span = {tuple(sorted((chain[0], chain[-1]))): (len(chain) - 1, h)
                     for chain, _, _, h, _ in core.links}
@@ -779,11 +823,8 @@ def free_components(inst):
 def test_core_embedding_is_a_plane_map(inst):
     assert free_components(inst) <= 1
     emb = plane_embed(inst)
-    walked = [(walk[i], walk[(i + 1) % len(walk)])
-              for walk in emb.faces for i in range(len(walk))]
-    directed = {(u, v) for e in inst.edges for u, v in (e, e[::-1])}
-    assert len(walked) == len(set(walked)) and set(walked) == directed
-    assert inst.n - len(inst.edges) + len(emb.faces) == 2
+    assert emb.n == inst.n and emb.graph_edges == inst.edges
+    _assert_plane_map(emb)
     assert emb.face_edge_sets[emb.outer_face] == inst.host_edges()
 
 
@@ -890,7 +931,7 @@ def test_chain_on_a_cycle_matches_scan_and_oracle():
                     path = [a] + list(range(k, k + L - 1)) + [b]
                     inst = Instance(k + L - 1, list(make_ck(k).edges)
                                     + list(zip(path, path[1:])), range(k))
-                    _, chains = plane_parts(inst)
+                    _, chains = plane_parts_reference(inst)
                     assert chains == [tuple(path)]
                     optima.add(_check_chain(inst, chains[0]))
     assert optima == set(range(1, 7))
@@ -904,7 +945,7 @@ def test_chain_pieces_of_ladder_and_random_instances():
     chords = inner = 0
     for inst in insts:
         red, _ = reduce_two_connected(inst)
-        for chain in plane_parts(red)[1]:
+        for chain in plane_parts_reference(red)[1]:
             _check_chain(red, chain)
             chords += len(chain) == 2
             inner += len(chain) > 2
@@ -938,7 +979,7 @@ def test_weighted_route_matches_unit_route_on_random_lengths():
         got = optimal_retract_weighted(inst.n, lengths, cycle)
         assert got == _unit_answer(inst.n, lengths, cycle), seed
         red, rmap = reduce_two_connected(inst)
-        parts, chains = plane_parts(red)
+        parts, chains = plane_parts_reference(red)
         seen.add("hanging" if rmap.gateway else "block")
         seen.add("whole" if parts and parts[0][0] is red else "split")
         seen.update("chord" if len(c) == 2 else "path" for c in chains)
@@ -1082,9 +1123,8 @@ def _with_gadget(inst, rng):
 
 def _part_rejected(inst):
     """Whether networkx finds some part of inst not planar."""
-    parts, _ = plane_parts(reduce_two_connected(inst)[0])
     return any(not nx.check_planarity(nx.Graph(sub.edges))[0]
-               for sub, _ in parts)
+               for sub in _block_parts(inst))
 
 
 def _assert_routes_agree_on_planarity(inst):
