@@ -2,7 +2,7 @@
 
 Modules:
   core      -- instances, cycle metric, stretch, subdivision, generators, IO
-  oracle    -- brute-force ground truth for tiny instances
+  oracle    -- brute-force ground truth for tiny instances, LP checkers
   approx    -- grid-embedding approximation for arbitrary guests
   planar    -- exact optimal retraction for planar guests
   bounds    -- lower-bound certifiers (distance, Sperner, cycle LP)
@@ -19,11 +19,10 @@ from .core import (Instance, Retraction, StretchReport, SubgraphHost,
 from .approx import approx_retract
 from .planar import optimal_retract_planar, stretch1_retract
 from .bounds import (distance_stretch_lower_bound, lp_feasible,
-                     lp_stretch_lower_bound, separation_oracle,
-                     sperner_certificate)
+                     lp_stretch_lower_bound, sperner_certificate)
 from .treewidth import optimal_retract_tw, stretch1_tw, tree_decompose
 from .euclid import PointSet, euclid_retract, gen_random_points
-from .oracle import brute_force_optimal
+from .oracle import brute_force_optimal, separation_oracle
 
 __version__ = "0.1.0"
 

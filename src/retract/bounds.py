@@ -16,22 +16,21 @@ candidate's vertex tuple is built only when the elimination reads it, so
 candidates past the threshold are never built. The elimination keeps rows,
 host sums and combinations in Python ints while every pivot is +-1 and
 brings in Fraction only at a pivot of another value; certificate
-coefficients are always Fractions. The separation oracle stays as the
-independent check of a feasible solution; its hop-bounded DP runs on the
-solution scaled to integers, and a violated cycle it returns carries its
-exact rational sum. Everything runs in exact arithmetic; certificates are
-explicit (a trichromatic triangle, or short cycles with rational
-coefficients whose directed edges sum to the host cycle).
+coefficients are always Fractions. A feasible answer is checked once by
+`oracle.separation_oracle`, the independent checker of the LP's feasible
+side. Everything runs in exact arithmetic; certificates are explicit (a
+trichromatic triangle, or short cycles with rational coefficients whose
+directed edges sum to the host cycle).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil
 
-from .core import (SolverError, ValidationError, _is_int, _normalize_edge,
+from .core import (SolverError, ValidationError, _is_int,
                    distance_lower_bound, gen_grid)
+from .oracle import EdgeAssignment, separation_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -103,143 +102,6 @@ def sperner_certificate(m, coloring):
 
 # ---------------------------------------------------------------------------
 # the cycle LP
-
-
-class EdgeAssignment:
-    """Exact rational values on directed edges: host edges are fixed at +1 in
-    anchor order, every other edge carries a variable value, and reversal
-    negates."""
-
-    __slots__ = ("instance", "values", "_host_dir")
-
-    def __init__(self, instance, values=None):
-        self.instance = instance
-        host = instance.host_edges()
-        k = instance.k
-        self._host_dir = {}
-        for i in range(k):
-            a, b = instance.anchors[i], instance.anchors[(i + 1) % k]
-            self._host_dir[(a, b)] = Fraction(1)
-            self._host_dir[(b, a)] = Fraction(-1)
-        self.values = {}
-        for e in instance.edges:
-            if e in host:
-                continue
-            self.values[e] = Fraction(0)
-        if values:
-            for e, val in values.items():
-                e = _normalize_edge(*e)
-                if e not in self.values:
-                    raise ValidationError("(%d,%d) is not a free edge" % e)
-                self.values[e] = Fraction(val)
-
-    def directed(self, u, v):
-        got = self._host_dir.get((u, v))
-        if got is not None:
-            return got
-        e = _normalize_edge(u, v)
-        val = self.values[e]
-        return val if (u, v) == e else -val
-
-
-@dataclass(frozen=True)
-class ViolatedCycle:
-    """A directed simple cycle with fewer than l edges and nonzero x-sum."""
-    vertices: tuple
-    total: Fraction
-
-
-def _cycle_sum(x, vertices):
-    m = len(vertices)
-    return sum(x.directed(vertices[i], vertices[(i + 1) % m])
-               for i in range(m))
-
-
-def _simple_cycles_of_walk(walk, x):
-    """Decompose a closed walk (first vertex repeated implicitly) into simple
-    cycles; their sums add up to the walk's sum."""
-    cycles = []
-    stack = []
-    pos = {}
-    for v in list(walk) + [walk[0]]:
-        if v in pos:
-            cyc = tuple(stack[pos[v]:])
-            for w in cyc[1:]:
-                del pos[w]
-            del stack[pos[v] + 1:]
-            if len(cyc) >= 2:
-                cycles.append(ViolatedCycle(cyc, _cycle_sum(x, cyc)))
-        else:
-            pos[v] = len(stack)
-            stack.append(v)
-    return cycles
-
-
-def separation_oracle(instance, x, l):
-    """A simple directed cycle with < l edges and nonzero sum, or None.
-
-    Hop-bounded DP: for each vertex, min and max signed walk weights over
-    1..l-2 edges; a directed edge (u,v) closes a violated walk when the
-    extremal v->u walk weight plus x(u,v) is nonzero. The walk splits into
-    simple cycles whose sums add to the walk sum, so one of them violates.
-    The DP runs on x times D, the lcm of its denominators, so on ints: every
-    comparison and sign is that of x itself.
-    """
-    if l < 2:
-        raise ValidationError("l must be >= 2")
-    n = instance.n
-    max_h = l - 2
-    D = lcm(*(val.denominator for val in x.values.values()))
-    # steps[w] lists (nb, D * x(w, nb)) for the neighbors nb of w
-    steps = [[(nb, int(D * x.directed(w, nb)))
-              for nb in instance.neighbors(w)] for w in range(n)]
-    # DP from each vertex s: extremal weights of s->w walks with h edges
-    for s in range(n):
-        lo_par = [{} for _ in range(max_h + 1)]
-        hi_par = [{} for _ in range(max_h + 1)]
-        reach_lo = [dict() for _ in range(max_h + 1)]
-        reach_hi = [dict() for _ in range(max_h + 1)]
-        reach_lo[0][s] = 0
-        reach_hi[0][s] = 0
-        for h in range(1, max_h + 1):
-            for w, val in reach_lo[h - 1].items():
-                for nb, step in steps[w]:
-                    cand = val + step
-                    cur = reach_lo[h].get(nb)
-                    if cur is None or cand < cur:
-                        reach_lo[h][nb] = cand
-                        lo_par[h][nb] = w
-            for w, val in reach_hi[h - 1].items():
-                for nb, step in steps[w]:
-                    cand = val + step
-                    cur = reach_hi[h].get(nb)
-                    if cur is None or cand > cur:
-                        reach_hi[h][nb] = cand
-                        hi_par[h][nb] = w
-        # close a cycle with any edge (u, s): walk s -> u plus edge u -> s
-        for u, out in steps[s]:
-            back = -out
-            for h in range(1, max_h + 1):
-                for reach, par, bad in ((reach_lo, lo_par,
-                                         lambda t: t < 0),
-                                        (reach_hi, hi_par,
-                                         lambda t: t > 0)):
-                    val = reach[h].get(u)
-                    if val is None or not bad(val + back):
-                        continue
-                    walk = [u]
-                    w, hh = u, h
-                    while hh > 0:
-                        w = par[hh][w]
-                        hh -= 1
-                        walk.append(w)
-                    walk.reverse()           # s ... u, then close u->s
-                    for cyc in _simple_cycles_of_walk(walk, x):
-                        if cyc.total != 0 and len(cyc.vertices) < l:
-                            return cyc
-                    raise SolverError("violated walk decomposed into "
-                                      "zero-sum cycles")
-    return None
 
 
 def _horton_candidates(instance, l):

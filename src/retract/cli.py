@@ -64,27 +64,25 @@ def _solve(args):
         record["ratio_sq"] = [res.ratio_sq.numerator, res.ratio_sq.denominator]
         ret = Retraction(res.assignment)
         text = serialize_retraction(ret, stretch(inst, ret).max_stretch)
-    elif args.host_edges:
-        from .treewidth import optimal_retract_tw
-        host = parse_host(_read_text(args.host_edges), inst)
-        ret, rep = optimal_retract_tw(inst, host)
-        # non-cycle host: the stretch lives in the host metric, so the
-        # cycle-metric bounds do not apply
-        record["stretch"] = rep.max_stretch
-        text = serialize_retraction(ret, rep.max_stretch)
     else:
+        host = ()
         if args.algo == "planar":
             from .planar import optimal_retract_planar as solver
         elif args.algo == "approx":
             from .approx import approx_retract as solver
         elif args.algo == "treewidth":
             from .treewidth import optimal_retract_tw as solver
+            if args.host_edges:
+                host = (parse_host(_read_text(args.host_edges), inst),)
         else:  # oracle
             from .oracle import brute_force_optimal as solver
-        ret, rep = solver(inst)
+        ret, rep = solver(inst, *host)
         record["stretch"] = rep.max_stretch
-        record["lower_bounds"] = {
-            "distance": bounds_mod.distance_stretch_lower_bound(inst)}
+        # a non-cycle host's stretch lives in its own metric, so the
+        # cycle-metric bounds do not apply to it
+        if not host:
+            record["lower_bounds"] = {
+                "distance": bounds_mod.distance_stretch_lower_bound(inst)}
         text = serialize_retraction(ret, rep.max_stretch)
     record["wall_time_s"] = round(time.monotonic() - t0, 6)
     _write(args.output, text)

@@ -117,7 +117,8 @@ class Instance:
                 if len(points) != n:
                     raise ValueError("%d points for %d vertices"
                                      % (len(points), n))
-                points = tuple((Fraction(x), Fraction(y)) for x, y in points)
+                points = tuple((_coordinate(x), _coordinate(y))
+                               for x, y in points)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError("points must be one pair of finite "
                                       "numbers per vertex: %s" % exc) from None
@@ -453,6 +454,14 @@ def serialize_instance(instance):
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _coordinate(x):
+    """x as a Fraction if it is an int (not a bool), a float or a Fraction;
+    Fraction() would also read strings and Decimals."""
+    if not (_is_int(x) or isinstance(x, (float, Fraction))):
+        raise TypeError("%r is not an int, float or Fraction" % (x,))
+    return Fraction(x)
 
 
 def _int_list(value, what, length=None):

@@ -3,8 +3,11 @@
 Independent of the solver modules on purpose: optimal retraction is found by
 iterative deepening on the target stretch with DFS + forward checking (an
 exact branch-and-bound), surrounding-cycle lengths are found by exhaustive
-simple-cycle enumeration with a face flood-fill containment test, and cycle-LP
-infeasibility certificates are checked by summing their cycles edge by edge.
+simple-cycle enumeration with a face flood-fill containment test. Both
+answers of the cycle LP have a checker here: an infeasibility certificate is
+checked by summing its cycles edge by edge, and a feasible edge assignment by
+the separation oracle, a hop-bounded DP that runs on the assignment scaled to
+integers and returns a violated cycle with its exact rational sum.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .core import (Retraction, StretchReport, ResourceError, ValidationError,
-                   host_from_cycle)
+from .core import (Retraction, StretchReport, ResourceError, SolverError,
+                   ValidationError, _normalize_edge, host_from_cycle)
 
 
 @dataclass
@@ -305,6 +309,148 @@ def brute_force_min_ratio(points, budget=None):
     return asg, best[1]
 
 
+def _host_signs(anchors):
+    """H's edges, each in both directions: +1 along anchor order, -1
+    against it."""
+    k = len(anchors)
+    signs = {}
+    for i in range(k):
+        a, b = anchors[i], anchors[(i + 1) % k]
+        signs[a, b] = Fraction(1)
+        signs[b, a] = Fraction(-1)
+    return signs
+
+
+class EdgeAssignment:
+    """Exact rational values on directed edges: host edges are fixed at +1 in
+    anchor order, every other edge carries a variable value, and reversal
+    negates."""
+
+    __slots__ = ("instance", "values", "_host_dir")
+
+    def __init__(self, instance, values=None):
+        self.instance = instance
+        self._host_dir = _host_signs(instance.anchors)
+        self.values = {e: Fraction(0) for e in instance.edges
+                       if e not in self._host_dir}
+        if values:
+            for e, val in values.items():
+                e = _normalize_edge(*e)
+                if e not in self.values:
+                    raise ValidationError("(%d,%d) is not a free edge" % e)
+                self.values[e] = Fraction(val)
+
+    def directed(self, u, v):
+        got = self._host_dir.get((u, v))
+        if got is not None:
+            return got
+        e = _normalize_edge(u, v)
+        val = self.values[e]
+        return val if (u, v) == e else -val
+
+
+@dataclass(frozen=True)
+class ViolatedCycle:
+    """A directed simple cycle with fewer than l edges and nonzero x-sum."""
+    vertices: tuple
+    total: Fraction
+
+
+def _cycle_sum(x, vertices):
+    m = len(vertices)
+    return sum(x.directed(vertices[i], vertices[(i + 1) % m])
+               for i in range(m))
+
+
+def _simple_cycles_of_walk(walk, x):
+    """Decompose a closed walk (first vertex repeated implicitly) into simple
+    cycles; their sums add up to the walk's sum."""
+    cycles = []
+    stack = []
+    pos = {}
+    for v in list(walk) + [walk[0]]:
+        if v in pos:
+            cyc = tuple(stack[pos[v]:])
+            for w in cyc[1:]:
+                del pos[w]
+            del stack[pos[v] + 1:]
+            if len(cyc) >= 2:
+                cycles.append(ViolatedCycle(cyc, _cycle_sum(x, cyc)))
+        else:
+            pos[v] = len(stack)
+            stack.append(v)
+    return cycles
+
+
+def separation_oracle(instance, x, l):
+    """A simple directed cycle with < l edges and nonzero sum, or None.
+
+    Hop-bounded DP: for each vertex, min and max signed walk weights over
+    1..l-2 edges; a directed edge (u,v) closes a violated walk when the
+    extremal v->u walk weight plus x(u,v) is nonzero. The walk splits into
+    simple cycles whose sums add to the walk sum, so one of them violates.
+    The DP runs on x times D, the lcm of its denominators, so on ints: every
+    comparison and sign is that of x itself.
+    """
+    if l < 2:
+        raise ValidationError("l must be >= 2")
+    n = instance.n
+    max_h = l - 2
+    D = lcm(*(val.denominator for val in x.values.values()))
+    # steps[w] lists (nb, D * x(w, nb)) for the neighbors nb of w
+    steps = [[(nb, int(D * x.directed(w, nb)))
+              for nb in instance.neighbors(w)] for w in range(n)]
+    # DP from each vertex s: extremal weights of s->w walks with h edges
+    for s in range(n):
+        lo_par = [{} for _ in range(max_h + 1)]
+        hi_par = [{} for _ in range(max_h + 1)]
+        reach_lo = [dict() for _ in range(max_h + 1)]
+        reach_hi = [dict() for _ in range(max_h + 1)]
+        reach_lo[0][s] = 0
+        reach_hi[0][s] = 0
+        for h in range(1, max_h + 1):
+            for w, val in reach_lo[h - 1].items():
+                for nb, step in steps[w]:
+                    cand = val + step
+                    cur = reach_lo[h].get(nb)
+                    if cur is None or cand < cur:
+                        reach_lo[h][nb] = cand
+                        lo_par[h][nb] = w
+            for w, val in reach_hi[h - 1].items():
+                for nb, step in steps[w]:
+                    cand = val + step
+                    cur = reach_hi[h].get(nb)
+                    if cur is None or cand > cur:
+                        reach_hi[h][nb] = cand
+                        hi_par[h][nb] = w
+        # close a cycle with any edge (u, s): walk s -> u plus edge u -> s
+        for u, out in steps[s]:
+            back = -out
+            for h in range(1, max_h + 1):
+                for reach, par, bad in ((reach_lo, lo_par,
+                                         lambda t: t < 0),
+                                        (reach_hi, hi_par,
+                                         lambda t: t > 0)):
+                    val = reach[h].get(u)
+                    if val is None or not bad(val + back):
+                        continue
+                    walk = [u]
+                    w, hh = u, h
+                    while hh > 0:
+                        w = par[hh][w]
+                        hh -= 1
+                        walk.append(w)
+                    walk.reverse()           # s ... u, then close u->s
+                    for cyc in _simple_cycles_of_walk(walk, x):
+                        if cyc.total != 0 and len(cyc.vertices) < l:
+                            return cyc
+                    raise SolverError("violated walk decomposed into "
+                                      "zero-sum cycles")
+    return None
+
+
+
+
 def check_lp_certificate(graph, l, combination):
     """Check a cycle-LP infeasibility certificate at l by direct summation.
 
@@ -339,19 +485,14 @@ def check_lp_certificate(graph, l, combination):
                 raise ValidationError("(%r, %r) is not an edge" % (u, v))
             key, sign = ((u, v), 1) if u < v else ((v, u), -1)
             net[key] = net.get(key, 0) + sign * coef
-    anchors = graph.anchors
-    k = len(anchors)
-    along = {}
-    for i in range(k):
-        a, b = anchors[i], anchors[(i + 1) % k]
-        along[(a, b) if a < b else (b, a)] = 1 if a < b else -1
-    first = min(along)
-    c = net.get(first, 0) * along[first]
+    host = _host_signs(graph.anchors)
+    first = min(e for e in host if e[0] < e[1])
+    c = net.get(first, 0) * host[first]
     if c == 0:
         raise ValidationError("the cycles sum to 0 on the anchor cycle")
     for e in edges:
         key = tuple(sorted(e))
-        want = c * along.get(key, 0)
+        want = c * host.get(key, 0)
         if net.get(key, 0) != want:
             raise ValidationError("edge %r carries %s, expected %s"
                                   % (key, net.get(key, 0), want))

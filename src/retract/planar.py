@@ -466,16 +466,6 @@ class ReduceMap:
     old_of_new: tuple
     gateway: dict
 
-    def lift(self, reduced_retraction):
-        """Pull a retraction of the reduced instance back to the original."""
-        asg_new = reduced_retraction.assignment
-        asg = [None] * self.n_original
-        for new_id, old_id in enumerate(self.old_of_new):
-            asg[old_id] = self.old_of_new[asg_new[new_id]]
-        for old_id, gate in self.gateway.items():
-            asg[old_id] = asg[gate]
-        return Retraction(tuple(asg))
-
 
 def reduce_two_connected(instance):
     """Collapse everything outside the block containing H onto its cut vertex.
@@ -933,7 +923,7 @@ def _dual_crossing_signs(plane, face, forward):
     return sign
 
 
-def _lipschitz_retract(core, face, l=1):
+def _lipschitz_retract(core, face, l):
     """Self-certifying stretch-l construction on the weighted core via the
     winding cover; None means no stretch-l map has all its winding on
     `face`.
@@ -1047,7 +1037,7 @@ def _lipschitz_retract(core, face, l=1):
 # the decision procedure and the optimizer
 
 
-def _stretch1_embedded(core, l=1):
+def _stretch1_embedded(core, l):
     """A map of stretch at most l that the cover finds on a bounded face of
     the part's core, or None. A face walk's images step at most each edge's
     length, 1 on H and l elsewhere, so faces shorter than k in that length

@@ -204,6 +204,19 @@ def part_optimum(part):
     return l, img
 
 
+def lift(rmap, retraction):
+    """Pull a retraction of `reduce_two_connected`'s reduced instance back
+    to the original along its `ReduceMap`: a kept vertex takes its reduced
+    image, a hanging vertex its gateway's."""
+    asg_new = retraction.assignment
+    asg = [None] * rmap.n_original
+    for new_id, old_id in enumerate(rmap.old_of_new):
+        asg[old_id] = rmap.old_of_new[asg_new[new_id]]
+    for old_id, gate in rmap.gateway.items():
+        asg[old_id] = asg[gate]
+    return Retraction(tuple(asg))
+
+
 def unit_route_reference(instance):
     """Reference for `planar.optimal_retract_planar`: the route on the
     instance itself, vertex by vertex. It reduces to the block of H
@@ -230,7 +243,7 @@ def unit_route_reference(instance):
         optima.append(l)
         for v, t in zip(chain[1:-1], chain_images(k, i, j, L, l)):
             asg[v] = reduced.anchors[t]
-    ret = rmap.lift(Retraction(tuple(asg)))
+    ret = lift(rmap, Retraction(tuple(asg)))
     rep = stretch(instance, ret)
     if rep.max_stretch != max(optima):
         raise SolverError("retraction has stretch %d, not its pieces' optimum "

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -112,6 +113,10 @@ def test_bool_vertex_count_rejected():
     [(float("nan"), 0)] * 3,        # nan
     [(float("inf"), 0)] * 3,        # infinite
     [(0, 0)] * 2,                   # one point short
+    [("1/2", 0)] * 3,               # a numeral string
+    [(" 3 ", 0)] * 3,               # a padded numeral string
+    [(True, 0)] * 3,                # a bool
+    [(Decimal("0.1"), 0)] * 3,      # a Decimal
 ])
 def test_malformed_points_rejected(points):
     with pytest.raises(ValidationError, match="points"):

@@ -26,10 +26,10 @@ from retract.planar import (NotPlanarError, PlaneEmbedding,
 from conftest import (BENCH_SETS, all_pairs_distance_ratio, as_retraction,
                       chain_images, chain_piece, cycle_score, enclosed_faces,
                       euclid_instance, expand_cycle, full_cover, full_stretch1,
-                      host_forward, make_ck, make_w4, nx_reduce_two_connected,
-                      nx_rotation, part_embeddings, part_optimum, pieces,
-                      plane_parts_reference, rotation_faces, unit_graph,
-                      unit_route_reference)
+                      host_forward, lift, make_ck, make_w4,
+                      nx_reduce_two_connected, nx_rotation, part_embeddings,
+                      part_optimum, pieces, plane_parts_reference,
+                      rotation_faces, unit_graph, unit_route_reference)
 from frozen import (COLGRID_OPTIMAL, GRID3_OPTIMAL, GRID4_OPTIMAL,
                     GRID4_CENTER_FACE_MIN_CYCLE, W4_OPTIMAL)
 
@@ -46,7 +46,7 @@ def test_reduce_collapses_pendant():
     inst = cycle_with_pendant()
     red, rmap = reduce_two_connected(inst)
     assert red.n == 6 and len(red.edges) == 6
-    lifted = rmap.lift(Retraction(tuple(range(6))))
+    lifted = lift(rmap, Retraction(tuple(range(6))))
     assert lifted.assignment[6] == 0 and lifted.assignment[7] == 0
     assert stretch(inst, lifted).max_stretch == 1
 
@@ -58,7 +58,7 @@ def test_reduce_identity_on_grid():
     assert red is inst
     assert rmap == planar.ReduceMap(inst.n, tuple(range(inst.n)), {})
     ret, rep = brute_force_optimal(red)
-    assert stretch(inst, rmap.lift(ret)).max_stretch == rep.max_stretch
+    assert stretch(inst, lift(rmap, ret)).max_stretch == rep.max_stretch
 
 
 def test_reduce_two_grids_sharing_cut_vertex():
@@ -69,7 +69,7 @@ def test_reduce_two_grids_sharing_cut_vertex():
     red, rmap = reduce_two_connected(inst)
     assert red.n == 9
     ret, rep = brute_force_optimal(red)
-    lifted = rmap.lift(ret)
+    lifted = lift(rmap, ret)
     assert stretch(inst, lifted).max_stretch == rep.max_stretch
     assert lifted.assignment[9] == lifted.assignment[8]
 
@@ -133,7 +133,7 @@ def test_reduce_pendant_path_needs_no_recursion():
     inst = Instance(6 + m, edges, range(6))
     red, rmap = reduce_two_connected(inst)
     assert red == make_ck(6)
-    lifted = rmap.lift(Retraction(tuple(range(6))))
+    lifted = lift(rmap, Retraction(tuple(range(6))))
     assert lifted.assignment[6:] == (3,) * m
 
 
@@ -509,7 +509,7 @@ def test_cover_decides_each_face_as_flow_does():
                 cover = full_cover(part, emb, f)
                 assert (cover is not None) == flow, (inst.n, l, f)
                 assert as_retraction(
-                    part, planar._lipschitz_retract(core, f)) == cover
+                    part, planar._lipschitz_retract(core, f, 1)) == cover
                 outcomes.add(flow)
                 deepest = max(deepest, crossed[f])
     assert outcomes == {True, False}
@@ -915,7 +915,7 @@ def _check_chain(inst, chain):
     assert stretch(piece, ret).max_stretch == l
     if l > 1:
         sub = subdivide(piece, l - 1)[0]
-        assert planar._stretch1_embedded(planar.plane_core(sub)) is None
+        assert planar._stretch1_embedded(planar.plane_core(sub), 1) is None
     return l
 
 
