@@ -12,8 +12,7 @@ each placement adds at most one factor of 2. `grid_embed` places on integers
 over that scale, then shrinks it to the least one on which the coordinates
 and the hole search's center window are integers, doubled so that half of
 any difference is one too. The hole search and the projection run on those
-same integers; only the returned `Hole` and the `side` and `placement` views
-are Fractions.
+same integers; only the returned `Hole` is Fractions.
 """
 
 from __future__ import annotations
@@ -31,16 +30,6 @@ class GridEmbedding:
     scale: int       # coordinates are integers over this denominator
     width: int       # M = [0,width] x [0,width] on the scale, side k/4
     coords: tuple    # vertex id -> (int x, int y) on the scale
-
-    @property
-    def side(self):
-        return Fraction(self.width, self.scale)
-
-    @property
-    def placement(self):
-        """vertex id -> (Fraction x, Fraction y)"""
-        s = self.scale
-        return tuple((Fraction(x, s), Fraction(y, s)) for x, y in self.coords)
 
 
 @dataclass(frozen=True)

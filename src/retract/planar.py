@@ -40,9 +40,9 @@ the part is 1, else Dijkstra). The merged map is checked in closed form
 `Instance` by calls of the solve's own `_hanging` and builder, the builder
 with every length 1 and ids that put the anchors first; no solve calls
 them. `plane_embed` embeds a one-piece instance, counted by `_pieces`,
-through `plane_core`: it maps the core's ids back to the instance's and
-splices the chains back into the core's face walks, as the PlaneEmbedding
-that the curve certificate below reads; no core builds one.
+through `plane_core`: with every length 1 it rebuilds each chain from its
+link and splices the chains into the core's face walks, as the
+PlaneEmbedding that the curve certificate below reads; no core builds one.
 
 The paper's certificate, k vertex-disjoint curves from F to H found by max
 flow in a triangulated supergraph and the retraction read off the regions
@@ -111,7 +111,7 @@ class PlaneEmbedding:
 
 
 class PlaneCore:
-    """A part's weighted core, embedded once.
+    """A part's weighted core, embedded once, in the core's own ids 0..c-1.
 
     The core is the vertices of degree other than 2 (one vertex of a bare
     cycle), plus interior vertices promoted from any chain of degree-2
@@ -119,41 +119,35 @@ class PlaneCore:
     that the core is simple and each core edge stands for exactly one
     chain. A chain lies wholly on H or wholly off it, since an inner vertex
     of H has no edge off H. The core alone is embedded: rotation[v] is
-    core vertex v's clockwise neighbours (empty off the core); faces[f] is
-    face f's walk, each half-edge (v, w) followed by (w, the neighbour
-    before v in w's rotation); half_face[(v, w)] is the face whose walk
-    takes (v, w); outer_face is H's face; and `forward` holds the host core
-    edges directed in anchor order. For the cover, `vertices` lists the
-    core vertices, whose positions there are their dense ids, and `outs`
-    the part vertex each one is (None for an inner vertex of a longer
-    edge); `seeds` pairs each core anchor's dense id with its anchor index;
-    each link (chain, x, y, on H, sites) gives a core edge's chain, in
-    anchor order on H and from its lesser id off H, the dense ids x and y
-    of its first and last vertex, and the inner vertices (t, v) that are
-    part vertices v: v's image is that of the chain's vertex t; the links
-    come in the order the builder takes the chains, each taken once; and
-    face_lengths[f] is face f's length (on H, off H). A map is a list of
-    `size` anchor indices, and every vertex of the part is reported in it.
+    core vertex v's clockwise neighbours; faces[f] is face f's walk, each
+    half-edge (v, w) followed by (w, the neighbour before v in w's
+    rotation); half_face[(v, w)] is the face whose walk takes (v, w);
+    outer_face is H's face; and `forward` holds the host core edges
+    directed in anchor order. k is H's length; `outs` gives the part vertex
+    each core vertex is (None for an inner vertex of a longer edge); `seeds`
+    pairs each core anchor with its anchor index; each link (x, y, L, on H,
+    sites) is a core edge from x to y, in anchor order on H and from its
+    lesser id off H, that stands for a chain of L edges, whose inner
+    vertices (t, v), in increasing t, that are part vertices v take the
+    image of the chain's vertex t; the links come in the order the builder
+    takes the chains, each taken once; and face_lengths[f] is face f's
+    length (on H, off H). A map is a dict of anchor indices over the
+    vertices of the part.
     """
 
-    __slots__ = ("anchors", "size", "rotation", "faces", "half_face",
-                 "outer_face", "forward", "vertices", "outs", "seeds", "links",
-                 "face_lengths")
-
-    @property
-    def k(self):
-        return len(self.anchors)
+    __slots__ = ("k", "rotation", "faces", "half_face", "outer_face",
+                 "forward", "outs", "seeds", "links", "face_lengths")
 
 
 def plane_core(instance):
     """Planarity-test the instance and embed its core (see PlaneCore): the
     solve's own builder (`_weighted_part`), every edge of length 1. The
-    core's ids are the anchors by index, then the other vertices in order;
-    `outs` reports the instance's own."""
+    core's ids keep the order of the anchors by index, then the other
+    vertices in order; `outs` reports the instance's own."""
     host = instance.host_edges()
     return _weighted_part(
         instance.k, {a: i for i, a in enumerate(instance.anchors)},
-        instance.anchors, host, dict.fromkeys(instance.edges, 1), instance.n,
+        instance.anchors, host, dict.fromkeys(instance.edges, 1),
         [e for e in instance.edges if e not in host],
         [v for v in range(instance.n) if not instance.is_anchor(v)])[0]
 
@@ -162,14 +156,14 @@ def plane_core(instance):
 # the left-right planarity test
 
 
-def _lr_rotation(n, nodes, edges):
+def _lr_rotation(n, edges):
     """Clockwise rotation of every vertex of a planar graph.
 
-    `nodes` lists the vertices, ids below n, and `edges` each edge (u, v)
-    once, with no loops; the searches take the roots in the order of `nodes`
-    and each vertex's neighbours in the order of `edges`. Returns a list of n
-    tuples, rotation[v] v's neighbours in clockwise order, empty off `nodes`;
-    raises NotPlanarError if the graph is not planar.
+    The vertices are 0..n-1, and `edges` lists each edge (u, v) once, with
+    no loops; the searches take the roots in increasing order and each
+    vertex's neighbours in the order of `edges`. Returns a list of n tuples,
+    rotation[v] v's neighbours in clockwise order; raises NotPlanarError if
+    the graph is not planar.
 
     This is the left-right planarity test of de Fraysseix and Rosenstiehl as
     formulated by U. Brandes, "The Left-Right Planarity Test" (2009), ported
@@ -183,9 +177,9 @@ def _lr_rotation(n, nodes, edges):
     between the neighbours of each vertex, keyed by half-edge, plus the
     vertex's leftmost neighbour, where its rotation starts.
     """
-    if len(nodes) > 2 and len(edges) > 3 * len(nodes) - 6:
+    if n > 2 and len(edges) > 3 * n - 6:
         raise NotPlanarError("guest graph is not planar")
-    adj = {v: [] for v in nodes}
+    adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
@@ -197,10 +191,10 @@ def _lr_rotation(n, nodes, edges):
     lowpt = {}
     lowpt2 = {}
     depth = {}
-    out = {v: [] for v in nodes}    # each vertex's edges, as oriented
+    out = [[] for _ in range(n)]    # each vertex's edges, as oriented
     roots = []
-    at = dict.fromkeys(nodes, 0)
-    for root in nodes:
+    at = [0] * n
+    for root in range(n):
         if root in height:
             continue
         roots.append(root)
@@ -244,7 +238,7 @@ def _lr_rotation(n, nodes, edges):
 
     # testing: a second DFS, children by nesting depth, keeps a stack S of
     # conflict pairs and fails when an edge must lie on both sides
-    ordered = {v: sorted(out[v], key=lambda w: depth[(v, w)]) for v in nodes}
+    ordered = [sorted(out[v], key=lambda w: depth[(v, w)]) for v in range(n)]
     ref = {}
     side = {}
     S = []
@@ -329,7 +323,7 @@ def _lr_rotation(n, nodes, edges):
             else:
                 ref[e] = hr
 
-    at = dict.fromkeys(nodes, 0)
+    at = [0] * n
     for root in roots:
         stack = [root]
         while stack:
@@ -376,7 +370,7 @@ def _lr_rotation(n, nodes, edges):
                 side[x] = side.get(x, 1) * side.get(old.get(x), 1)
         return side[e]
 
-    for v in nodes:
+    for v in range(n):
         for w in out[v]:
             depth[(v, w)] *= sign((v, w))
 
@@ -400,7 +394,7 @@ def _lr_rotation(n, nodes, edges):
         if leftmost[v] == x:
             leftmost[v] = w
 
-    for v in nodes:
+    for v in range(n):
         nbrs = ordered[v] = sorted(out[v], key=lambda w: depth[(v, w)])
         if nbrs:
             x = leftmost[v] = nbrs[0]
@@ -410,7 +404,7 @@ def _lr_rotation(n, nodes, edges):
                 x = w
     left_ref = {}
     right_ref = {}
-    at = dict.fromkeys(nodes, 0)
+    at = [0] * n
     for root in roots:
         stack = [root]
         while stack:
@@ -596,8 +590,10 @@ def plane_embed(instance):
     one-piece instance: a connected C lies on one side of the Jordan curve
     H, so the other side holds nothing. Two or more pieces are rejected, as
     H may bound no face of the whole. The face walks are the core's
-    (`plane_core`), its ids mapped back to the instance's, with every chain
-    spliced back in; the faces keep the core's face ids.
+    (`plane_core`), with every chain spliced back in; the faces keep the
+    core's face ids. Every length is 1, so a link's chain is rebuilt from
+    the link: on H it runs from x's anchor index for L steps, and off H
+    every inner vertex is a site.
     """
     chains, comps = _pieces(instance.n, instance.neighbors,
                             instance._anchor_index, instance.host_edges(), ())
@@ -605,18 +601,18 @@ def plane_embed(instance):
         raise ValidationError("H need not bound a face of an instance with "
                               "two or more pieces; embed its parts")
     core = plane_core(instance)
-    orig = list(instance.anchors)
-    orig += [v for v in range(instance.n) if not instance.is_anchor(v)]
+    anchors, k, outs = instance.anchors, instance.k, core.outs
+    index = dict(core.seeds)
     path = {}
-    for chain, _, _, _, _ in core.links:
-        chain = [orig[t] for t in chain]
-        path[(chain[0], chain[-1])] = chain
-        path[(chain[-1], chain[0])] = chain[::-1]
-    faces = []
-    for walk in core.faces:
-        walk = [orig[x] for x in walk]
-        faces.append([t for v, w in zip(walk, walk[1:] + walk[:1])
-                      for t in path[(v, w)][:-1]])
+    for x, y, L, on_h, sites in core.links:
+        if on_h:
+            chain = [anchors[(index[x] + t) % k] for t in range(L + 1)]
+        else:
+            chain = [outs[x]] + [v for _, v in sites] + [outs[y]]
+        path[(x, y)] = chain
+        path[(y, x)] = chain[::-1]
+    faces = [[t for v, w in zip(walk, walk[1:] + walk[:1])
+              for t in path[(v, w)][:-1]] for walk in core.faces]
     return PlaneEmbedding(instance.n, faces, core.outer_face,
                           instance.anchors)
 
@@ -969,7 +965,7 @@ def _lipschitz_retract(core, face, l):
     J = len(sign) // 2
     width = 2 * J + 1
     INF = float("inf")
-    dist = [INF] * (len(core.vertices) * width)
+    dist = [INF] * (len(core.outs) * width)
     offset = k * (J + 1)
     heap = []
     for c, i in core.seeds:
@@ -979,12 +975,12 @@ def _lipschitz_retract(core, face, l):
             dist[node] = val
             heap.append((val, node))
     heapq.heapify(heap)
-    adj = [[] for _ in core.vertices]   # (neighbor, layer shift, length)
+    adj = [[] for _ in core.outs]   # (neighbor, layer shift, length)
     shifts = []
-    for chain, x, y, on_h, _ in core.links:
-        s = sign.get((chain[0], chain[-1]), 0)
+    for x, y, L, on_h, _ in core.links:
+        s = sign.get((x, y), 0)
         shifts.append(s)
-        length = len(chain) - 1 if on_h else (len(chain) - 1) * l
+        length = L if on_h else L * l
         adj[x].append((y, s, length))
         adj[y].append((x, -s, length))
     while heap:
@@ -1006,8 +1002,7 @@ def _lipschitz_retract(core, face, l):
     lab = dist[J::width]
     if any(lab[c] % k != i for c, i in core.seeds):
         return None
-    for (chain, x, y, on_h, _), s in zip(core.links, shifts):
-        L = len(chain) - 1
+    for (x, y, L, on_h, _), s in zip(core.links, shifts):
         if on_h and L > 1:
             a, b = lab[x], dist[y * width + J + s]
             # the first inner vertex labelled from y: b + L - t < a + t
@@ -1019,13 +1014,9 @@ def _lipschitz_retract(core, face, l):
             if cycle_dist(k, min(a + (L - 1) * l, b + l) % k,
                           lab[y] % k) > l:
                 return None
-    img = [None] * core.size
-    for c, v in enumerate(core.outs):
-        if v is not None:
-            img[v] = lab[c] % k
-    for (chain, x, y, on_h, sites), s in zip(core.links, shifts):
+    img = {v: lab[c] % k for c, v in enumerate(core.outs) if v is not None}
+    for (x, y, L, on_h, sites), s in zip(core.links, shifts):
         if sites:
-            L = len(chain) - 1
             w = 1 if on_h else l
             a, b = lab[x], dist[y * width + J + s]
             for t, v in sites:
@@ -1169,7 +1160,7 @@ def optimal_retract_weighted(n, lengths, cycle):
             t += m
             pos[v] = _chain_at(K, i, j, l, t)
     for comp, edges in comps:
-        l, img = _scan(*_weighted_part(K, P, cycle, host, lengths, n, edges,
+        l, img = _scan(*_weighted_part(K, P, cycle, host, lengths, edges,
                                        comp))
         optima.append(l)
         for v in comp:
@@ -1181,23 +1172,25 @@ def optimal_retract_weighted(n, lengths, cycle):
     return pos, optimum
 
 
-def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):
+def _weighted_part(K, P, cycle, host, lengths, edges, comp):
     """(core, start bound) of the part H plus the piece with the vertices
     `comp` off H and the sorted edges `edges` off H, read off the weighted
-    graph (see PlaneCore). Every vertex of the part is reported, in maps of
-    `size` entries; the start bound is the part's anchor distance ratio
+    graph (see PlaneCore). Every vertex of the part is reported, in maps
+    over its vertices; the start bound is the part's anchor distance ratio
     (`core._distance_ratio`) rounded up.
 
-    The ids are those of the subdivided part: anchors 0..K-1 by position,
-    then comp's vertices, then the inner vertices of its edges (u, v), edge
-    by edge in sorted order, from u to v; an id below K is an anchor index.
-    The core is the vertices of degree other than 2, or one vertex of a bare
-    cycle, and each chain between them is walked once, edge by edge, as
-    ranges of those ids, and turned there to run as its link does (see
-    PlaneCore). `_lr_rotation` embeds the core, which raises NotPlanarError
-    if the part is not planar. The faces are walked on the core's rotation
-    and listed in the order the walk finds them, each from its least (core
-    vertex, rotation position) half-edge."""
+    The walk runs in the ids of the subdivided part: anchors 0..K-1 by
+    position, then comp's vertices, then the inner vertices of its edges
+    (u, v), edge by edge in sorted order, from u to v; an id below K is an
+    anchor index. The core is the vertices of degree other than 2, or one
+    vertex of a bare cycle, and each chain between them is walked once,
+    edge by edge, as ranges of those ids, and turned there to run as its
+    link does (see PlaneCore); a link keeps the chain's ends, length and
+    sites, not its ids. The core's own ids 0..c-1 keep the order of the
+    subdivided ids. `_lr_rotation` embeds the core, which raises
+    NotPlanarError if the part is not planar. The faces are walked on the
+    core's rotation and listed in the order the walk finds them, each from
+    its least (core vertex, rotation position) half-edge."""
     r = len(cycle)
     pn = {c: [cycle[i - 1], cycle[(i + 1) % r]] for i, c in enumerate(cycle)}
     for v in comp:
@@ -1223,22 +1216,21 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):
         runs[(d, c)] = range(P[c] + m - 1, P[c], -1)
     core_set = {v for v in pn if len(pn[v]) != 2} or {min(pn)}
     is_core = {vid[v] for v in core_set}
-    # chains lists each core edge once, as (chain, on H, sites): the chain
-    # runs in anchor order on H and from its lesser end off it, and its
-    # sites (t, v) are the inner vertices t that are vertices v of the part;
-    # span[e] is core edge e's (length, on H), and `walked` holds both end
-    # half-edges of every chain taken
-    chains, span, walked = [], {}, set()
+    # links lists each core edge once, as (x, y, L, on H, sites): it runs in
+    # anchor order on H and from its lesser end off it, and its sites (t, v)
+    # are the inner vertices t that are vertices v of the part; `span` holds
+    # the core edges, and `walked` both end half-edges of every chain taken
+    links, span, walked = [], set(), set()
 
     def add_chain(chain, h, sites):
         x, y, L = chain[0], chain[-1], len(chain) - 1
-        span[_normalize_edge(x, y)] = (L, h)
+        span.add(_normalize_edge(x, y))
         walked.add((x, chain[1]))
         walked.add((y, chain[-2]))
         if (chain[1] != (x + 1) % K) if h else x > y:
-            chain = chain[::-1]
-            sites = tuple((L - t, v) for t, v in sites)
-        chains.append((chain, h, sites))
+            x, y = y, x
+            sites = tuple((L - t, v) for t, v in reversed(sites))
+        links.append((x, y, L, h, sites))
 
     # single edges first: a chain parallel to one is the one promoted
     for u, v in edges + sorted(host):
@@ -1268,10 +1260,14 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):
                 i += 1
             add_chain(chain[i:], h,
                       tuple((t - i, v) for t, v in inner if t > i))
+    # the core's own ids 0..c-1 keep the order of the ids above
     nodes = sorted(is_core)
-    rotation = _lr_rotation(n, nodes, sorted(span))
+    index = {v: c for c, v in enumerate(nodes)}
+    links = [(index[x], index[y], L, h, sites) for x, y, L, h, sites in links]
+    span = {_normalize_edge(x, y): (L, h) for x, y, L, h, _ in links}
+    rotation = _lr_rotation(len(nodes), sorted(span))
     faces, half_face, face_lengths = [], {}, []
-    for v0 in nodes:
+    for v0 in range(len(nodes)):
         for w0 in rotation[v0]:
             if (v0, w0) in half_face:
                 continue
@@ -1288,8 +1284,7 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):
             face_lengths.append((on, off))
 
     pc = PlaneCore()
-    pc.anchors = tuple(range(K))
-    pc.size = size
+    pc.k = K
     pc.rotation = rotation
     pc.faces = faces
     pc.half_face = half_face
@@ -1298,15 +1293,11 @@ def _weighted_part(K, P, cycle, host, lengths, size, edges, comp):
     # other side of H, and a face walk along H alone goes round all of it
     pc.outer_face = next(f for f, (_, off) in enumerate(face_lengths)
                          if not off)
-    pc.vertices = tuple(nodes)
     vertex = {vid[v]: v for v in pn}
     pc.outs = tuple(map(vertex.get, nodes))
-    index = {v: c for c, v in enumerate(nodes)}
     pc.seeds = tuple((c, v) for c, v in enumerate(nodes) if v < K)
-    pc.links = tuple((chain, index[chain[0]], index[chain[-1]], h, sites)
-                     for chain, h, sites in chains)
-    pc.forward = frozenset((chain[0], chain[-1]) for chain, h, _ in chains
-                           if h)
+    pc.links = tuple(links)
+    pc.forward = frozenset((x, y) for x, y, _, h, _ in links if h)
     # the anchor distance ratio (`_distance_ratio`), by BFS when every
     # length of the part is 1
     unit = K == r and all(lengths[e] == 1 for e in edges)

@@ -175,11 +175,12 @@ def plane_parts_reference(instance):
 
 
 def as_retraction(instance, img):
-    """The Retraction of a core map, a list of anchor indices by vertex of
-    the instance; None stays None."""
+    """The Retraction of a core map, a dict of anchor indices over the
+    vertices of the instance; None stays None."""
     if img is None:
         return None
-    return Retraction(tuple(instance.anchors[i] for i in img))
+    return Retraction(tuple(instance.anchors[img[v]]
+                            for v in range(instance.n)))
 
 
 def chain_images(k, i, j, L, l):
@@ -195,7 +196,7 @@ def chain_images(k, i, j, L, l):
 
 def part_optimum(part):
     """(l, map) of one part of `plane_parts_reference`: the face scan of its core
-    (`planar.plane_core`) from its distance bound, the map a list of anchor
+    (`planar.plane_core`) from its distance bound, the map a dict of anchor
     indices by vertex, checked to have stretch at most l."""
     l, img = planar._scan(planar.plane_core(part),
                           planar._start_lower_bound(part))
@@ -287,12 +288,12 @@ def nx_reduce_two_connected(instance):
     return reduced, planar.ReduceMap(instance.n, old_of_new, gateway)
 
 
-def nx_rotation(n, nodes, edges):
-    """Reference for `planar._lr_rotation`: networkx's planarity test, and
-    the clockwise rotation of each vertex of its embedding (empty off
-    `nodes`), or NotPlanarError."""
+def nx_rotation(n, edges):
+    """Reference for `planar._lr_rotation`: networkx's planarity test on the
+    vertices 0..n-1, and the clockwise rotation of each vertex of its
+    embedding, or NotPlanarError."""
     g = nx.Graph()
-    g.add_nodes_from(nodes)
+    g.add_nodes_from(range(n))
     g.add_edges_from(edges)
     ok, emb = nx.check_planarity(g)
     if not ok:
@@ -321,13 +322,13 @@ def networkx_min_fill_reference(n, edges):
     return bags, adj
 
 
-def rotation_faces(rotation, nodes):
-    """The face walks of a rotation system, each half-edge (v, w) followed
-    by (w, the neighbour before v in w's clockwise rotation), as
-    `planar._weighted_part` walks them."""
+def rotation_faces(rotation):
+    """The face walks of a rotation system on the vertices 0..n-1, each
+    half-edge (v, w) followed by (w, the neighbour before v in w's clockwise
+    rotation), as `planar._weighted_part` walks them."""
     faces = []
     seen = set()
-    for v0 in nodes:
+    for v0 in range(len(rotation)):
         for w0 in rotation[v0]:
             if (v0, w0) in seen:
                 continue
@@ -806,6 +807,15 @@ def fraction_largest_hole(embedding, k):
 
 
 FractionEmbedding = namedtuple("FractionEmbedding", "side placement")
+
+
+def fraction_view(embedding):
+    """`approx.grid_embed`'s integer embedding on Fractions: the square's
+    side and each vertex's point, as `fraction_grid_embed` reports them."""
+    s = embedding.scale
+    return FractionEmbedding(Fraction(embedding.width, s),
+                             tuple((Fraction(x, s), Fraction(y, s))
+                                   for x, y in embedding.coords))
 
 
 def boundary_param(side, p):

@@ -15,7 +15,7 @@ from retract.core import (Instance, check_retraction, cycle_dist,
 
 from conftest import (boundary_param, fraction_grid_embed,
                       fraction_largest_hole, fraction_project_to_cycle,
-                      random_planar_family)
+                      fraction_view, random_planar_family)
 
 
 def random_cycle_instance(n, k, rng, extra=2.0):
@@ -45,7 +45,7 @@ def test_boundary_param_roundtrip():
 @pytest.mark.parametrize("inst", [gen_grid(3), gen_grid(4), gen_grid(5),
                                   gen_column_deleted_grid(5)])
 def test_embed_is_contractive(inst):
-    emb = grid_embed(inst)
+    emb = fraction_view(grid_embed(inst))
     ell = distance_lower_bound(inst)
     assert emb.side == Fraction(inst.k, 4)
     # anchors sit at unit arc spacing
@@ -60,7 +60,7 @@ def test_embed_is_contractive(inst):
 
 def test_embed_contractive_all_pairs_small():
     inst = gen_grid(3)
-    emb = grid_embed(inst)
+    emb = fraction_view(grid_embed(inst))
     ell = distance_lower_bound(inst)
     for u in range(inst.n):
         du = inst.distances_from(u)
@@ -74,12 +74,13 @@ def test_hole_is_empty_centered_and_large(inst):
     emb = grid_embed(inst)
     hole = find_largest_hole(emb, inst.k)
     k, n = inst.k, inst.n
-    half = emb.side / 2
+    view = fraction_view(emb)
+    half = view.side / 2
     cx, cy = hole.center
     assert abs(cx - half) <= Fraction(k, 16)
     assert abs(cy - half) <= Fraction(k, 16)
     assert hole.half_side > 0
-    for p in emb.placement:
+    for p in view.placement:
         assert dinf(p, hole.center) >= hole.half_side
     # averaging guarantee: partition the center box (side k/8) into m*m cells
     # with m*m > n; an empty cell certifies half_side >= (k/16)/m
@@ -106,12 +107,13 @@ def test_per_edge_projection_bound(inst):
     ret = project_to_cycle(emb, hole, inst)
     k = inst.k
     r = 2 * hole.half_side
+    placement = fraction_view(emb).placement
     idx = inst.anchor_index
     for u, v in inst.edges:
         dh = cycle_dist(k, idx(ret.image(u)), idx(ret.image(v)))
         if dh <= 1:
             continue
-        d = dinf(emb.placement[u], emb.placement[v])
+        d = dinf(placement[u], placement[v])
         # (dh-1)*r <= 10*sqrt(2)*k*d  <=>  ((dh-1)*r)^2 <= 200*k^2*d^2
         assert ((dh - 1) * r) ** 2 <= 200 * k * k * d * d
 
@@ -175,8 +177,7 @@ def test_integer_embedding_matches_fraction_reference():
     for inst in insts:
         emb = grid_embed(inst)
         ref = fraction_grid_embed(inst)
-        assert emb.side == ref.side
-        assert emb.placement == ref.placement
+        assert fraction_view(emb) == ref
         hole = find_largest_hole(emb, inst.k)
         want = fraction_largest_hole(ref, inst.k)
         assert hole == want

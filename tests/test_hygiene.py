@@ -1,5 +1,6 @@
 """Every module under src/retract/ and tests/ reads each name it imports,
-and the oracle imports none of the solvers it arbitrates."""
+every function under src/retract/ reads each of its parameters, and the
+oracle imports none of the solvers it arbitrates."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,45 @@ def test_unused_imports_are_found():
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_parameters(source):
+    """(line, function, name) of each parameter of a function or lambda in
+    `source` that its body never reads; a nested function's reads count
+    for the function around it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(a.lineno, getattr(node, "name", "<lambda>"), a.arg)
+                  for a in params if a.arg not in read]
+    return found
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(a, b, *rest, c=1, **kw):\n"
+              "    b = a\n"
+              "    def g(d):\n"
+              "        return c + d\n"
+              "    return sorted(kw, key=lambda e: 0)\n")
+    assert sorted(unread_parameters(source)) == [
+        (1, "f", "b"), (1, "f", "rest"), (5, "<lambda>", "e")]
+
+
+SRC_MODULES = [path for path in MODULES if path.parent.name == "retract"]
+
+
+@pytest.mark.parametrize("path", SRC_MODULES,
+                         ids=[str(p.relative_to(ROOT)) for p in SRC_MODULES])
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 SOLVERS = {"approx", "planar", "bounds", "treewidth", "euclid", "cli"}

@@ -575,7 +575,7 @@ def test_length_l_cover_matches_subdivided_probe():
                     assert full_stretch1(part, plane_embed(part), l) == ret
                 probes += 1
             parts += 1
-            euclid_parts += len(core.vertices) < part.n // 10
+            euclid_parts += len(core.outs) < part.n // 10
     assert parts >= 600 and probes >= 1000 and euclid_parts >= 7
 
 
@@ -647,11 +647,13 @@ def test_weighted_start_bound_is_the_distance_bound(monkeypatch):
 
 
 def test_core_links_are_oriented_chains():
-    # each core edge is one link, whose chain runs from core vertex x to
-    # core vertex y; a chain on H steps +1 mod k per edge and is a `forward`
-    # edge, one off H is not, and each site (t, v) is the chain's inner
-    # vertex t, which in `plane_core`'s ids (the anchors by index, then the
-    # other vertices in order) is v
+    # each core edge is one link, from core vertex x to core vertex y, that
+    # stands for a chain of L edges; a chain on H steps +1 mod k per edge
+    # from x's anchor index to y's and is a `forward` edge, one off H is
+    # not. Sites (t, v) ascend in t, inside the chain, and on these parts of
+    # unit length every inner vertex t is one, the chain's vertex t: on H
+    # the anchor t steps on from x, off H the t-th vertex of the path x,
+    # sites..., y of the part
     insts = _ladder() + [gen_grid(7)]
     insts += [gen_random_planar(nf, k, 1000 * k + nf)
               for k in range(3, 13) for nf in range(31)]
@@ -660,24 +662,22 @@ def test_core_links_are_oriented_chains():
         for part in _block_parts(inst):
             core = planar.plane_core(part)
             k = part.k
-            ids = list(part.anchors)
-            ids += [v for v in range(part.n) if not part.is_anchor(v)]
-            cid = {v: c for c, v in enumerate(ids)}
+            index = dict(core.seeds)
             edges = set()
-            for chain, x, y, on_h, sites in core.links:
-                L = len(chain) - 1
-                assert (core.vertices[x], core.vertices[y]) == (
-                    chain[0], chain[-1]), inst
-                edges.add(tuple(sorted((chain[0], chain[-1]))))
-                end = (chain[0], chain[-1])
+            for x, y, L, on_h, sites in core.links:
+                edges.add(_normalize_edge(x, y))
+                assert [t for t, _ in sites] == list(range(1, L)), inst
                 if on_h:
-                    assert all(b == (a + 1) % k
-                               for a, b in zip(chain, chain[1:])), inst
-                    assert end in core.forward, inst
+                    assert (index[x] + L) % k == index[y], inst
+                    assert (x, y) in core.forward, inst
+                    assert all(part.anchor_index(v) == (index[x] + t) % k
+                               for t, v in sites), inst
                 else:
-                    assert end not in core.forward, inst
-                for t, v in sites:
-                    assert 0 < t < L and chain[t] == cid[v], inst
+                    assert (x, y) not in core.forward, inst
+                    path = [core.outs[x]] + [v for _, v in sites]
+                    path.append(core.outs[y])
+                    assert all(w in part.neighbors(v)
+                               for v, w in zip(path, path[1:])), inst
                 links += 1
             assert len(edges) == len(core.links), inst
             assert edges == {(v, w) for v, rot in enumerate(core.rotation)
@@ -685,12 +685,49 @@ def test_core_links_are_oriented_chains():
     assert links >= 8000
 
 
+def _stored(value):
+    """How many values `value` holds, counted through its containers."""
+    if isinstance(value, dict):
+        return sum(_stored(k) + _stored(v) for k, v in value.items())
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return sum(map(_stored, value))
+    return 1
+
+
+def test_core_stores_neither_edge_lengths_nor_n(monkeypatch):
+    # C4 whose host edge (0, 1) has length 10**5, plus a hub on 0, 1 and 2:
+    # the part's core is 0, 1, 2 and the hub, and the long edge is one link
+    # of five fields, none of which holds the chain's ids
+    cores = []
+    scan = planar._scan
+
+    def traced_scan(core, start):
+        cores.append(core)
+        return scan(core, start)
+
+    monkeypatch.setattr(planar, "_scan", traced_scan)
+    lengths = dict.fromkeys([(1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4)],
+                            1)
+    lengths[(0, 1)] = 10 ** 5
+    pos, l = optimal_retract_weighted(5, lengths, [0, 1, 2, 3])
+    assert pos[:4] == [0, 10 ** 5, 10 ** 5 + 1, 10 ** 5 + 2] and l == 2
+    (core,) = cores
+    assert len(core.rotation) == len(core.outs) == 4
+    (x, y, L, on_h, sites), = [
+        link for link in core.links
+        if {core.outs[link[0]], core.outs[link[1]]} == {0, 1}]
+    assert L >= 10 ** 5 and on_h and sites == ()
+    assert all(type(f) is int for f in (x, y, L))
+    assert sum(_stored(getattr(core, f))
+               for f in planar.PlaneCore.__slots__) < 200
+
+
 def _core_fields(core, orig):
     """The fields of a PlaneCore, each reported vertex v read as orig[v]."""
-    links = tuple((chain, x, y, on_h, tuple((t, orig[v]) for t, v in sites))
-                  for chain, x, y, on_h, sites in core.links)
-    return (core.rotation, core.faces, core.half_face, core.outer_face,
-            core.forward, core.vertices,
+    links = tuple((x, y, L, on_h, tuple((t, orig[v]) for t, v in sites))
+                  for x, y, L, on_h, sites in core.links)
+    return (core.k, core.rotation, core.faces, core.half_face,
+            core.outer_face, core.forward,
             tuple(None if v is None else orig[v] for v in core.outs),
             core.seeds, links, core.face_lengths)
 
@@ -724,15 +761,15 @@ def test_solve_scans_plane_core_of_each_part(monkeypatch):
         for core, (part, orig) in zip(cores, parts):
             assert (_core_fields(core, range(inst.n))
                     == _core_fields(planar.plane_core(part), orig)), inst
-            assert core.faces == rotation_faces(core.rotation,
-                                                core.vertices), inst
+            assert core.faces == rotation_faces(core.rotation), inst
             # the walk keeps what PlaneEmbedding derives from the faces; a
             # part is 2-connected, so no core edge is twice on one face
             emb = PlaneEmbedding(len(core.rotation), core.faces,
-                                 core.outer_face, core.anchors)
+                                 core.outer_face,
+                                 [c for c, _ in core.seeds])
             assert emb.half_face == core.half_face, inst
-            span = {tuple(sorted((chain[0], chain[-1]))): (len(chain) - 1, h)
-                    for chain, _, _, h, _ in core.links}
+            span = {_normalize_edge(x, y): (L, h)
+                    for x, y, L, h, _ in core.links}
             assert core.face_lengths == [
                 tuple(sum(span[e][0] for e in fes if span[e][1] == h)
                       for h in (True, False))
@@ -1008,10 +1045,10 @@ def test_weighted_route_hangs_a_pendant_on_its_gateway():
 
 
 def _random_graph(rng, n):
-    """(ids, edges) of a seeded connected graph on n vertices: a planar
-    instance's edges with a few random edges added, or a random tree with
-    up to 2n random edges added. The vertices get distinct random ids below
-    n + 5, and the edges come in random order."""
+    """The edges of a seeded connected graph on the vertices 0..n-1: a
+    planar instance's edges with a few random edges added, or a random tree
+    with up to 2n random edges added. The vertices are renumbered at random,
+    and the edges come in random order."""
     if rng.random() < 0.4:
         k = rng.randint(3, n)
         edges = set(gen_random_planar(n - k, k, rng.randrange(1 << 30)).edges)
@@ -1022,25 +1059,23 @@ def _random_graph(rng, n):
     for _ in range(extra):
         u, v = rng.sample(range(n), 2)
         edges.add((min(u, v), max(u, v)))
-    ids = rng.sample(range(n + 5), n)
+    ids = rng.sample(range(n), n)
     edges = [(ids[u], ids[v]) for u, v in edges]
     rng.shuffle(edges)
-    return sorted(ids), edges
+    return edges
 
 
-def _check_rotation(rotation, nodes, edges):
+def _check_rotation(rotation, edges):
     """Each rotation lists every neighbour exactly once, and its faces
     satisfy Euler's formula V - E + F = 2."""
-    nbrs = {v: [] for v in nodes}
+    nbrs = [[] for _ in rotation]
     for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    for v in nodes:
-        assert sorted(rotation[v]) == sorted(nbrs[v])
-    assert all(rotation[v] == () for v in range(len(rotation))
-               if v not in nbrs)
-    faces = rotation_faces(rotation, nodes)
-    assert len(nodes) - len(edges) + len(faces) == 2
+    for rot, nbr in zip(rotation, nbrs):
+        assert sorted(rot) == sorted(nbr)
+    faces = rotation_faces(rotation)
+    assert len(rotation) - len(edges) + len(faces) == 2
 
 
 def test_lr_rotation_matches_networkx_verdict():
@@ -1049,21 +1084,21 @@ def test_lr_rotation_matches_networkx_verdict():
     verdicts = {True: 0, False: 0}
     for i in range(1200):
         n = 3 + i % 23
-        nodes, edges = _random_graph(rng, n)
+        edges = _random_graph(rng, n)
         try:
-            nx_rotation(n + 5, nodes, edges)
+            nx_rotation(n, edges)
             want = True
         except NotPlanarError:
             want = False
         try:
-            rotation = planar._lr_rotation(n + 5, nodes, edges)
+            rotation = planar._lr_rotation(n, edges)
             got = True
         except NotPlanarError:
             got = False
         assert got == want, i
         verdicts[got] += 1
         if got:
-            _check_rotation(rotation, nodes, edges)
+            _check_rotation(rotation, edges)
     assert min(verdicts.values()) >= 300, verdicts
 
 
@@ -1073,13 +1108,11 @@ def test_lr_rotation_of_a_large_graph_needs_no_recursion():
     edges = [(i, i + 1) for i in range(m - 1)]
     edges += [(m + i, m + i + 1) for i in range(m - 1)]
     edges += [(i, m + i) for i in range(m)]
-    nodes = list(range(2 * m))
-    _check_rotation(planar._lr_rotation(2 * m, nodes, edges), nodes, edges)
+    _check_rotation(planar._lr_rotation(2 * m, edges), edges)
     with pytest.raises(NotPlanarError):
         # both diagonals between the ladder's corners: each must run outside
         # the ladder, where their ends alternate, so they cross
-        planar._lr_rotation(2 * m, nodes, edges + [(0, 2 * m - 1),
-                                                   (m, m - 1)])
+        planar._lr_rotation(2 * m, edges + [(0, 2 * m - 1), (m, m - 1)])
 
 
 def _k33_on_c4():
